@@ -164,9 +164,7 @@ class Pipeline:
 
     def selected_lambda_index(self) -> int:
         cv = self.cv_result()
-        target = cv.lambda_min if self.cfg.rule == "min" else cv.lambda_1se
-        path = self.enet_path()
-        return int(np.argmin(np.abs(path.lambdas - target)))
+        return cv.i_min if self.cfg.rule == "min" else cv.i_1se
 
     def reduced_predictors(self) -> list[str]:
         if self.cfg.predictors is not None:

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .enet import EnetConfig, default_lambda_grid, fit_mgaussian_path
+from .linalg import as_matrix
 
 __all__ = ["CvError", "FoldAssignment", "CvResult", "make_folds", "cross_validate"]
 
@@ -57,13 +58,23 @@ class FoldAssignment:
 
 @dataclass(frozen=True)
 class CvResult:
-    """CV error curve over the master lambda grid and the selected points."""
+    """CV error curve over the master lambda grid and the selected grid
+    indices; the grid is the one :func:`~enetstats.enet.fit_mgaussian_path`
+    builds from the same data, so the indices address its path too."""
 
     lambdas: np.ndarray
     mean_error: np.ndarray
     se_error: np.ndarray
-    lambda_min: float
-    lambda_1se: float
+    i_min: int
+    i_1se: int
+
+    @property
+    def lambda_min(self) -> float:
+        return float(self.lambdas[self.i_min])
+
+    @property
+    def lambda_1se(self) -> float:
+        return float(self.lambdas[self.i_1se])
 
 
 def _splitmix64(state: int) -> tuple[int, int]:
@@ -106,10 +117,8 @@ def cross_validate(x, y, config: EnetConfig | None = None, folds: FoldAssignment
     standard error of that minimum.
     """
     cfg = config if config is not None else EnetConfig()
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if y.ndim == 1:
-        y = y.reshape(-1, 1)
+    x = as_matrix(x, "x")
+    y = as_matrix(y, "y")
     n = x.shape[0]
     if folds is None:
         raise ValueError("cross_validate requires a FoldAssignment")
@@ -155,6 +164,6 @@ def cross_validate(x, y, config: EnetConfig | None = None, folds: FoldAssignment
         lambdas=lambdas,
         mean_error=mean_error,
         se_error=se_error,
-        lambda_min=float(lambdas[i_min]),
-        lambda_1se=float(lambdas[i_1se]),
+        i_min=i_min,
+        i_1se=i_1se,
     )

@@ -16,15 +16,24 @@ comparable across sample sizes.
 The solver assumes the columns of ``x`` arrive standardized (dataprep owns
 scaling) and never rescales; with ``fit_intercept`` the intercept is
 profiled out exactly by centering working copies, and recovered as
-``mean(y) - mean(x) @ b``. Coordinate updates follow the cyclic rule
+``mean(y) - mean(x) @ b``.
 
-    b_j <- S((1/N) x_j' r + c_j b_j, lambda * alpha) / (c_j + lambda * (1 - alpha))
+One kernel serves every K. It uses the covariance updates of Friedman,
+Hastie & Tibshirani (2010, J. Stat. Softw. 33(1), section 2.2): each fit
+forms G = X'X/N and C = X'Y/N once from the centered data, so a coordinate
+update costs O(pK) whatever N is. The row update is the blockwise
+multiresponse step of Simon, Friedman & Hastie (2013, arXiv:1311.6529)::
 
-with c_j = (1/N) x_j' x_j, full residual r, and S the (group) soft
-threshold. Convergence requires both the sweep metric
-max_j c_j * (delta b_j)^2 <= tol and a stationarity certificate at 1e-6
-(see :func:`kkt_check`); after one full sweep the solver iterates on the
-nonzero set until converged, then re-sweeps everything to admit violators.
+    b_j <- S(g_j + G_jj b_j, lambda * alpha) / (G_jj + lambda * (1 - alpha))
+
+with gradient g = C - G b and S the group soft threshold (the scalar one
+when K = 1). Each pass recomputes g exactly, so rounding from the running
+updates never accumulates, and reads the stationarity residual of every
+predictor off it (the certificate :func:`kkt_check` applies). The solver
+stops at a lambda as soon as the largest residual is at most
+``EnetConfig.tol``; otherwise it makes one more cyclic sweep over the rows
+that are nonzero or violate their condition. That certificate is the only
+stopping rule.
 """
 
 from __future__ import annotations
@@ -33,6 +42,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .linalg import as_matrix
 
 __all__ = [
     "ConvergenceError",
@@ -51,17 +62,17 @@ __all__ = [
     "deviance_explained",
 ]
 
-# Stationarity certificate every path solution must pass before the solver
-# accepts convergence.
+# Stationarity level every returned solution meets; EnetConfig.tol may not
+# exceed it.
 KKT_TOL = 1e-6
 
 
 class ConvergenceError(RuntimeError):
-    """Coordinate descent hit the sweep budget at some lambda."""
+    """Coordinate descent hit the pass budget at some lambda."""
 
     def __init__(self, lambda_index: int, max_iter: int):
         super().__init__(
-            f"coordinate descent did not converge within {max_iter} sweeps "
+            f"coordinate descent did not converge within {max_iter} passes "
             f"at lambda index {lambda_index}"
         )
         self.lambda_index = lambda_index
@@ -70,7 +81,13 @@ class ConvergenceError(RuntimeError):
 @dataclass(frozen=True)
 class EnetConfig:
     """Solver settings; ``lambda_min_ratio=None`` resolves from the data
-    (1e-4 when N > p, else 1e-2)."""
+    (1e-4 when N > p, else 1e-2).
+
+    ``tol`` bounds the stationarity certificate itself: a solution is
+    accepted once every predictor's residual (see :func:`kkt_check`) is at
+    most ``tol``, so it may not exceed ``KKT_TOL``. ``max_iter`` caps the
+    coordinate-descent passes per lambda.
+    """
 
     alpha: float = 0.5
     nlambda: int = 100
@@ -88,8 +105,8 @@ class EnetConfig:
             raise ValueError(
                 f"lambda_min_ratio must lie in (0, 1), got {self.lambda_min_ratio!r}"
             )
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol!r}")
+        if not 0.0 < self.tol <= KKT_TOL:
+            raise ValueError(f"tol must lie in (0, {KKT_TOL:g}], got {self.tol!r}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter!r}")
 
@@ -145,17 +162,6 @@ def group_soft_threshold(u, gamma: float) -> np.ndarray:
     return u * (1.0 - gamma / nrm)
 
 
-def _as_2d(a, name: str) -> np.ndarray:
-    arr = np.asarray(a, dtype=float)
-    if arr.ndim == 1:
-        arr = arr.reshape(-1, 1)
-    if arr.ndim != 2:
-        raise ValueError(f"{name} must be 1-D or 2-D, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return arr
-
-
 def _penalty(b: np.ndarray, alpha: float) -> float:
     row_norms = np.sqrt((b * b).sum(axis=1))
     return float(
@@ -166,9 +172,9 @@ def _penalty(b: np.ndarray, alpha: float) -> float:
 
 def objective(x, y, b, b0, lam: float, alpha: float) -> float:
     """Penalized least-squares objective at a candidate solution."""
-    x = _as_2d(x, "x")
-    y = _as_2d(y, "y")
-    b = _as_2d(b, "b")
+    x = as_matrix(x, "x")
+    y = as_matrix(y, "y")
+    b = as_matrix(b, "b")
     b0 = np.atleast_1d(np.asarray(b0, dtype=float))
     n, p = x.shape
     k = y.shape[1]
@@ -191,8 +197,8 @@ def compute_lambda_max(x, y, alpha: float) -> float:
         raise ValueError(
             "alpha = 0 has no finite lambda_max; supply an explicit lambda path"
         )
-    x = _as_2d(x, "x")
-    y = _as_2d(y, "y")
+    x = as_matrix(x, "x")
+    y = as_matrix(y, "y")
     if y.shape[0] != x.shape[0]:
         raise ValueError(f"x has {x.shape[0]} rows but y has {y.shape[0]}")
     g = x.T @ y / x.shape[0]
@@ -217,8 +223,8 @@ def make_lambda_path(lambda_max: float, nlambda: int, lambda_min_ratio: float) -
 def default_lambda_grid(x, y, config: EnetConfig | None = None) -> np.ndarray:
     """The grid the path fitters build when no explicit one is supplied."""
     cfg = config if config is not None else EnetConfig()
-    x = _as_2d(x, "x")
-    y = _as_2d(y, "y")
+    x = as_matrix(x, "x")
+    y = as_matrix(y, "y")
     n, p = x.shape
     if cfg.fit_intercept:
         x = x - x.mean(axis=0)
@@ -253,57 +259,42 @@ def fit_gaussian_path(x, y, config: EnetConfig | None = None, lambdas=None) -> E
     EnetPath with coefficient shape (L, p, 1).
     """
     cfg = config if config is not None else EnetConfig()
-    y = _as_2d(y, "y")
+    y = as_matrix(y, "y")
     if y.shape[1] != 1:
         raise ValueError(f"gaussian fit expects a single response, got {y.shape[1]}")
-    return _fit_path(x, y, cfg, lambdas, grouped=False)
+    return _fit_path(x, y, cfg, lambdas)
 
 
 def fit_mgaussian_path(x, y, config: EnetConfig | None = None, lambdas=None) -> EnetPath:
     """Multi-response grouped elastic-net path.
 
     A predictor is dropped when its entire coefficient row across the K
-    responses is zero. With K = 1 this delegates to the single-response
-    kernel, so results match :func:`fit_gaussian_path` bit for bit.
+    responses is zero. Both fitters run the same kernel, so with K = 1
+    results match :func:`fit_gaussian_path` bit for bit.
     """
     cfg = config if config is not None else EnetConfig()
-    y = _as_2d(y, "y")
-    return _fit_path(x, y, cfg, lambdas, grouped=y.shape[1] > 1)
+    y = as_matrix(y, "y")
+    return _fit_path(x, y, cfg, lambdas)
 
 
 def kkt_check(x, y, b, b0, lam: float, alpha: float, tol: float = KKT_TOL) -> KktReport:
     """Stationarity certificate for a candidate solution.
 
     Zero rows need ||(1/N) x_j'(y - yhat)||_2 <= lam * alpha + tol; nonzero
-    rows need the full subgradient residual below tol. Diagnostic only:
-    reports, never raises.
+    rows need the full subgradient residual below tol. The residuals are
+    the ones the solver stops on. Diagnostic only: violations are
+    reported, never raised.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if y.ndim == 1:
-        y = y.reshape(-1, 1)
-    b = np.asarray(b, dtype=float)
-    if b.ndim == 1:
-        b = b.reshape(-1, 1)
+    x = as_matrix(x, "x")
+    y = as_matrix(y, "y")
+    b = as_matrix(b, "b")
     b0 = np.atleast_1d(np.asarray(b0, dtype=float))
-    n, p = x.shape
-    resid = y - b0 - x @ b
-    grad = x.T @ resid / n
-    violations: list[int] = []
-    worst = 0.0
-    for j in range(p):
-        bj = b[j]
-        if not bj.any():
-            v = max(0.0, math.sqrt(float(grad[j] @ grad[j])) - lam * alpha)
-        else:
-            nrm = math.sqrt(float(bj @ bj))
-            g = grad[j] - lam * (1.0 - alpha) * bj - lam * alpha * bj / nrm
-            v = math.sqrt(float(g @ g))
-        if v > worst:
-            worst = v
-        if v > tol:
-            violations.append(j)
-    return KktReport(max_violation=worst, violations=violations)
+    grad = x.T @ (y - b0 - x @ b) / x.shape[0]
+    residuals = _stationarity(grad, b, lam, alpha)
+    return KktReport(
+        max_violation=float(residuals.max(initial=0.0)),
+        violations=np.flatnonzero(residuals > tol).tolist(),
+    )
 
 
 def deviance_explained(path: EnetPath, y) -> np.ndarray:
@@ -312,7 +303,7 @@ def deviance_explained(path: EnetPath, y) -> np.ndarray:
     TSS is taken about the column means of ``y``. The result is also
     written into ``path.dev_ratio``.
     """
-    y = _as_2d(y, "y")
+    y = as_matrix(y, "y")
     centered = y - y.mean(axis=0)
     tss = float((centered * centered).sum())
     if tss == 0.0:
@@ -326,20 +317,24 @@ def deviance_explained(path: EnetPath, y) -> np.ndarray:
 # solver internals
 
 
-class _SweepBudgetExceeded(Exception):
-    pass
+def _stationarity(grad: np.ndarray, b: np.ndarray, lam: float, alpha: float) -> np.ndarray:
+    """Per-predictor stationarity residuals of ``b`` given the gradient
+    ``grad = (1/N) x'(y - yhat)``.
+
+    A zero row j is stationary when ||grad_j||_2 <= lam * alpha, a nonzero
+    row when grad_j = lam * ((1 - alpha) + alpha / ||b_j||_2) * b_j; entry j
+    is the Euclidean amount by which row j misses its condition.
+    """
+    norms = np.sqrt(np.einsum("jk,jk->j", b, b))
+    zero = norms == 0.0
+    inactive = np.maximum(np.sqrt(np.einsum("jk,jk->j", grad, grad)) - lam * alpha, 0.0)
+    shrink = lam * (1.0 - alpha) + lam * alpha / np.where(zero, 1.0, norms)
+    miss = grad - shrink[:, None] * b
+    return np.where(zero, inactive, np.sqrt(np.einsum("jk,jk->j", miss, miss)))
 
 
-def _fit_path(
-    x,
-    y: np.ndarray,
-    cfg: EnetConfig,
-    lambdas,
-    grouped: bool,
-    use_active_set: bool = True,
-    objective_traces: list | None = None,
-) -> EnetPath:
-    x = _as_2d(x, "x")
+def _fit_path(x, y: np.ndarray, cfg: EnetConfig, lambdas) -> EnetPath:
+    x = as_matrix(x, "x")
     n, p = x.shape
     k = y.shape[1]
     if y.shape[0] != n:
@@ -351,31 +346,18 @@ def _fit_path(
     else:
         x_off = np.zeros(p)
         y_off = np.zeros(k)
-    xw = np.asfortranarray(x - x_off)
+    xw = x - x_off
     yw = y - y_off
-
-    col_sq = np.einsum("ij,ij->j", xw, xw) / n
-    degenerate = np.flatnonzero(col_sq == 0.0)
+    gram = xw.T @ xw / n
+    cov = xw.T @ yw / n
+    degenerate = np.flatnonzero(gram.diagonal() == 0.0)
     if degenerate.size:
         raise ValueError(
             f"predictor column {int(degenerate[0])} is constant; standardize inputs first"
         )
 
-    lam_max = compute_lambda_max(xw, yw, cfg.alpha) if cfg.alpha > 0 else None
     if lambdas is None:
-        if lam_max is None:
-            raise ValueError(
-                "alpha = 0 has no data-driven grid; pass an explicit lambda path"
-            )
-        if lam_max <= 0:
-            raise ValueError(
-                "every predictor is uncorrelated with the response; "
-                "no data-driven lambda grid exists"
-            )
-        ratio = cfg.lambda_min_ratio
-        if ratio is None:
-            ratio = 1e-4 if n > p else 1e-2
-        lams = make_lambda_path(lam_max, cfg.nlambda, ratio)
+        lams = default_lambda_grid(x, y, cfg)
     else:
         lams = np.asarray(lambdas, dtype=float)
         if lams.ndim != 1 or lams.size < 1:
@@ -393,20 +375,8 @@ def _fit_path(
     rss = np.empty(n_lams)
 
     for i, lam in enumerate(lams):
-        trace: list[float] | None = None
-        if objective_traces is not None:
-            trace = []
-            objective_traces.append(trace)
-        if lam_max is not None and lam >= lam_max:
-            # the all-zero solution is stationary here by construction
-            b[:] = 0.0
-        else:
-            try:
-                _solve_single(
-                    xw, yw, b, float(lam), cfg, col_sq, grouped, use_active_set, trace
-                )
-            except _SweepBudgetExceeded:
-                raise ConvergenceError(i, cfg.max_iter) from None
+        if not _descend(gram, cov, b, float(lam), cfg):
+            raise ConvergenceError(i, cfg.max_iter)
         resid = yw - xw @ b
         rss[i] = float((resid * resid).sum())
         coefs[i] = b
@@ -425,134 +395,32 @@ def _fit_path(
     return path
 
 
-def _solve_single(
-    xw: np.ndarray,
-    yw: np.ndarray,
-    b: np.ndarray,
-    lam: float,
-    cfg: EnetConfig,
-    col_sq: np.ndarray,
-    grouped: bool,
-    use_active_set: bool,
-    trace: list[float] | None,
-) -> None:
-    """Coordinate descent at a single lambda, warm-started from ``b``."""
-    n, p = xw.shape
+def _descend(gram: np.ndarray, cov: np.ndarray, b: np.ndarray, lam: float, cfg: EnetConfig) -> bool:
+    """Coordinate descent at one lambda, warm-started from ``b`` and
+    updating it in place.
+
+    Returns True once every stationarity residual is at most ``cfg.tol``,
+    False if that still fails after ``cfg.max_iter`` passes.
+    """
     gamma = lam * cfg.alpha
-    denom = col_sq + lam * (1.0 - cfg.alpha)
-    resid = yw - xw @ b
-    all_idx = np.arange(p)
-    sweeps = 0
-    tol = cfg.tol
-
-    def run_sweep(idx: np.ndarray) -> float:
-        if grouped:
-            return _sweep_grouped(xw, resid, b, col_sq, denom, gamma, n, idx)
-        return _sweep_scalar(xw, resid, b, col_sq, denom, gamma, n, idx)
-
-    def record() -> None:
-        if trace is not None:
-            trace.append(
-                float((resid * resid).sum()) / (2.0 * n) + lam * _penalty(b, cfg.alpha)
-            )
-
+    diag = gram.diagonal().tolist()
+    denom = (gram.diagonal() + lam * (1.0 - cfg.alpha)).tolist()
+    passes = 0
     while True:
-        if sweeps >= cfg.max_iter:
-            raise _SweepBudgetExceeded
-        delta = run_sweep(all_idx)
-        sweeps += 1
-        record()
-        if delta <= tol:
-            if _kkt_violation(xw, resid, b, lam, cfg.alpha, n) <= KKT_TOL:
-                return
-            # sweep metric passed but stationarity did not; tighten and go on
-            tol /= 10.0
-            continue
-        if use_active_set:
-            active = np.flatnonzero(np.any(b != 0.0, axis=1))
-            while active.size:
-                if sweeps >= cfg.max_iter:
-                    raise _SweepBudgetExceeded
-                delta = run_sweep(active)
-                sweeps += 1
-                record()
-                if delta <= tol:
-                    break
-
-
-def _sweep_scalar(
-    xw: np.ndarray,
-    resid: np.ndarray,
-    b: np.ndarray,
-    col_sq: np.ndarray,
-    denom: np.ndarray,
-    gamma: float,
-    n: int,
-    idx: np.ndarray,
-) -> float:
-    r = resid[:, 0]
-    max_delta = 0.0
-    for j in idx:
-        bj = b[j, 0]
-        z = float(xw[:, j] @ r) / n + col_sq[j] * bj
-        m = abs(z) - gamma
-        bn = 0.0 if m <= 0.0 else math.copysign(m, z) / denom[j]
-        if bn != bj:
-            r += xw[:, j] * (bj - bn)
-            b[j, 0] = bn
-            step = col_sq[j] * (bn - bj) ** 2
-            if step > max_delta:
-                max_delta = step
-    return max_delta
-
-
-def _sweep_grouped(
-    xw: np.ndarray,
-    resid: np.ndarray,
-    b: np.ndarray,
-    col_sq: np.ndarray,
-    denom: np.ndarray,
-    gamma: float,
-    n: int,
-    idx: np.ndarray,
-) -> float:
-    max_delta = 0.0
-    for j in idx:
-        bj = b[j].copy()
-        u = (resid.T @ xw[:, j]) / n + col_sq[j] * bj
-        nrm = math.sqrt(float(u @ u))
-        if nrm <= gamma:
-            bn = np.zeros_like(u)
-        else:
-            bn = u * ((1.0 - gamma / nrm) / denom[j])
-        diff = bj - bn
-        if diff.any():
-            resid += np.outer(xw[:, j], diff)
-            b[j] = bn
-            step = col_sq[j] * float((diff * diff).max())
-            if step > max_delta:
-                max_delta = step
-    return max_delta
-
-
-def _kkt_violation(
-    xw: np.ndarray,
-    resid: np.ndarray,
-    b: np.ndarray,
-    lam: float,
-    alpha: float,
-    n: int,
-) -> float:
-    grad = xw.T @ resid / n
-    worst = 0.0
-    for j in range(b.shape[0]):
-        bj = b[j]
-        if not bj.any():
-            v = max(0.0, math.sqrt(float(grad[j] @ grad[j])) - lam * alpha)
-        else:
-            nrm = math.sqrt(float(bj @ bj))
-            g = grad[j] - lam * (1.0 - alpha) * bj - lam * alpha * bj / nrm
-            v = math.sqrt(float(g @ g))
-        if v > worst:
-            worst = v
-    return worst
+        grad = cov - gram @ b
+        residuals = _stationarity(grad, b, lam, cfg.alpha)
+        if residuals.max(initial=0.0) <= cfg.tol:
+            return True
+        if passes == cfg.max_iter:
+            return False
+        passes += 1
+        # zero rows that satisfy their condition would stay zero; skip them
+        rows = np.flatnonzero(b.any(axis=1) | (residuals > cfg.tol))
+        for j in rows.tolist():
+            bj = b[j]
+            u = grad[j] + diag[j] * bj
+            nrm = math.sqrt(u @ u)
+            new = u * ((1.0 - gamma / nrm) / denom[j]) if nrm > gamma else np.zeros_like(u)
+            # gram is symmetric: its contiguous row j is column j
+            grad -= gram[j][:, None] * (new - bj)
+            bj[:] = new

@@ -19,6 +19,7 @@ from .dist import f_sf, t_sf
 from .linalg import (
     NotPositiveDefiniteError,
     RankDeficiencyError,
+    as_matrix,
     cholesky_solve,
     least_squares,
 )
@@ -167,12 +168,8 @@ def fit_mlm(x, y, predictor_names=None, response_names=None) -> MlmFit:
     offending column where detectable) when the augmented design is rank
     deficient.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim == 1:
-        x = x.reshape(-1, 1)
-    if y.ndim == 1:
-        y = y.reshape(-1, 1)
+    x = as_matrix(x, "x")
+    y = as_matrix(y, "y")
     n, p = x.shape
     k = y.shape[1]
     if y.shape[0] != n:
@@ -316,9 +313,7 @@ def vif(x, names=None) -> list[VifEntry]:
     vif_j = 1 / (1 - R_j^2), where R_j^2 comes from the auxiliary
     regression of column j on all other columns plus an intercept.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x.reshape(-1, 1)
+    x = as_matrix(x, "x")
     n, p = x.shape
     if p < 2:
         raise ValueError(f"VIF needs at least 2 predictors, got {p}")

@@ -44,16 +44,17 @@ class RankDeficiencyError(ValueError):
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce ``a`` to a validated 2-D float array.
 
-    1-D input becomes a single column. Rejects empty shapes and any
-    non-finite entry.
+    1-D input becomes a single column. Rejects input without rows and any
+    non-finite entry; zero columns are allowed (an intercept-only design
+    has no predictor columns).
     """
     arr = np.asarray(a, dtype=float)
     if arr.ndim == 1:
         arr = arr.reshape(-1, 1)
     if arr.ndim != 2:
         raise DimensionError(f"{name} must be 2-D, got shape {arr.shape}")
-    if arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise DimensionError(f"{name} must have at least one row and one column")
+    if arr.shape[0] < 1:
+        raise DimensionError(f"{name} must have at least one row")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     return arr

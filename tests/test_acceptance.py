@@ -5,6 +5,7 @@ lines as they execute; every tolerance is pinned here, nothing is deferred.
 """
 
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import enetstats
 from enetstats.dist import f_sf
 from enetstats.enet import (
     EnetConfig,
@@ -235,6 +237,9 @@ def test_criterion_07_vif_and_pearson_oracles():
 
 
 def _run_report(out_dir: Path) -> str:
+    # the CLI subprocess must import the same package these tests import
+    src = str(Path(enetstats.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [
             sys.executable,
@@ -251,6 +256,7 @@ def _run_report(out_dir: Path) -> str:
         capture_output=True,
         text=True,
         check=False,
+        env={**os.environ, "PYTHONPATH": pythonpath},
     )
     assert result.returncode == 0, result.stderr
     return result.stdout

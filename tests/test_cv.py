@@ -151,6 +151,23 @@ class TestCrossValidate:
         assert_allclose(shuffled.mean_error, base.mean_error, rtol=1e-9, atol=1e-12)
         assert math.isclose(shuffled.lambda_min, base.lambda_min, rel_tol=1e-12)
 
+    def test_grid_matches_path_bitwise(self):
+        # the CLI addresses the path by the CV-selected index, so both must
+        # build exactly the same grid from the same data
+        rng = np.random.default_rng(44)
+        cfg = EnetConfig(alpha=0.5, nlambda=3, lambda_min_ratio=0.5)
+        for _ in range(50):
+            n = int(rng.integers(8, 60))
+            p = int(rng.integers(1, 12))
+            k = int(rng.integers(1, 4))
+            x = standardized(rng, n, p)
+            y = x @ rng.normal(size=(p, k)) + rng.normal(size=(n, k))
+            path = fit_mgaussian_path(x, y, cfg)
+            res = cross_validate(x, y, cfg, make_folds(n, 3, seed=2))
+            assert np.array_equal(path.lambdas, res.lambdas), (n, p, k)
+            assert res.lambda_min == path.lambdas[res.i_min]
+            assert res.lambda_1se == path.lambdas[res.i_1se]
+
     def test_constant_training_column_reports_fold(self):
         rng = np.random.default_rng(31)
         n = 20

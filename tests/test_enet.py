@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from enetstats.enet import (
     ConvergenceError,
     EnetConfig,
-    _fit_path,
+    _descend,
     compute_lambda_max,
     default_lambda_grid,
     deviance_explained,
@@ -219,6 +219,13 @@ class TestGaussianPath:
             fit_gaussian_path(x, y, cfg, lambdas=[0.001])
         assert info.value.lambda_index == 0
 
+    def test_tol_looser_than_certificate_rejected(self):
+        # tol is the certificate the solver stops on, so it may not be
+        # looser than the level every solution must pass
+        EnetConfig(tol=1e-6)
+        with pytest.raises(ValueError, match="tol"):
+            EnetConfig(tol=1e-5)
+
     def test_alpha_zero_needs_explicit_grid(self):
         rng = np.random.default_rng(11)
         x = standardized(rng, 10, 2)
@@ -384,19 +391,28 @@ class TestDevianceExplained:
 
 
 class TestPathInvariants:
-    def test_objective_monotone_per_sweep(self):
+    def test_objective_monotone_per_pass(self):
+        # the kernel updates b in place, so a cold start cut after s passes
+        # leaves the iterate of pass s behind
         rng = np.random.default_rng(24)
         x = standardized(rng, 25, 6)
         y = np.column_stack(
             [x @ rng.normal(size=6) + 0.4 * rng.normal(size=25) for _ in range(2)]
         )
-        traces: list = []
-        _fit_path(
-            x, y, EnetConfig(alpha=0.5, nlambda=15), None,
-            grouped=True, objective_traces=traces,
-        )
-        for trace in traces:
-            for before, after in zip(trace, trace[1:]):
+        xc = x - x.mean(axis=0)
+        yc = y - y.mean(axis=0)
+        gram = xc.T @ xc / 25
+        cov = xc.T @ yc / 25
+        grid = default_lambda_grid(x, y, EnetConfig(alpha=0.5, nlambda=15))
+        for lam in grid[[3, 8, 14]]:
+            values = [objective(x, y, np.zeros((6, 2)), y.mean(axis=0), float(lam), 0.5)]
+            for passes in range(1, 13):
+                b = np.zeros((6, 2))
+                _descend(gram, cov, b, float(lam), EnetConfig(alpha=0.5, max_iter=passes))
+                b0 = y.mean(axis=0) - x.mean(axis=0) @ b
+                values.append(objective(x, y, b, b0, float(lam), 0.5))
+            assert values[-1] < values[0]
+            for before, after in zip(values, values[1:]):
                 assert after <= before + 1e-12 * max(1.0, abs(before))
 
     def test_kkt_along_path(self):
@@ -428,16 +444,21 @@ class TestPathInvariants:
         path = fit_mgaussian_path(x, y, EnetConfig(alpha=0.5))
         assert np.all(np.diff(path.dev_ratio) >= -1e-8)
 
-    def test_active_set_matches_full_sweeps(self):
-        # compare the strategies, not the stopping noise: converge both
-        # far past the 1e-8 comparison level
+    def test_zero_row_skipping_matches_prox_grad(self):
+        # passes skip zero rows that satisfy their condition; converged far
+        # past the 1e-8 comparison level, the path must still land on the
+        # minimizer a method that always moves every row finds
         rng = np.random.default_rng(28)
-        x = standardized(rng, 25, 6)
-        y = x @ rng.normal(size=(6, 2)) + 0.4 * rng.normal(size=(25, 2))
-        cfg = EnetConfig(alpha=0.5, nlambda=20, tol=1e-16)
-        with_active = _fit_path(x, y, cfg, None, grouped=True, use_active_set=True)
-        without = _fit_path(x, y, cfg, None, grouped=True, use_active_set=False)
-        assert np.max(np.abs(with_active.coefs - without.coefs)) <= 1e-8
+        for k in (1, 2):
+            x = standardized(rng, 25, 6)
+            y = x @ rng.normal(size=(6, k)) + 0.4 * rng.normal(size=(25, k))
+            path = fit_mgaussian_path(x, y, EnetConfig(alpha=0.5, nlambda=20, tol=1e-10))
+            b_ref = None
+            for i, lam in enumerate(path.lambdas):
+                b_ref, _ = prox_grad_reference(
+                    x, y, float(lam), 0.5, tol=1e-13, b_init=b_ref
+                )
+                assert np.max(np.abs(path.coefs[i] - b_ref)) <= 1e-8, (k, i)
 
     def test_matches_proximal_gradient(self):
         rng = np.random.default_rng(29)

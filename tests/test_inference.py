@@ -225,6 +225,12 @@ class TestVif:
         again = vif(x2)
         assert math.isclose(base[0].vif, again[0].vif, rel_tol=1e-9)
 
+    def test_non_finite_cell_names_argument(self):
+        x = np.random.default_rng(45).normal(size=(10, 3))
+        x[4, 1] = np.nan
+        with pytest.raises(ValueError, match="^x contains non-finite"):
+            vif(x)
+
     def test_needs_two_columns(self):
         with pytest.raises(ValueError):
             vif(np.ones((5, 1)))

@@ -29,7 +29,9 @@ from .dataprep import (
 )
 from .enet import ConvergenceError, EnetConfig, EnetPath, fit_mgaussian_path
 from .inference import (
+    CoefficientRow,
     CollinearityError,
+    ManovaRow,
     MlmFit,
     PerfectFitError,
     fit_mlm,
@@ -39,7 +41,7 @@ from .inference import (
     univariate_summary,
     vif,
 )
-from .linalg import NotPositiveDefiniteError, RankDeficiencyError
+from .linalg import RankDeficiencyError
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -48,12 +50,7 @@ EXIT_INFERENCE = 4
 
 _INPUT_ERRORS = (DataError, FileNotFoundError, IsADirectoryError, PermissionError)
 _SOLVER_ERRORS = (ConvergenceError, CvError)
-_INFERENCE_ERRORS = (
-    RankDeficiencyError,
-    NotPositiveDefiniteError,
-    PerfectFitError,
-    CollinearityError,
-)
+_INFERENCE_ERRORS = (RankDeficiencyError, PerfectFitError, CollinearityError)
 
 
 @dataclass
@@ -123,6 +120,24 @@ def _render_table(header: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines)
 
 
+def _manova_cells(rows: list[ManovaRow], num, p_value) -> list[list[str]]:
+    """Cells of the MANOVA table, with ``num`` and ``p_value`` formatting
+    the statistics and the p-values."""
+    return [
+        [r.term, str(r.df), num(r.pillai), num(r.approx_f), str(r.num_df), str(r.den_df),
+         p_value(r.p_value), stars(r.p_value)]
+        for r in rows
+    ]
+
+
+def _coef_cells(rows: list[CoefficientRow], num, p_value) -> list[list[str]]:
+    """Cells of a coefficient table, formatted as in :func:`_manova_cells`."""
+    return [
+        [r.name, num(r.estimate), num(r.std_error), num(r.t), p_value(r.p), stars(r.p)]
+        for r in rows
+    ]
+
+
 class Pipeline:
     """Shared state for the subcommands so `report` never recomputes."""
 
@@ -134,6 +149,7 @@ class Pipeline:
         self._path: EnetPath | None = None
         self._cv: CvResult | None = None
         self._mlm: MlmFit | None = None
+        self._mlm_x: np.ndarray | None = None  # the fit's predictor columns
         cfg.out.mkdir(parents=True, exist_ok=True)
 
     # -- shared stages ----------------------------------------------------
@@ -188,9 +204,9 @@ class Pipeline:
             names = self.reduced_predictors()
             if not names:
                 raise DataError("the selected model keeps no predictors")
-            cols = [x.names.index(n) for n in names]
+            self._mlm_x = x.matrix[:, [x.names.index(n) for n in names]]
             self._mlm = fit_mlm(
-                x.matrix[:, cols],
+                self._mlm_x,
                 y.matrix,
                 predictor_names=names,
                 response_names=y.names,
@@ -258,41 +274,23 @@ class Pipeline:
         fit = self.mlm_fit()
         d = self.cfg.digits
 
+        def fixed(value: float) -> str:
+            return _fixed(value, d)
+
+        def p4(value: float) -> str:
+            return _fixed(value, 4)
+
         manova = manova_table(fit)
         _write_tsv(
             self.cfg.out / "manova.tsv",
             ["term", "df", "pillai", "approx_f", "num_df", "den_df", "p", "stars"],
-            [
-                [
-                    row.term,
-                    str(row.df),
-                    _g17(row.pillai),
-                    _g17(row.approx_f),
-                    str(row.num_df),
-                    str(row.den_df),
-                    _g17(row.p_value),
-                    stars(row.p_value),
-                ]
-                for row in manova
-            ],
+            _manova_cells(manova, _g17, _g17),
         )
         print("Multivariate tests:")
         print(
             _render_table(
                 ["term", "df", "pillai", "approx F", "num df", "den df", "p", ""],
-                [
-                    [
-                        row.term,
-                        str(row.df),
-                        _fixed(row.pillai, d),
-                        _fixed(row.approx_f, d),
-                        str(row.num_df),
-                        str(row.den_df),
-                        _fixed(row.p_value, 4),
-                        stars(row.p_value),
-                    ]
-                    for row in manova
-                ],
+                _manova_cells(manova, fixed, p4),
             )
         )
 
@@ -305,55 +303,30 @@ class Pipeline:
             _write_tsv(
                 self.cfg.out / f"uni_{response}.tsv",
                 ["term", "estimate", "std_error", "t", "p", "stars"],
-                [
-                    [
-                        row.name,
-                        _g17(row.estimate),
-                        _g17(row.std_error),
-                        _g17(row.t),
-                        _g17(row.p),
-                        stars(row.p),
-                    ]
-                    for row in summary.coef_rows
-                ],
+                _coef_cells(summary.coef_rows, _g17, _g17),
                 footer=footer,
             )
             print(f"Follow-up regression: {response}")
             print(
                 _render_table(
                     ["term", "estimate", "std error", "t", "p", ""],
-                    [
-                        [
-                            row.name,
-                            _fixed(row.estimate, d),
-                            _fixed(row.std_error, d),
-                            _fixed(row.t, d),
-                            _fixed(row.p, 4),
-                            stars(row.p),
-                        ]
-                        for row in summary.coef_rows
-                    ],
+                    _coef_cells(summary.coef_rows, fixed, p4),
                 )
             )
             print(
-                f"F({summary.df1},{summary.df2})={_fixed(summary.f_stat, d)} "
-                f"R2={_fixed(summary.r2, 4)} R2adj={_fixed(summary.r2_adj, 4)} "
-                f"sigma={_fixed(summary.sigma, 4)}"
+                f"F({summary.df1},{summary.df2})={fixed(summary.f_stat)} "
+                f"R2={p4(summary.r2)} R2adj={p4(summary.r2_adj)} "
+                f"sigma={p4(summary.sigma)}"
             )
 
-        entries = vif(self._vif_matrix(), names=fit.predictor_names)
+        entries = vif(self._mlm_x, names=fit.predictor_names)
         _write_tsv(
             self.cfg.out / "vif.tsv",
             ["predictor", "r2_aux", "vif"],
             [[e.name, _g17(e.r2_aux), _g17(e.vif)] for e in entries],
         )
         print("Variance inflation factors:")
-        print(
-            _render_table(
-                ["predictor", "vif"],
-                [[e.name, _fixed(e.vif, d)] for e in entries],
-            )
-        )
+        print(_render_table(["predictor", "vif"], [[e.name, fixed(e.vif)] for e in entries]))
 
         points = residual_diagnostics(fit)
         _write_tsv(
@@ -374,11 +347,6 @@ class Pipeline:
                         f"pearson {fit.response_names[i]}~{fit.response_names[j]} "
                         f"r={_g17(result.r)} p={_g17(result.p)}"
                     )
-
-    def _vif_matrix(self) -> np.ndarray:
-        x, _ = self.design()
-        cols = [x.names.index(n) for n in self.mlm_fit().predictor_names]
-        return x.matrix[:, cols]
 
     def run_report(self) -> None:
         self.run_prep()
@@ -436,6 +404,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
+    """Resolve the flags, rejecting a bad value before any data is read
+    or ``--out`` is created."""
+    for field in ("alpha", "nlambda", "lambda_min_ratio"):
+        try:  # EnetConfig is the one validator of the solver settings
+            EnetConfig(**{field: getattr(args, field)})
+        except ValueError as exc:
+            raise DataError(f"--{field.replace('_', '-')}: {exc}") from None
+    for field, ok, rule in (
+        # the CLI has no explicit-grid flag, and lambda_max divides by alpha
+        ("alpha", args.alpha > 0.0, "> 0"),
+        ("folds", args.folds >= 2, ">= 2"),
+        ("digits", args.digits >= 1, ">= 1"),
+    ):
+        if not ok:
+            raise DataError(f"--{field} must be {rule}, got {getattr(args, field)!r}")
     predictors = None
     if getattr(args, "predictors", None):
         predictors = [p.strip() for p in args.predictors.split(",") if p.strip()]

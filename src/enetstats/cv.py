@@ -146,6 +146,8 @@ def cross_validate(x, y, config: EnetConfig | None = None, folds: FoldAssignment
                 f"fold {f}: training slice has constant predictor column {int(flat[0])}",
                 fold=f,
             )
+        if np.all(y_train.max(axis=0) == y_train.min(axis=0)):
+            raise CvError(f"fold {f}: training slice has constant responses", fold=f)
         path = fit_mgaussian_path(x_train, y_train, cfg, lambdas=lambdas)
         x_held = x[~train]
         y_held = y[~train]

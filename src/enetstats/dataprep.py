@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -199,11 +200,12 @@ class StandardizedMatrix:
         p = self.matrix.shape[1]
         if not (self.means.shape == (p,) and self.sds.shape == (p,) and len(self.names) == p):
             raise DataError("means/sds/names must all match the column count")
-        if np.any(self.sds <= 0):
+        if not np.all(self.sds > 0):
             raise DataError("standard deviations must be strictly positive")
         col_means = self.matrix.mean(axis=0)
         col_sds = self.matrix.std(axis=0, ddof=1)
-        if np.max(np.abs(col_means)) > 1e-10 or np.max(np.abs(col_sds - 1.0)) > 1e-10:
+        # written so that a NaN anywhere fails the check
+        if not (np.all(np.abs(col_means) <= 1e-10) and np.all(np.abs(col_sds - 1.0) <= 1e-10)):
             raise DataError("matrix columns are not standardized to tolerance")
 
 
@@ -212,9 +214,12 @@ def _parse_cell(text: str, missing_tokens: tuple[str, ...]) -> float | None:
     if cell in missing_tokens:
         return None
     try:
-        return float(cell)
+        value = float(cell)
     except ValueError:
         raise CsvFormatError(f"unparseable cell {cell!r}") from None
+    if not math.isfinite(value):  # float() accepts nan, inf and overflow
+        raise CsvFormatError(f"non-finite cell {cell!r}")
+    return value
 
 
 def load_csv(
@@ -226,8 +231,9 @@ def load_csv(
 
     ``source`` may be a path or an open text/byte stream. The first record
     is the header. Cells matching a missing token become missing; all
-    other cells must parse as decimal numbers. Errors name the offending
-    data row (1-based) and column.
+    other cells must parse as finite decimal numbers (``nan``, ``inf`` and
+    overflowing literals are rejected). Errors name the offending data row
+    (1-based) and column.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8", newline="") as handle:
@@ -267,10 +273,8 @@ def load_csv(
         for name, cell in zip(names, record):
             try:
                 parsed.append(_parse_cell(cell, missing_tokens))
-            except CsvFormatError:
-                raise CsvFormatError(
-                    f"row {i}, column {name!r}: unparseable cell {cell.strip()!r}"
-                ) from None
+            except CsvFormatError as exc:
+                raise CsvFormatError(f"row {i}, column {name!r}: {exc}") from None
         rows.append(parsed)
     if not rows:
         raise CsvFormatError("no data rows after the header")

@@ -5,6 +5,11 @@ quantities: per-predictor multivariate tests (Pillai's trace with its
 exact F transform for single-df terms), per-response coefficient tables
 with overall F and adjusted R^2, variance inflation factors, Pearson
 correlation, and plot-ready residual records.
+
+Every statistic is read from one rank-checked thin QR per matrix
+(:func:`~enetstats.linalg.thin_qr`): of the design for the coefficients
+and (X'X)^-1 = R^-1 R^-T, of the residuals for all MANOVA terms, and of
+the centered predictors for all VIFs.
 """
 
 from __future__ import annotations
@@ -16,13 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dist import f_sf, t_sf
-from .linalg import (
-    NotPositiveDefiniteError,
-    RankDeficiencyError,
-    as_matrix,
-    cholesky_solve,
-    least_squares,
-)
+from .linalg import RankDeficiencyError, as_matrix, thin_qr
 
 __all__ = [
     "PerfectFitError",
@@ -164,9 +163,10 @@ def fit_mlm(x, y, predictor_names=None, response_names=None) -> MlmFit:
     """Multivariate multiple regression of y (N x K) on x (N x p) plus an
     intercept.
 
-    Raises :class:`~enetstats.linalg.RankDeficiencyError` (naming the
-    offending column where detectable) when the augmented design is rank
-    deficient.
+    One thin QR of the design [1, X] = QR gives both the coefficients
+    R^-1 Q'y and (X'X)^-1 = R^-1 R^-T. Raises
+    :class:`~enetstats.linalg.RankDeficiencyError` naming the first
+    predictor that is collinear with the columns before it.
     """
     x = as_matrix(x, "x")
     y = as_matrix(y, "y")
@@ -187,7 +187,7 @@ def fit_mlm(x, y, predictor_names=None, response_names=None) -> MlmFit:
 
     design = np.column_stack([np.ones(n), x])
     try:
-        coef = least_squares(design, y)
+        q, r = thin_qr(design)
     except RankDeficiencyError as exc:
         if exc.column is not None and exc.column > 0:
             name = predictor_names[exc.column - 1]
@@ -196,17 +196,17 @@ def fit_mlm(x, y, predictor_names=None, response_names=None) -> MlmFit:
                 column=exc.column,
             ) from exc
         raise
+    r_inv = np.linalg.inv(r)
+    coef = r_inv @ (q.T @ y)
     fitted = design @ coef
     residuals = y - fitted
-    e_matrix = residuals.T @ residuals
-    xtx_inv = cholesky_solve(design.T @ design, np.eye(p + 1))
     return MlmFit(
         coef=coef,
         fitted=fitted,
         residuals=residuals,
-        e_matrix=e_matrix,
+        e_matrix=residuals.T @ residuals,
         df_error=n - p - 1,
-        xtx_inv=xtx_inv,
+        xtx_inv=r_inv @ r_inv.T,
         predictor_names=list(predictor_names),
         response_names=list(response_names),
     )
@@ -215,11 +215,12 @@ def fit_mlm(x, y, predictor_names=None, response_names=None) -> MlmFit:
 def manova_table(fit: MlmFit) -> list[ManovaRow]:
     """Per-predictor multivariate tests against all K responses jointly.
 
-    Each term's hypothesis matrix is H_j = b_j' b_j / [(X'X)^-1]_jj with
-    b_j the predictor's coefficient row; Pillai's V = trace(H (H + E)^-1).
-    Single-df terms make the F transform exact:
-    F = V / (1 - V) * den_df / K with (K, df_error - K + 1) degrees of
-    freedom.
+    Term j's hypothesis matrix H_j = b_j b_j' / c_jj (b_j its coefficient
+    row, c_jj = [(X'X)^-1]_jj) has rank one, so E^-1 H_j has the single
+    eigenvalue q_j = b_j' E^-1 b_j / c_jj = ||R_e^-T b_j||^2 / c_jj, with
+    E = R_e'R_e from one thin QR of the residuals. Pillai's V = q / (1 + q)
+    and F = q * den_df / K, exact with (K, df_error - K + 1) df. Residuals
+    of rank below K raise :class:`PerfectFitError` naming the response.
     """
     p = fit.n_predictors
     k = fit.n_responses
@@ -231,23 +232,23 @@ def manova_table(fit: MlmFit) -> list[ManovaRow]:
             f"not enough error degrees of freedom for {k} responses "
             f"(df_error={fit.df_error})"
         )
+    try:
+        _, r_e = thin_qr(fit.residuals)
+    except RankDeficiencyError as exc:
+        raise PerfectFitError(
+            f"response {fit.response_names[exc.column]!r} leaves no residual "
+            "variation beyond the preceding responses"
+        ) from None
+    z = np.linalg.solve(r_e.T, fit.coef[1:].T)
+    q = (z * z).sum(axis=0) / np.diag(fit.xtx_inv)[1:]
     rows: list[ManovaRow] = []
-    for j in range(1, p + 1):
-        b_row = fit.coef[j]
-        h = np.outer(b_row, b_row) / fit.xtx_inv[j, j]
-        v = float(np.trace(cholesky_solve(h + fit.e_matrix, h)))
-        if v < 0.0:
-            v = 0.0
-        if v >= 1.0:
-            raise PerfectFitError(
-                f"term {fit.predictor_names[j - 1]!r} leaves no residual variation"
-            )
-        f_stat = v / (1.0 - v) * den_df / k
+    for name, q_j in zip(fit.predictor_names, q.tolist()):
+        f_stat = q_j * den_df / k
         rows.append(
             ManovaRow(
-                term=fit.predictor_names[j - 1],
+                term=name,
                 df=1,
-                pillai=v,
+                pillai=q_j / (1.0 + q_j),
                 approx_f=f_stat,
                 num_df=k,
                 den_df=den_df,
@@ -308,10 +309,12 @@ def univariate_summary(fit: MlmFit, response: int) -> UnivariateSummary:
 
 
 def vif(x, names=None) -> list[VifEntry]:
-    """Variance inflation factors: regress each predictor on the rest.
+    """Variance inflation factors of the columns of ``x``.
 
-    vif_j = 1 / (1 - R_j^2), where R_j^2 comes from the auxiliary
-    regression of column j on all other columns plus an intercept.
+    vif_j = 1 / (1 - R_j^2), with R_j^2 the auxiliary R^2 of column j on
+    all other columns plus an intercept, equals tss_j [(Xc'Xc)^-1]_jj for
+    the centered predictors Xc = QR: vif_j = tss_j ||row j of R^-1||^2.
+    A column collinear with earlier ones raises :class:`CollinearityError`.
     """
     x = as_matrix(x, "x")
     n, p = x.shape
@@ -321,31 +324,29 @@ def vif(x, names=None) -> list[VifEntry]:
         names = [f"x{j + 1}" for j in range(p)]
     if len(names) != p:
         raise ValueError("name list must match the column count")
-    entries: list[VifEntry] = []
-    for j in range(p):
-        target = x[:, j]
-        others = np.delete(x, j, axis=1)
-        target_c = target - target.mean()
-        tss = float(target_c @ target_c)
-        if tss == 0.0:
-            raise ValueError(f"predictor {names[j]!r} is constant")
-        # centered normal equations: the intercept drops out, and an
-        # exactly orthogonal design yields an exactly zero R^2
-        others_c = others - others.mean(axis=0)
-        cross = others_c.T @ target_c
-        try:
-            solved = cholesky_solve(others_c.T @ others_c, cross.reshape(-1, 1))
-        except NotPositiveDefiniteError:
-            raise CollinearityError(
-                f"the predictors other than {names[j]!r} are collinear among themselves"
-            ) from None
-        r2_aux = float(cross @ solved[:, 0]) / tss
-        if r2_aux >= 1.0 - 1e-12:
-            raise CollinearityError(
-                f"predictor {names[j]!r} is an exact linear combination of the others"
-            )
-        entries.append(VifEntry(name=names[j], r2_aux=r2_aux, vif=1.0 / (1.0 - r2_aux)))
-    return entries
+    centered = x - x.mean(axis=0)
+    tss = (centered * centered).sum(axis=0)
+    constant = np.flatnonzero(tss == 0.0)
+    if constant.size:
+        raise ValueError(f"predictor {names[constant[0]]!r} is constant")
+    try:
+        _, r = thin_qr(centered)
+    except RankDeficiencyError as exc:
+        raise CollinearityError(
+            f"predictor {names[exc.column]!r} is an exact linear combination of the others"
+        ) from None
+    r_inv = np.linalg.inv(r)
+    vifs = tss * (r_inv * r_inv).sum(axis=1)
+    r2_aux = 1.0 - 1.0 / vifs
+    near = np.flatnonzero(r2_aux >= 1.0 - 1e-12)
+    if near.size:
+        raise CollinearityError(
+            f"predictor {names[near[0]]!r} is an exact linear combination of the others"
+        )
+    return [
+        VifEntry(name=name, r2_aux=r2, vif=v)
+        for name, r2, v in zip(names, r2_aux.tolist(), vifs.tolist())
+    ]
 
 
 def pearson(a, b) -> PearsonResult:

@@ -1,10 +1,11 @@
 """Small dense linear algebra with the package's error vocabulary.
 
 numpy supplies the factorizations; this module adds input validation and
-the failure modes the statistical layers turn into diagnostics (upstream
-collinearity surfaces here as a Cholesky pivot or rank failure). Problems
-in this package stay small (~100 columns at most), so everything is dense
-and unblocked.
+the failure modes the statistical layers turn into diagnostics. Every
+regression statistic is read from one rank-checked thin QR
+(:func:`thin_qr`), so upstream collinearity surfaces here as a rank
+failure naming the first dependent column. Problems in this package stay
+small (~100 columns at most), so everything is dense and unblocked.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ __all__ = [
     "as_matrix",
     "matmul",
     "cholesky_solve",
+    "thin_qr",
     "least_squares",
 ]
 
@@ -100,30 +102,34 @@ def cholesky_solve(a, b) -> np.ndarray:
     return np.linalg.solve(lower.T, z)
 
 
-def least_squares(x, y) -> np.ndarray:
-    """Coefficients B minimizing ||y - x @ B||_F, via thin QR.
+def thin_qr(x) -> tuple[np.ndarray, np.ndarray]:
+    """Thin QR factors (Q, R) of ``x``, which needs rows >= columns.
 
-    Requires at least as many rows as columns and full column rank; a
-    near-zero R pivot raises :class:`RankDeficiencyError` carrying the
-    offending column index.
+    A pivot of R at most 1e-12 times the largest one raises
+    :class:`RankDeficiencyError` carrying the first such column, which is
+    numerically a combination of the columns before it.
     """
     x = as_matrix(x, "x")
-    y = as_matrix(y, "y")
-    if x.shape[0] != y.shape[0]:
-        raise DimensionError(
-            f"x has {x.shape[0]} rows but y has {y.shape[0]}"
-        )
     if x.shape[0] < x.shape[1]:
         raise DimensionError(
             f"need rows >= columns, got {x.shape[0]} rows for {x.shape[1]} columns"
         )
     q, r = np.linalg.qr(x)
     diag = np.abs(np.diag(r))
-    limit = _RANK_TOL * float(diag.max(initial=0.0))
-    bad = np.flatnonzero(diag <= limit)
+    bad = np.flatnonzero(diag <= _RANK_TOL * float(diag.max(initial=0.0)))
     if bad.size:
         j = int(bad[0])
         raise RankDeficiencyError(
             f"design column {j} is collinear with the preceding columns", column=j
         )
+    return q, r
+
+
+def least_squares(x, y) -> np.ndarray:
+    """Coefficients B minimizing ||y - x @ B||_F, via :func:`thin_qr`."""
+    x = as_matrix(x, "x")
+    y = as_matrix(y, "y")
+    if x.shape[0] != y.shape[0]:
+        raise DimensionError(f"x has {x.shape[0]} rows but y has {y.shape[0]}")
+    q, r = thin_qr(x)
     return np.linalg.solve(r, q.T @ y)

@@ -32,6 +32,8 @@ def matmul_loops(a, b):
 def det_cofactor(a) -> float:
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
+    if n == 0:
+        return 1.0  # the empty product; makes the 1x1 adjugate [[1]]
     if n == 1:
         return float(a[0, 0])
     total = 0.0
@@ -140,6 +142,24 @@ def pillai_explicit(h, e) -> float:
     h = np.asarray(h, dtype=float)
     e = np.asarray(e, dtype=float)
     return float(np.trace(h @ inverse_adjugate(h + e)))
+
+
+def vif_auxiliary(x) -> list[tuple[float, float]]:
+    """(auxiliary R^2, VIF) per column: regress column j on all the other
+    columns plus an intercept by ``np.linalg.lstsq``, one fit per column."""
+    x = np.asarray(x, dtype=float)
+    n, p = x.shape
+    out = []
+    for j in range(p):
+        target = x[:, j]
+        design = np.column_stack([np.ones(n), np.delete(x, j, axis=1)])
+        coef = np.linalg.lstsq(design, target, rcond=None)[0]
+        resid = target - design @ coef
+        centered = target - target.mean()
+        rss = float(resid @ resid)
+        tss = float(centered @ centered)
+        out.append((1.0 - rss / tss, tss / rss))
+    return out
 
 
 def cv_refit_loop(x, y, assignment, k, lambdas, fit_fn):

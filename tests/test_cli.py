@@ -93,6 +93,16 @@ class TestPrep:
         assert code == 2
         assert "'b'" in capsys.readouterr().err
 
+    def test_non_finite_cell_exits_2_before_out(self, tmp_path, capsys):
+        csv = tmp_path / "n.csv"
+        csv.write_text("a,b\n1,5\n2,nan\n3,4\n", encoding="utf-8")
+        cfg = tmp_path / "n.cfg"
+        cfg.write_text("g.column = a\ng.column = b\n", encoding="utf-8")
+        out = tmp_path / "o"
+        assert run("prep", "--input", csv, "--subsets", cfg, "--out", out) == 2
+        assert "row 2, column 'b': non-finite cell" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_input_exits_2(self, tmp_path):
         code = run(
             "prep", "--input", tmp_path / "nope.csv", "--subsets", DEMO_CFG,
@@ -250,6 +260,28 @@ class TestMlm:
         )
         assert code == 4
         assert "collinear" in capsys.readouterr().err
+
+
+class TestFlagValidation:
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--digits", "0"),
+            ("--alpha", "0"),
+            ("--alpha", "1.5"),
+            ("--nlambda", "1"),
+            ("--lambda-min-ratio", "1"),
+            ("--folds", "1"),
+        ],
+    )
+    def test_bad_value_exits_2_before_out(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "o"
+        code = run(
+            "report", "--input", DEMO_CSV, "--subsets", DEMO_CFG, "--out", out, flag, value
+        )
+        assert code == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestReport:

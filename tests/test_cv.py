@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from enetstats.cv import CvError, cross_validate, make_folds
+from enetstats.cv import CvError, FoldAssignment, cross_validate, make_folds
 from enetstats.enet import EnetConfig, default_lambda_grid, fit_mgaussian_path
 
 from oracles import cv_refit_loop
@@ -179,6 +179,19 @@ class TestCrossValidate:
         x[folds.assignment == 0, 1] = rng.normal(size=int((folds.assignment == 0).sum()))
         y = rng.normal(size=n)
         with pytest.raises(CvError) as info:
+            cross_validate(x, y, EnetConfig(alpha=0.5, nlambda=10), folds)
+        assert info.value.fold == 0
+
+    def test_constant_training_response_reports_fold(self):
+        rng = np.random.default_rng(32)
+        n = 12
+        assignment = np.repeat(np.arange(3), 4)
+        folds = FoldAssignment(assignment=assignment, k=3, seed=0)
+        x = rng.normal(size=(n, 2))
+        # only fold 0's rows vary, so fold 0 trains on a constant response
+        y = np.full(n, 2.0)
+        y[assignment == 0] = rng.normal(size=4)
+        with pytest.raises(CvError, match="fold 0") as info:
             cross_validate(x, y, EnetConfig(alpha=0.5, nlambda=10), folds)
         assert info.value.fold == 0
 

@@ -9,7 +9,9 @@ from enetstats.dataprep import (
     ConstantColumnError,
     CsvFormatError,
     MissingValueError,
+    DataError,
     RawTable,
+    StandardizedMatrix,
     SubsetConfig,
     UnknownColumnError,
     destandardize,
@@ -49,6 +51,11 @@ class TestLoadCsv:
     def test_unparseable_cell_names_row_and_column(self):
         with pytest.raises(CsvFormatError, match="row 2.*'b'"):
             table("a,b\n1,2\n3,oops\n")
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e999"])
+    def test_non_finite_cell_names_row_and_column(self, cell):
+        with pytest.raises(CsvFormatError, match=r"row 2, column 'b': non-finite cell"):
+            table(f"a,b\n1,2\n3,{cell}\n")
 
     def test_quoted_header(self):
         t = table('"a,b",c\n1,2\n')
@@ -203,6 +210,18 @@ class TestStandardize:
         sm = standardize(t)
         assert np.max(np.abs(sm.matrix.mean(axis=0))) <= 1e-10
         assert np.max(np.abs(sm.matrix.std(axis=0, ddof=1) - 1)) <= 1e-10
+
+
+class TestStandardizedMatrix:
+    def test_nan_fails_the_tolerance_check(self):
+        z = np.array([[-1.0, np.nan], [1.0, 0.0]]) / np.sqrt(2.0)
+        with pytest.raises(DataError, match="not standardized"):
+            StandardizedMatrix(matrix=z, means=[0.0, 0.0], sds=[1.0, 1.0], names=["a", "b"])
+
+    def test_nan_sd_rejected(self):
+        z = np.array([[-1.0], [1.0]]) / np.sqrt(2.0)
+        with pytest.raises(DataError, match="strictly positive"):
+            StandardizedMatrix(matrix=z, means=[0.0], sds=[np.nan], names=["a"])
 
 
 class TestRawTable:

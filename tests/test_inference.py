@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from enetstats.inference import (
@@ -19,7 +21,24 @@ from enetstats.inference import (
 )
 from enetstats.linalg import RankDeficiencyError, cholesky_solve
 
-from oracles import pillai_explicit, wilks_f_single_df
+from oracles import pillai_explicit, vif_auxiliary, wilks_f_single_df
+
+
+@st.composite
+def regressions(draw):
+    """(x, y) with N > p + K, p <= 8 and K <= 4, from a drawn numpy seed."""
+    p = draw(st.integers(1, 8))
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(p + k + 2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=(n, p)) * rng.uniform(0.1, 10.0, size=p)
+    y = x @ rng.normal(size=(p, k)) + rng.normal(size=(n, k))
+    return x, y
+
+
+# derandomized and without an example database: the same examples on
+# every run, and nothing written into the working tree
+one_qr = settings(max_examples=100, derandomize=True, database=None, deadline=None)
 
 
 class TestFitMlm:
@@ -140,6 +159,56 @@ class TestManovaTable:
             for row, trow in zip(manova_table(fit), summary.coef_rows[1:]):
                 assert math.isclose(row.approx_f, trow.t**2, rel_tol=1e-10)
                 assert math.isclose(row.p_value, trow.p, rel_tol=1e-9)
+
+
+class TestOneFactorization:
+    """Statistics read from one QR per matrix match the textbook formulas."""
+
+    @one_qr
+    @given(regressions())
+    def test_xtx_inv_matches_direct_inverse(self, data):
+        x, y = data
+        fit = fit_mlm(x, y)
+        design = np.column_stack([np.ones(len(x)), x])
+        assert_allclose(fit.xtx_inv, np.linalg.inv(design.T @ design), rtol=1e-9)
+
+    @one_qr
+    @given(regressions())
+    def test_manova_matches_explicit_pillai_and_wilks(self, data):
+        x, y = data
+        fit = fit_mlm(x, y)
+        k = fit.n_responses
+        for j, row in enumerate(manova_table(fit), start=1):
+            h = np.outer(fit.coef[j], fit.coef[j]) / fit.xtx_inv[j, j]
+            assert math.isclose(row.pillai, pillai_explicit(h, fit.e_matrix), abs_tol=1e-10)
+            _, f_wilks = wilks_f_single_df(h, fit.e_matrix, fit.df_error)
+            assert math.isclose(row.approx_f, f_wilks, rel_tol=1e-10)
+            assert (row.num_df, row.den_df) == (k, fit.df_error - k + 1)
+
+    @one_qr
+    @given(regressions())
+    def test_vif_matches_auxiliary_regressions(self, data):
+        x, _ = data
+        if x.shape[1] < 2:
+            x = np.column_stack([x, np.cos(np.arange(len(x)))])
+        for entry, (r2_aux, want) in zip(vif(x), vif_auxiliary(x)):
+            assert math.isclose(entry.vif, want, rel_tol=1e-9)
+            assert math.isclose(entry.r2_aux, r2_aux, abs_tol=1e-12)
+
+    @pytest.mark.parametrize("scale, shift", [(1.0, 0.0), (2.0, 1.0)])
+    def test_dependent_responses_name_the_response(self, scale, shift):
+        rng = np.random.default_rng(42)
+        x = rng.normal(size=(15, 3))
+        y1 = x @ [1.0, -1.0, 0.5] + rng.normal(size=15)
+        fit = fit_mlm(x, np.column_stack([y1, scale * y1 + shift]), response_names=["y1", "y2"])
+        with pytest.raises(PerfectFitError, match="'y2'"):
+            manova_table(fit)
+
+    def test_vif_names_the_repeated_predictor(self):
+        rng = np.random.default_rng(43)
+        c, z = rng.normal(size=(2, 10))
+        with pytest.raises(CollinearityError, match="'c'"):
+            vif(np.column_stack([c, z, c]), names=["a", "b", "c"])
 
 
 class TestUnivariateSummary:

@@ -9,6 +9,7 @@ from enetstats.linalg import (
     cholesky_solve,
     least_squares,
     matmul,
+    thin_qr,
 )
 
 from oracles import inverse_adjugate, matmul_loops
@@ -131,3 +132,26 @@ class TestLeastSquares:
     def test_underdetermined_rejected(self):
         with pytest.raises(DimensionError):
             least_squares(np.ones((2, 3)), np.ones((2, 1)))
+
+
+class TestThinQr:
+    def test_factors(self):
+        rng = np.random.default_rng(40)
+        x = rng.normal(size=(9, 4))
+        q, r = thin_qr(x)
+        assert q.shape == (9, 4) and r.shape == (4, 4)
+        assert_allclose(q @ r, x, atol=1e-12)
+        assert_allclose(q.T @ q, np.eye(4), atol=1e-12)
+        assert np.all(np.tril(r, -1) == 0.0)
+
+    def test_first_dependent_column_reported(self):
+        rng = np.random.default_rng(41)
+        a, b = rng.normal(size=(2, 8))
+        x = np.column_stack([a, b, a - 3.0 * b, rng.normal(size=8), b])
+        with pytest.raises(RankDeficiencyError) as info:
+            thin_qr(x)
+        assert info.value.column == 2
+
+    def test_underdetermined_rejected(self):
+        with pytest.raises(DimensionError):
+            thin_qr(np.ones((2, 3)))

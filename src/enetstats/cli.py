@@ -60,6 +60,7 @@ class RunConfig:
     input: Path
     subsets: Path
     out: Path
+    command: str = "report"
     alpha: float = 0.5
     nlambda: int = 100
     lambda_min_ratio: float | None = None
@@ -150,7 +151,29 @@ class Pipeline:
         self._cv: CvResult | None = None
         self._mlm: MlmFit | None = None
         self._mlm_x: np.ndarray | None = None  # the fit's predictor columns
+        self._check_data_flags()
         cfg.out.mkdir(parents=True, exist_ok=True)
+
+    def _check_data_flags(self) -> None:
+        """Reject flag values that only the data can refute, before
+        ``--out`` exists."""
+        cfg = self.cfg
+        # every command after prep selects lambda by CV; mlm skips it when
+        # given the predictors
+        runs_cv = cfg.command != "prep" and not (
+            cfg.command == "mlm" and cfg.predictors is not None
+        )
+        n = self.table.n_rows
+        if runs_cv and cfg.folds > n:
+            raise DataError(f"--folds must be <= the {n} observations, got {cfg.folds!r}")
+        if cfg.predictors is not None:
+            group = self.subsets.groups[self.subsets.group_with_role(ROLE_PREDICTOR)]
+            unknown = [p for p in cfg.predictors if p not in group]
+            if unknown:
+                raise DataError(
+                    "--predictors: not in the predictor group: "
+                    + ", ".join(repr(u) for u in unknown)
+                )
 
     # -- shared stages ----------------------------------------------------
 
@@ -184,13 +207,6 @@ class Pipeline:
 
     def reduced_predictors(self) -> list[str]:
         if self.cfg.predictors is not None:
-            x, _ = self.design()
-            unknown = [p for p in self.cfg.predictors if p not in x.names]
-            if unknown:
-                raise DataError(
-                    "predictors not in the predictor group: "
-                    + ", ".join(repr(u) for u in unknown)
-                )
             return list(self.cfg.predictors)
         path = self.enet_path()
         idx = self.selected_lambda_index()
@@ -426,6 +442,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         input=args.input,
         subsets=args.subsets,
         out=args.out,
+        command=args.command,
         alpha=args.alpha,
         nlambda=args.nlambda,
         lambda_min_ratio=args.lambda_min_ratio,
@@ -442,7 +459,7 @@ def main(argv=None) -> int:
     try:
         cfg = _config_from_args(args)
         pipeline = Pipeline(cfg)
-        getattr(pipeline, f"run_{args.command}")()
+        getattr(pipeline, f"run_{cfg.command}")()
     except _SOLVER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER

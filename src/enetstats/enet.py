@@ -31,9 +31,16 @@ when K = 1). Each pass recomputes g exactly, so rounding from the running
 updates never accumulates, and reads the stationarity residual of every
 predictor off it (the certificate :func:`kkt_check` applies). The solver
 stops at a lambda as soon as the largest residual is at most
-``EnetConfig.tol``; otherwise it makes one more cyclic sweep over the rows
-that are nonzero or violate their condition. That certificate is the only
-stopping rule.
+``EnetConfig.tol``; that certificate is the only stopping rule.
+
+Otherwise the pass either finds the active set or solves it. Cyclic sweeps
+over the rows that are nonzero or violate their condition find it. Once a
+sweep has been made at this lambda and every zero row satisfies its
+condition, the pass is instead a Newton step on the nonzero rows, where
+the objective is smooth; it is kept only if no row becomes zero and the
+objective does not increase, else the pass falls back to the sweep. On
+correlated designs, where sweeps converge slowly, this takes the pass
+count per lambda from tens to a few.
 """
 
 from __future__ import annotations
@@ -86,7 +93,7 @@ class EnetConfig:
     ``tol`` bounds the stationarity certificate itself: a solution is
     accepted once every predictor's residual (see :func:`kkt_check`) is at
     most ``tol``, so it may not exceed ``KKT_TOL``. ``max_iter`` caps the
-    coordinate-descent passes per lambda.
+    passes per lambda, cyclic sweeps and Newton steps alike.
     """
 
     alpha: float = 0.5
@@ -118,7 +125,9 @@ class EnetPath:
     ``coefs`` has shape (L, p, K) and ``intercepts`` (L, K); ``nonzero``
     counts predictors whose whole coefficient row is nonzero. ``rss`` keeps
     the residual sum of squares each solution achieved so deviance ratios
-    can be recomputed without the design matrix.
+    can be recomputed without the design matrix. ``n_passes`` counts the
+    solver's passes at each lambda (Newton steps included) and ``kkt_max``
+    is the certificate each solution met, at most ``EnetConfig.tol``.
     """
 
     lambdas: np.ndarray
@@ -127,6 +136,8 @@ class EnetPath:
     dev_ratio: np.ndarray
     nonzero: np.ndarray
     rss: np.ndarray = field(repr=False, default=None)
+    n_passes: np.ndarray = field(repr=False, default=None)
+    kkt_max: np.ndarray = field(repr=False, default=None)
 
     @property
     def n_lambdas(self) -> int:
@@ -373,9 +384,12 @@ def _fit_path(x, y: np.ndarray, cfg: EnetConfig, lambdas) -> EnetPath:
     intercepts = np.empty((n_lams, k))
     nonzero = np.empty(n_lams, dtype=np.int64)
     rss = np.empty(n_lams)
+    n_passes = np.empty(n_lams, dtype=np.int64)
+    kkt_max = np.empty(n_lams)
 
     for i, lam in enumerate(lams):
-        if not _descend(gram, cov, b, float(lam), cfg):
+        n_passes[i], kkt_max[i] = _descend(gram, cov, b, float(lam), cfg)
+        if kkt_max[i] > cfg.tol:
             raise ConvergenceError(i, cfg.max_iter)
         resid = yw - xw @ b
         rss[i] = float((resid * resid).sum())
@@ -390,32 +404,46 @@ def _fit_path(x, y: np.ndarray, cfg: EnetConfig, lambdas) -> EnetPath:
         dev_ratio=np.empty(n_lams),
         nonzero=nonzero,
         rss=rss,
+        n_passes=n_passes,
+        kkt_max=kkt_max,
     )
     deviance_explained(path, y)
     return path
 
 
-def _descend(gram: np.ndarray, cov: np.ndarray, b: np.ndarray, lam: float, cfg: EnetConfig) -> bool:
+def _descend(
+    gram: np.ndarray, cov: np.ndarray, b: np.ndarray, lam: float, cfg: EnetConfig
+) -> tuple[int, float]:
     """Coordinate descent at one lambda, warm-started from ``b`` and
     updating it in place.
 
-    Returns True once every stationarity residual is at most ``cfg.tol``,
-    False if that still fails after ``cfg.max_iter`` passes.
+    Returns the passes made (Newton steps included) and the final
+    certificate, the largest stationarity residual; the solution is
+    accepted when that is at most ``cfg.tol``, which fails only once
+    ``cfg.max_iter`` passes are spent.
     """
     gamma = lam * cfg.alpha
     diag = gram.diagonal().tolist()
     denom = (gram.diagonal() + lam * (1.0 - cfg.alpha)).tolist()
+    grad = cov - gram @ b
     passes = 0
+    cycled = False
     while True:
-        grad = cov - gram @ b
         residuals = _stationarity(grad, b, lam, cfg.alpha)
-        if residuals.max(initial=0.0) <= cfg.tol:
-            return True
-        if passes == cfg.max_iter:
-            return False
+        kkt = float(residuals.max(initial=0.0))
+        if kkt <= cfg.tol or passes == cfg.max_iter:
+            return passes, kkt
         passes += 1
+        active = b.any(axis=1)
+        # once a pass has found a support that no zero row wants to leave,
+        # try to solve it outright
+        if cycled and not np.any(residuals[~active] > cfg.tol):
+            stepped = _newton_step(gram, cov, b, grad, np.flatnonzero(active), lam, cfg.alpha)
+            if stepped is not None:
+                grad = stepped
+                continue
         # zero rows that satisfy their condition would stay zero; skip them
-        rows = np.flatnonzero(b.any(axis=1) | (residuals > cfg.tol))
+        rows = np.flatnonzero(active | (residuals > cfg.tol))
         for j in rows.tolist():
             bj = b[j]
             u = grad[j] + diag[j] * bj
@@ -424,3 +452,59 @@ def _descend(gram: np.ndarray, cov: np.ndarray, b: np.ndarray, lam: float, cfg: 
             # gram is symmetric: its contiguous row j is column j
             grad -= gram[j][:, None] * (new - bj)
             bj[:] = new
+        cycled = True
+        grad = cov - gram @ b
+
+
+def _newton_step(
+    gram: np.ndarray,
+    cov: np.ndarray,
+    b: np.ndarray,
+    grad: np.ndarray,
+    rows: np.ndarray,
+    lam: float,
+    alpha: float,
+) -> np.ndarray | None:
+    """Safeguarded Newton step on the nonzero ``rows`` of ``b``, in place.
+
+    While those rows stay nonzero the objective restricted to them is
+    smooth, with gradient -miss (the stationarity miss of
+    :func:`_stationarity`) and Hessian (G_AA + diag(c)) (x) I_K minus
+    sum_j w_j (e_j e_j' (x) u_j u_j'), where u_j = b_j / ||b_j||,
+    w_j = lam * alpha / ||b_j|| and c_j = lam * (1 - alpha) + w_j (the
+    shrink factor of :func:`_stationarity`). The system is solved by the
+    Woodbury identity with one m x m inverse and one m x m capacitance
+    solve, m = len(rows), written so that w = 0 (alpha = 0) simply drops
+    the rank term; for K = 1 the terms cancel to G_AA + lam * (1 - alpha) I.
+
+    Returns the exact gradient at the new iterate, or None, with ``b``
+    untouched, when the system is singular or the step would zero a row
+    or raise the objective.
+    """
+    ba = b[rows]
+    norms = np.sqrt(np.einsum("jk,jk->j", ba, ba))
+    if not np.all(norms > 0.0):
+        return None
+    w = lam * alpha / norms
+    shrink = lam * (1.0 - alpha) + w
+    miss = grad[rows] - shrink[:, None] * ba
+    u = ba / norms[:, None]
+    try:
+        inv = np.linalg.inv(gram[np.ix_(rows, rows)] + np.diag(shrink))
+        z = inv @ miss
+        capacitance = np.eye(rows.size) - inv * (u @ u.T) * w
+        s = np.linalg.solve(capacitance, np.einsum("jk,jk->j", u, z))
+    except np.linalg.LinAlgError:
+        return None
+    new = ba + z + inv @ ((w * s)[:, None] * u)
+    if not np.all(np.isfinite(new)) or not np.all(new.any(axis=1)):
+        return None
+    b[rows] = new
+    new_grad = cov - gram @ b
+    # objective up to a constant: 1/2 b'Gb - C'b = -1/2 b.(C + g)
+    before = -0.5 * float(np.vdot(ba, cov[rows] + grad[rows])) + lam * _penalty(ba, alpha)
+    after = -0.5 * float(np.vdot(new, cov[rows] + new_grad[rows])) + lam * _penalty(new, alpha)
+    if not after <= before:
+        b[rows] = ba
+        return None
+    return new_grad

@@ -283,6 +283,28 @@ class TestFlagValidation:
         assert flag in capsys.readouterr().err
         assert not out.exists()
 
+    def test_folds_above_observations_exits_2_before_out(self, tmp_path, capsys):
+        # the demo has 86 rows, so 86 folds is the largest valid split
+        out = tmp_path / "o"
+        code = run(
+            "report", "--input", DEMO_CSV, "--subsets", DEMO_CFG, "--out", out, "--folds", "87"
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--folds" in err and "86" in err
+        assert not out.exists()
+
+    def test_unknown_predictor_exits_2_before_out(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = run(
+            "report", "--input", DEMO_CSV, "--subsets", DEMO_CFG, "--out", out,
+            "--predictors", "fertility_rate,nope",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--predictors" in err and "'nope'" in err and "fertility_rate" not in err
+        assert not out.exists()
+
 
 class TestReport:
     def test_full_chain(self, tmp_path, capsys):

@@ -162,3 +162,43 @@ class TestTSf:
     def test_domain(self):
         with pytest.raises(ValueError):
             t_sf(1.0, 0)
+
+
+class TestLargeDf:
+    """Both tails against mpmath at the documented 1e-13 up to df 1e6.
+
+    x = df / (df + t^2) is then within t^2 / df of 1, so forming 1 - x from
+    x (or evaluating the continued fraction in x alone) loses the digits
+    these tests check.
+    """
+
+    @staticmethod
+    def _t_reference(t, df):
+        t2 = mpmath.mpf(t) ** 2
+        return float(
+            mpmath.betainc(mpmath.mpf(df) / 2, mpmath.mpf(1) / 2, 0, df / (df + t2), regularized=True)
+        )
+
+    @pytest.mark.parametrize("df", [10**4, 10**5, 10**6])
+    def test_t_tail(self, df):
+        for t in np.concatenate([[0.0], np.geomspace(1e-3, 40.0, 30)]):
+            want = self._t_reference(float(t), df)
+            assert abs(t_sf(float(t), df).value - want) <= 1e-13, (t, df)
+
+    @pytest.mark.parametrize("d2", [10**4, 10**5, 10**6])
+    def test_f_tail(self, d2):
+        for d1 in (1, 2, 4, 30):
+            for f in np.geomspace(1e-3, 1e3, 19):
+                fm = mpmath.mpf(float(f))
+                want = float(
+                    mpmath.betainc(
+                        mpmath.mpf(d2) / 2, mpmath.mpf(d1) / 2, 0, d2 / (d2 + d1 * fm), regularized=True
+                    )
+                )
+                assert abs(f_sf(float(f), d1, d2).value - want) <= 1e-13, (f, d1, d2)
+
+    def test_small_tails_keep_relative_accuracy(self):
+        # the tails are not formed as 1 - (something near 1)
+        for df, t in ((10**6, 8.0), (10**5, 12.0), (19955, 30.0)):
+            want = self._t_reference(t, df)
+            assert math.isclose(t_sf(t, df).value, want, rel_tol=1e-11), (df, t)

@@ -486,6 +486,107 @@ class TestPathInvariants:
         assert np.array_equal(p1.dev_ratio, p2.dev_ratio)
 
 
+class TestPathTelemetry:
+    def test_kkt_max_meets_tol_on_every_lambda(self):
+        rng = np.random.default_rng(33)
+        for k in (1, 3):
+            x = standardized(rng, 30, 7)
+            y = x @ rng.normal(size=(7, k)) + 0.5 * rng.normal(size=(30, k))
+            cfg = EnetConfig(alpha=0.6, nlambda=30)
+            path = fit_mgaussian_path(x, y, cfg)
+            assert path.n_passes.shape == path.kkt_max.shape == (30,)
+            assert np.all(path.kkt_max <= cfg.tol)
+            assert path.n_passes[0] == 0  # b = 0 is the solution at lambda_max
+            assert np.all(path.n_passes[1:] >= 1)
+            for i, lam in enumerate(path.lambdas):
+                report = kkt_check(x, y, path.coefs[i], path.intercepts[i], float(lam), 0.6)
+                assert report.max_violation <= path.kkt_max[i] + 1e-12, (k, i)
+
+    def test_cold_start_passes_within_max_iter(self):
+        rng = np.random.default_rng(34)
+        x = standardized(rng, 25, 6)
+        y = x @ rng.normal(size=(6, 2)) + 0.4 * rng.normal(size=(25, 2))
+        lam = float(default_lambda_grid(x, y, EnetConfig(alpha=0.5))[40])
+        used = int(fit_mgaussian_path(x, y, EnetConfig(alpha=0.5), lambdas=[lam]).n_passes[0])
+        assert used >= 2
+        for s in (used, used + 3):
+            path = fit_mgaussian_path(x, y, EnetConfig(alpha=0.5, max_iter=s), lambdas=[lam])
+            assert 1 <= path.n_passes[0] <= s
+            assert path.kkt_max[0] <= EnetConfig().tol
+        with pytest.raises(ConvergenceError):
+            fit_mgaussian_path(x, y, EnetConfig(alpha=0.5, max_iter=used - 1), lambdas=[lam])
+
+
+class TestNewtonStep:
+    """The safeguarded Newton step on the nonzero rows: it must make
+    ill-conditioned problems cheap and leave degenerate ones correct."""
+
+    def test_ill_conditioned_design_takes_few_passes(self):
+        # one shared factor: the smallest Gram eigenvalue is 0.022, where
+        # cyclic passes alone need ~76 per lambda on average and 115 at most
+        rng = np.random.default_rng(7)
+        n, p = 11, 8
+        z = rng.normal(size=(n, 1))
+        x = 0.9 * z + 0.45 * rng.normal(size=(n, p))
+        x = (x - x.mean(axis=0)) / x.std(axis=0, ddof=1)
+        y = x @ rng.normal(size=(p, 2)) + 0.5 * rng.normal(size=(n, 2))
+        xc = x - x.mean(axis=0)
+        assert 0.02 < np.linalg.eigvalsh(xc.T @ xc / n).min() < 0.025
+        path = fit_mgaussian_path(x, y, EnetConfig(alpha=0.5))
+        assert int(path.n_passes.max()) <= 15
+        for i, lam in enumerate(path.lambdas):
+            report = kkt_check(x, y, path.coefs[i], path.intercepts[i], float(lam), 0.5)
+            assert report.max_violation <= 1e-6, i
+
+    @staticmethod
+    def _certified(x, y, cfg, lambdas=None):
+        path = fit_mgaussian_path(x, y, cfg, lambdas=lambdas)
+        assert np.all(path.kkt_max <= cfg.tol)
+        for i, lam in enumerate(path.lambdas):
+            report = kkt_check(x, y, path.coefs[i], path.intercepts[i], float(lam), cfg.alpha)
+            assert report.max_violation <= 1e-6, i
+        return path
+
+    @pytest.mark.parametrize(
+        "alpha, lambdas",
+        [(0.5, None), (0.0, np.geomspace(2.0, 2e-3, 12))],
+        ids=["alpha=0.5", "alpha=0"],
+    )
+    def test_duplicated_columns(self, alpha, lambdas):
+        # the ridge term keeps the minimizer unique although G_AA is
+        # singular; with the certificate at 1e-12 the coefficients must
+        # match the reference to 1e-8
+        rng = np.random.default_rng(42)
+        x = standardized(rng, 20, 5)
+        x = np.column_stack([x, x[:, 1]])
+        y = x @ rng.normal(size=(6, 2)) + 0.4 * rng.normal(size=(20, 2))
+        self._certified(x, y, EnetConfig(alpha=alpha, nlambda=20), lambdas)
+        path = self._certified(x, y, EnetConfig(alpha=alpha, nlambda=20, tol=1e-12), lambdas)
+        b_ref = None
+        for i, lam in enumerate(path.lambdas):
+            b_ref, _ = prox_grad_reference(x, y, float(lam), alpha, tol=1e-10, b_init=b_ref)
+            assert np.max(np.abs(path.coefs[i] - b_ref)) <= 1e-8, i
+
+    def test_more_predictors_than_observations_lasso(self):
+        # alpha = 1 with p > N: the Newton system is singular once more
+        # than N - 1 rows are active and the minimizer need not be unique,
+        # so compare objective values and fitted values
+        rng = np.random.default_rng(43)
+        x = standardized(rng, 10, 16)
+        y = x[:, :3] @ rng.normal(size=(3, 2)) + 0.3 * rng.normal(size=(10, 2))
+        self._certified(x, y, EnetConfig(alpha=1.0, nlambda=20))
+        path = self._certified(x, y, EnetConfig(alpha=1.0, nlambda=20, tol=1e-10))
+        assert path.nonzero.max() >= 10
+        b_ref = None
+        for i, lam in enumerate(path.lambdas):
+            b_ref, b0_ref = prox_grad_reference(x, y, float(lam), 1.0, tol=1e-10, b_init=b_ref)
+            ours = objective(x, y, path.coefs[i], path.intercepts[i], float(lam), 1.0)
+            ref = objective(x, y, b_ref, b0_ref, float(lam), 1.0)
+            assert abs(ours - ref) <= 1e-10, i
+            fitted = x @ path.coefs[i] + path.intercepts[i]
+            assert np.max(np.abs(fitted - (x @ b_ref + b0_ref))) <= 1e-6, i
+
+
 class TestDefaultLambdaGrid:
     def test_head_is_lambda_max(self):
         rng = np.random.default_rng(31)

@@ -3,15 +3,19 @@
 Machine outputs are TSV (UTF-8, LF, header row first) written with 17
 significant digits so every value round-trips; tables meant for reading
 are also rendered as aligned text on stdout at a configurable display
-precision. Exit codes: 0 success, 2 input/validation failure, 3 solver or
-CV failure, 4 inference failure.
+precision. A run computes first and writes once: ``--out`` is created,
+the files written and stdout printed only after every stage of the
+command has returned, so a failed run creates or changes no file in
+``--out`` and prints nothing to stdout. Exit codes: 0 success, 2
+input/validation failure, 3 solver or CV failure, 4 inference failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import sys
-from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +25,7 @@ from .dataprep import (
     DataError,
     ROLE_PREDICTOR,
     ROLE_RESPONSE,
+    RawTable,
     StandardizedMatrix,
     SubsetConfig,
     load_csv,
@@ -53,31 +58,6 @@ _SOLVER_ERRORS = (ConvergenceError, CvError)
 _INFERENCE_ERRORS = (RankDeficiencyError, PerfectFitError, CollinearityError)
 
 
-@dataclass
-class RunConfig:
-    """Resolved command-line settings for one pipeline invocation."""
-
-    input: Path
-    subsets: Path
-    out: Path
-    command: str = "report"
-    alpha: float = 0.5
-    nlambda: int = 100
-    lambda_min_ratio: float | None = None
-    folds: int = 10
-    seed: int = 1
-    rule: str = "min"
-    digits: int = 6
-    predictors: list[str] | None = None
-
-    def enet_config(self) -> EnetConfig:
-        return EnetConfig(
-            alpha=self.alpha,
-            nlambda=self.nlambda,
-            lambda_min_ratio=self.lambda_min_ratio,
-        )
-
-
 def _g17(value: float) -> str:
     return format(float(value), ".17g")
 
@@ -101,13 +81,15 @@ def stars(p: float) -> str:
     return "NS"
 
 
-def _write_tsv(path: Path, header: list[str], rows: list[list[str]], footer: str | None = None) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write("\t".join(header) + "\n")
-        for row in rows:
-            handle.write("\t".join(row) + "\n")
-        if footer is not None:
-            handle.write(footer + "\n")
+def _tsv(header: list[str], rows, footer: str | None = None) -> str:
+    """One TSV file's text, joined one row at a time from ``rows``, an
+    iterable of each row's cells."""
+    lines = ["\t".join(header)]
+    lines.extend("\t".join(cells) for cells in rows)
+    if footer is not None:
+        lines.append(footer)
+    lines.append("")
+    return "\n".join(lines)
 
 
 def _render_table(header: list[str], rows: list[list[str]]) -> str:
@@ -139,156 +121,152 @@ def _coef_cells(rows: list[CoefficientRow], num, p_value) -> list[list[str]]:
     ]
 
 
+class _Groups(dict):
+    """The configured groups, each z-scored on first use."""
+
+    def __init__(self, table: RawTable, subsets: SubsetConfig):
+        super().__init__()
+        self.table = table
+        self.subsets = subsets
+
+    def __missing__(self, group: str) -> StandardizedMatrix:
+        sm = self[group] = standardize(select_variables(self.table, self.subsets, group))
+        return sm
+
+
 class Pipeline:
-    """Shared state for the subcommands so `report` never recomputes."""
+    """Shared state for the subcommands so `report` never recomputes.
 
-    def __init__(self, cfg: RunConfig):
-        self.cfg = cfg
-        self.table = load_csv(cfg.input)
-        self.subsets = SubsetConfig.load(cfg.subsets)
-        self._standardized: dict[str, StandardizedMatrix] = {}
-        self._path: EnetPath | None = None
-        self._cv: CvResult | None = None
-        self._mlm: MlmFit | None = None
-        self._mlm_x: np.ndarray | None = None  # the fit's predictor columns
-        self._check_data_flags()
-        cfg.out.mkdir(parents=True, exist_ok=True)
+    The ``run_*`` stages write nothing: each adds its files' text to
+    ``files`` (file name to text) and its lines to ``stdout``.
+    """
 
-    def _check_data_flags(self) -> None:
-        """Reject flag values that only the data can refute, before
-        ``--out`` exists."""
-        cfg = self.cfg
-        # every command after prep selects lambda by CV; mlm skips it when
-        # given the predictors
-        runs_cv = cfg.command != "prep" and not (
-            cfg.command == "mlm" and cfg.predictors is not None
-        )
-        n = self.table.n_rows
-        if runs_cv and cfg.folds > n:
-            raise DataError(f"--folds must be <= the {n} observations, got {cfg.folds!r}")
-        if cfg.predictors is not None:
+    def __init__(self, args: argparse.Namespace):
+        self.args = args
+        self.enet_cfg = _enet_config(args)
+        self.table = load_csv(args.input)
+        self.subsets = SubsetConfig.load(args.subsets)
+        self.standardized = _Groups(self.table, self.subsets)
+        self.files: dict[str, str] = {}
+        self.stdout = io.StringIO()
+
+    # -- shared stages ----------------------------------------------------
+
+    @cached_property
+    def design(self) -> tuple[StandardizedMatrix, StandardizedMatrix]:
+        x = self.standardized[self.subsets.group_with_role(ROLE_PREDICTOR)]
+        y = self.standardized[self.subsets.group_with_role(ROLE_RESPONSE)]
+        return x, y
+
+    @cached_property
+    def enet_path(self) -> EnetPath:
+        x, y = self.design
+        return fit_mgaussian_path(x.matrix, y.matrix, self.enet_cfg)
+
+    @cached_property
+    def cv_result(self) -> CvResult:
+        x, y = self.design
+        n, k = x.matrix.shape[0], self.args.folds
+        if k > n:
+            raise DataError(f"--folds must be <= the {n} observations, got {k!r}")
+        return cross_validate(x.matrix, y.matrix, self.enet_cfg, make_folds(n, k, self.args.seed))
+
+    def selected_lambda_index(self) -> int:
+        cv = self.cv_result
+        return cv.i_min if self.args.rule == "min" else cv.i_1se
+
+    @cached_property
+    def reduced_predictors(self) -> list[str]:
+        flag = getattr(self.args, "predictors", None)
+        if flag:
+            names = [p.strip() for p in flag.split(",") if p.strip()]
             group = self.subsets.groups[self.subsets.group_with_role(ROLE_PREDICTOR)]
-            unknown = [p for p in cfg.predictors if p not in group]
+            unknown = [p for p in names if p not in group]
             if unknown:
                 raise DataError(
                     "--predictors: not in the predictor group: "
                     + ", ".join(repr(u) for u in unknown)
                 )
+        else:
+            x, _ = self.design
+            keep = np.any(self.enet_path.coefs[self.selected_lambda_index()] != 0.0, axis=1)
+            names = [name for name, kept in zip(x.names, keep) if kept]
+        if not names:
+            raise DataError("the selected model keeps no predictors")
+        return names
 
-    # -- shared stages ----------------------------------------------------
+    @cached_property
+    def mlm_x(self) -> np.ndarray:
+        """The reduced model's predictor columns."""
+        names = self.reduced_predictors
+        x, _ = self.design
+        return x.matrix[:, [x.names.index(n) for n in names]]
 
-    def standardized(self, group: str) -> StandardizedMatrix:
-        if group not in self._standardized:
-            selected = select_variables(self.table, self.subsets, group)
-            self._standardized[group] = standardize(selected)
-        return self._standardized[group]
-
-    def design(self) -> tuple[StandardizedMatrix, StandardizedMatrix]:
-        x = self.standardized(self.subsets.group_with_role(ROLE_PREDICTOR))
-        y = self.standardized(self.subsets.group_with_role(ROLE_RESPONSE))
-        return x, y
-
-    def enet_path(self) -> EnetPath:
-        if self._path is None:
-            x, y = self.design()
-            self._path = fit_mgaussian_path(x.matrix, y.matrix, self.cfg.enet_config())
-        return self._path
-
-    def cv_result(self) -> CvResult:
-        if self._cv is None:
-            x, y = self.design()
-            folds = make_folds(x.matrix.shape[0], self.cfg.folds, self.cfg.seed)
-            self._cv = cross_validate(x.matrix, y.matrix, self.cfg.enet_config(), folds)
-        return self._cv
-
-    def selected_lambda_index(self) -> int:
-        cv = self.cv_result()
-        return cv.i_min if self.cfg.rule == "min" else cv.i_1se
-
-    def reduced_predictors(self) -> list[str]:
-        if self.cfg.predictors is not None:
-            return list(self.cfg.predictors)
-        path = self.enet_path()
-        idx = self.selected_lambda_index()
-        x, _ = self.design()
-        keep = np.any(path.coefs[idx] != 0.0, axis=1)
-        return [name for name, kept in zip(x.names, keep) if kept]
-
+    @cached_property
     def mlm_fit(self) -> MlmFit:
-        if self._mlm is None:
-            x, y = self.design()
-            names = self.reduced_predictors()
-            if not names:
-                raise DataError("the selected model keeps no predictors")
-            self._mlm_x = x.matrix[:, [x.names.index(n) for n in names]]
-            self._mlm = fit_mlm(
-                self._mlm_x,
-                y.matrix,
-                predictor_names=names,
-                response_names=y.names,
-            )
-        return self._mlm
+        x = self.mlm_x  # checks --predictors before the design is standardized
+        _, y = self.design
+        return fit_mlm(
+            x,
+            y.matrix,
+            predictor_names=self.reduced_predictors,
+            response_names=y.names,
+        )
 
     # -- subcommands -------------------------------------------------------
 
     def run_prep(self) -> None:
         for group in self.subsets.groups:
-            sm = self.standardized(group)
-            _write_tsv(
-                self.cfg.out / f"{group}.tsv",
-                list(sm.names),
-                [[_g17(v) for v in row] for row in sm.matrix],
-            )
-            _write_tsv(
-                self.cfg.out / f"{group}_scale.tsv",
+            sm = self.standardized[group]
+            self.files[f"{group}.tsv"] = _tsv(sm.names, (map(_g17, row) for row in sm.matrix))
+            self.files[f"{group}_scale.tsv"] = _tsv(
                 ["column", "mean", "sd"],
-                [
+                (
                     [name, _g17(mean), _g17(sd)]
                     for name, mean, sd in zip(sm.names, sm.means, sm.sds)
-                ],
+                ),
             )
 
     def run_enet(self) -> None:
-        path = self.enet_path()
-        _write_tsv(
-            self.cfg.out / "path.tsv",
+        path = self.enet_path
+        self.files["path.tsv"] = _tsv(
             ["lambda", "dev_ratio", "nonzero"],
-            [
+            (
                 [_g17(lam), _g17(dev), str(int(nz))]
                 for lam, dev, nz in zip(path.lambdas, path.dev_ratio, path.nonzero)
-            ],
+            ),
         )
         idx = self.selected_lambda_index()
         lam = float(path.lambdas[idx])
-        x, y = self.design()
-        rows = []
-        for j, name in enumerate(x.names):
-            coef_row = path.coefs[idx, j]
+        x, y = self.design
+
+        def coef_cells(coef_row: np.ndarray) -> list[str]:
             if np.any(coef_row != 0.0):
-                cells = [_sci(c, self.cfg.digits) for c in coef_row]
-            else:
-                cells = ["removed"] * len(y.names)
-            rows.append([name] + cells)
-        coef_file = self.cfg.out / f"coef_{lam:.6g}.tsv"
-        _write_tsv(coef_file, ["predictor"] + list(y.names), rows)
-        print(f"coefficients written at lambda={_g17(lam)} rule={self.cfg.rule}")
+                return [_sci(c, self.args.digits) for c in coef_row]
+            return ["removed"] * len(coef_row)
+
+        self.files[f"coef_{lam:.6g}.tsv"] = _tsv(
+            ["predictor"] + list(y.names),
+            ([name] + coef_cells(row) for name, row in zip(x.names, path.coefs[idx])),
+        )
+        print(f"coefficients written at lambda={_g17(lam)} rule={self.args.rule}", file=self.stdout)
 
     def run_cv(self) -> None:
-        cv = self.cv_result()
-        _write_tsv(
-            self.cfg.out / "cv.tsv",
+        cv = self.cv_result
+        self.files["cv.tsv"] = _tsv(
             ["lambda", "mean_error", "se_error"],
-            [
+            (
                 [_g17(lam), _g17(m), _g17(s)]
                 for lam, m, s in zip(cv.lambdas, cv.mean_error, cv.se_error)
-            ],
+            ),
         )
-        print(f"lambda.min={_g17(cv.lambda_min)}")
-        print(f"lambda.1se={_g17(cv.lambda_1se)}")
+        print(f"lambda.min={_g17(cv.lambda_min)}", file=self.stdout)
+        print(f"lambda.1se={_g17(cv.lambda_1se)}", file=self.stdout)
 
     def run_mlm(self) -> None:
-        fit = self.mlm_fit()
-        d = self.cfg.digits
+        fit = self.mlm_fit
+        d = self.args.digits
+        out = self.stdout
 
         def fixed(value: float) -> str:
             return _fixed(value, d)
@@ -297,17 +275,17 @@ class Pipeline:
             return _fixed(value, 4)
 
         manova = manova_table(fit)
-        _write_tsv(
-            self.cfg.out / "manova.tsv",
+        self.files["manova.tsv"] = _tsv(
             ["term", "df", "pillai", "approx_f", "num_df", "den_df", "p", "stars"],
             _manova_cells(manova, _g17, _g17),
         )
-        print("Multivariate tests:")
+        print("Multivariate tests:", file=out)
         print(
             _render_table(
                 ["term", "df", "pillai", "approx F", "num df", "den df", "p", ""],
                 _manova_cells(manova, fixed, p4),
-            )
+            ),
+            file=out,
         )
 
         for k, response in enumerate(fit.response_names):
@@ -316,39 +294,40 @@ class Pipeline:
                 f"F({summary.df1},{summary.df2})={_g17(summary.f_stat)} "
                 f"R2={_g17(summary.r2)} R2adj={_g17(summary.r2_adj)}"
             )
-            _write_tsv(
-                self.cfg.out / f"uni_{response}.tsv",
+            self.files[f"uni_{response}.tsv"] = _tsv(
                 ["term", "estimate", "std_error", "t", "p", "stars"],
                 _coef_cells(summary.coef_rows, _g17, _g17),
                 footer=footer,
             )
-            print(f"Follow-up regression: {response}")
+            print(f"Follow-up regression: {response}", file=out)
             print(
                 _render_table(
                     ["term", "estimate", "std error", "t", "p", ""],
                     _coef_cells(summary.coef_rows, fixed, p4),
-                )
+                ),
+                file=out,
             )
             print(
                 f"F({summary.df1},{summary.df2})={fixed(summary.f_stat)} "
                 f"R2={p4(summary.r2)} R2adj={p4(summary.r2_adj)} "
-                f"sigma={p4(summary.sigma)}"
+                f"sigma={p4(summary.sigma)}",
+                file=out,
             )
 
-        entries = vif(self._mlm_x, names=fit.predictor_names)
-        _write_tsv(
-            self.cfg.out / "vif.tsv",
+        entries = vif(self.mlm_x, names=fit.predictor_names)
+        self.files["vif.tsv"] = _tsv(
             ["predictor", "r2_aux", "vif"],
-            [[e.name, _g17(e.r2_aux), _g17(e.vif)] for e in entries],
+            ([e.name, _g17(e.r2_aux), _g17(e.vif)] for e in entries),
         )
-        print("Variance inflation factors:")
-        print(_render_table(["predictor", "vif"], [[e.name, fixed(e.vif)] for e in entries]))
+        print("Variance inflation factors:", file=out)
+        print(_render_table(["predictor", "vif"], [[e.name, fixed(e.vif)] for e in entries]), file=out)
 
-        points = residual_diagnostics(fit)
-        _write_tsv(
-            self.cfg.out / "residuals.tsv",
+        self.files["residuals.tsv"] = _tsv(
             ["response", "fitted", "residual"],
-            [[pt.response, _g17(pt.fitted), _g17(pt.residual)] for pt in points],
+            (
+                [pt.response, _g17(pt.fitted), _g17(pt.residual)]
+                for pt in residual_diagnostics(fit)
+            ),
         )
 
         y = fit.fitted + fit.residuals
@@ -357,11 +336,12 @@ class Pipeline:
             for j in range(i + 1, k):
                 result = pearson(y[:, i], y[:, j])
                 if k == 2:
-                    print(f"pearson r={_g17(result.r)} p={_g17(result.p)}")
+                    print(f"pearson r={_g17(result.r)} p={_g17(result.p)}", file=out)
                 else:
                     print(
                         f"pearson {fit.response_names[i]}~{fit.response_names[j]} "
-                        f"r={_g17(result.r)} p={_g17(result.p)}"
+                        f"r={_g17(result.r)} p={_g17(result.p)}",
+                        file=out,
                     )
 
     def run_report(self) -> None:
@@ -419,9 +399,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    """Resolve the flags, rejecting a bad value before any data is read
-    or ``--out`` is created."""
+def _enet_config(args: argparse.Namespace) -> EnetConfig:
+    """The solver settings the flags ask for; a bad flag value is
+    rejected before any data is read."""
     for field in ("alpha", "nlambda", "lambda_min_ratio"):
         try:  # EnetConfig is the one validator of the solver settings
             EnetConfig(**{field: getattr(args, field)})
@@ -435,31 +415,28 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     ):
         if not ok:
             raise DataError(f"--{field} must be {rule}, got {getattr(args, field)!r}")
-    predictors = None
-    if getattr(args, "predictors", None):
-        predictors = [p.strip() for p in args.predictors.split(",") if p.strip()]
-    return RunConfig(
-        input=args.input,
-        subsets=args.subsets,
-        out=args.out,
-        command=args.command,
-        alpha=args.alpha,
-        nlambda=args.nlambda,
-        lambda_min_ratio=args.lambda_min_ratio,
-        folds=args.folds,
-        seed=args.seed,
-        rule=args.rule,
-        digits=args.digits,
-        predictors=predictors,
-    )
+    return EnetConfig(alpha=args.alpha, nlambda=args.nlambda, lambda_min_ratio=args.lambda_min_ratio)
+
+
+def _write_files(out: Path, files: dict[str, str]) -> None:
+    """Create the ``--out`` directory and write every file into it."""
+    for name in files:  # group and response names become file names
+        if Path(name).name != name:
+            raise DataError(f"output file name {name!r} is not a plain file name")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"--out: cannot create directory {str(out)!r}: {exc.strerror}") from None
+    for name, text in files.items():
+        (out / name).write_text(text, encoding="utf-8", newline="")
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        pipeline = Pipeline(cfg)
-        getattr(pipeline, f"run_{cfg.command}")()
+        pipeline = Pipeline(args)
+        getattr(pipeline, f"run_{args.command}")()
+        _write_files(args.out, pipeline.files)
     except _SOLVER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
@@ -469,6 +446,7 @@ def main(argv=None) -> int:
     except _INPUT_ERRORS + (ValueError,) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    sys.stdout.write(pipeline.stdout.getvalue())
     return EXIT_OK
 
 

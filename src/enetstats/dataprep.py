@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -222,6 +223,19 @@ def _parse_cell(text: str, missing_tokens: tuple[str, ...]) -> float | None:
     return value
 
 
+def _records(reader):
+    """Number ``reader``'s records from 0 (the header), re-raising a
+    ``csv.Error`` as a CsvFormatError that names the row."""
+    for i in itertools.count():
+        try:
+            record = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise CsvFormatError(f"row {i}: {exc}" if i else f"header row: {exc}") from None
+        yield i, record
+
+
 def load_csv(
     source,
     delimiter: str = ",",
@@ -229,29 +243,25 @@ def load_csv(
 ) -> RawTable:
     """Read a delimited table (RFC-4180-style quoting) into a RawTable.
 
-    ``source`` may be a path or an open text/byte stream. The first record
-    is the header. Cells matching a missing token become missing; all
-    other cells must parse as finite decimal numbers (``nan``, ``inf`` and
-    overflowing literals are rejected). Errors name the offending data row
-    (1-based) and column.
+    ``source`` may be a path, bytes, or an open text/byte stream; paths,
+    bytes and byte streams are decoded as UTF-8 with any line ending. The
+    first record is the header. Cells matching a missing token become
+    missing; all other cells must parse as finite decimal numbers (``nan``,
+    ``inf`` and overflowing literals are rejected). Errors name the
+    offending data row (1-based) and column.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8", newline="") as handle:
             return load_csv(handle, delimiter=delimiter, missing_tokens=missing_tokens)
     if isinstance(source, (bytes, bytearray)):
-        return load_csv(
-            io.StringIO(source.decode("utf-8")),
-            delimiter=delimiter,
-            missing_tokens=missing_tokens,
-        )
-    if hasattr(source, "read") and isinstance(source.read(0), bytes):
+        source = io.StringIO(source.decode("utf-8"), newline="")
+    elif hasattr(source, "read") and isinstance(source.read(0), bytes):
         source = io.TextIOWrapper(source, encoding="utf-8", newline="")
 
-    reader = csv.reader(source, delimiter=delimiter)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise CsvFormatError("input is empty; expected a header row") from None
+    records = _records(csv.reader(source, delimiter=delimiter))
+    _, header = next(records, (0, None))
+    if header is None:
+        raise CsvFormatError("input is empty; expected a header row")
     names = [h.strip() for h in header]
     seen: set[str] = set()
     for name in names:
@@ -262,7 +272,7 @@ def load_csv(
         seen.add(name)
 
     rows: list[list[float | None]] = []
-    for i, record in enumerate(reader, start=1):
+    for i, record in records:
         if not record:
             continue  # skip blank lines
         if len(record) != len(names):

@@ -103,6 +103,25 @@ class TestPrep:
         assert "row 2, column 'b': non-finite cell" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overlong_quoted_cell_exits_2_before_out(self, tmp_path, capsys):
+        # the csv module refuses fields above 131,072 characters
+        csv = tmp_path / "long.csv"
+        csv.write_text('a,b\n1,2\n3,"' + "x" * 200_000 + '"\n', encoding="utf-8")
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text("g.column = a\ng.column = b\n", encoding="utf-8")
+        out = tmp_path / "o"
+        assert run("prep", "--input", csv, "--subsets", cfg, "--out", out) == 2
+        assert "row 2: field larger than field limit" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_group_name_with_path_separator_exits_2_before_out(self, tmp_path, capsys):
+        cfg = tmp_path / "slash.cfg"
+        cfg.write_text("g.column = water_access\na/b.column = fertility_rate\n", encoding="utf-8")
+        out = tmp_path / "o"
+        assert run("prep", "--input", DEMO_CSV, "--subsets", cfg, "--out", out) == 2
+        assert "'a/b.tsv'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_input_exits_2(self, tmp_path):
         code = run(
             "prep", "--input", tmp_path / "nope.csv", "--subsets", DEMO_CFG,
@@ -304,6 +323,55 @@ class TestFlagValidation:
         err = capsys.readouterr().err
         assert "--predictors" in err and "'nope'" in err and "fertility_rate" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
+    def test_out_that_cannot_be_a_directory_exits_2(self, tmp_path, capsys, under):
+        blocker = tmp_path / "taken"
+        blocker.write_text("keep\n", encoding="utf-8")
+        out = blocker / "o" if under else blocker
+        assert run("prep", "--input", DEMO_CSV, "--subsets", DEMO_CFG, "--out", out) == 2
+        captured = capsys.readouterr()
+        assert "--out" in captured.err and captured.out == ""
+        assert blocker.read_text(encoding="utf-8") == "keep\n"
+
+
+def write_nan_csv(tmp_path):
+    text = DEMO_CSV.read_text(encoding="utf-8").splitlines(keepends=True)
+    cells = text[5].split(",")
+    cells[1] = "nan"
+    (tmp_path / "nan.csv").write_text("".join(text[:5] + [",".join(cells)] + text[6:]), encoding="utf-8")
+    return tmp_path / "nan.csv"
+
+
+class TestFailedRunWritesNothing:
+    """A run that fails at any stage leaves ``--out`` and stdout as they were."""
+
+    CASES = {
+        # mlm computes MANOVA and the follow-up tables before VIF refuses
+        "one_predictor": (["mlm", "--predictors", "fertility_rate"], 2),
+        "collinear": (["mlm", "--predictors", "fertility_rate,fertility_rate"], 4),
+        "folds_above_n": (["report", "--folds", "87"], 2),
+        "unknown_predictor": (["report", "--predictors", "nope"], 2),
+        "nan_cell": (["report"], 2),
+    }
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["fresh", "existing"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_out_and_stdout_untouched(self, tmp_path, capsys, case, existing):
+        argv, code = self.CASES[case]
+        csv = write_nan_csv(tmp_path) if case == "nan_cell" else DEMO_CSV
+        out = tmp_path / "o"
+        if existing:
+            out.mkdir()
+            (out / "sentinel.tsv").write_bytes(b"before\n")
+        assert run(*argv, "--input", csv, "--subsets", DEMO_CFG, "--out", out) == code
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        if existing:
+            assert sorted(p.name for p in out.iterdir()) == ["sentinel.tsv"]
+            assert (out / "sentinel.tsv").read_bytes() == b"before\n"
+        else:
+            assert not out.exists()
 
 
 class TestReport:

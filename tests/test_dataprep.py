@@ -1,7 +1,10 @@
+import csv
 import io
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from enetstats.dataprep import (
@@ -77,6 +80,90 @@ class TestLoadCsv:
         f = tmp_path / "t.csv"
         f.write_text("a\n1\n2\n", encoding="utf-8")
         assert load_csv(f).n_rows == 2
+
+    def test_bytes_with_cr_line_endings(self, tmp_path):
+        data = b"a,b\r1,2\r3,4\r"
+        f = tmp_path / "cr.csv"
+        f.write_bytes(data)
+        assert load_csv(data).rows == load_csv(f).rows == [[1.0, 2.0], [3.0, 4.0]]
+
+
+@st.composite
+def written_tables(draw):
+    """(delimiter, names, rows, text): a table written by ``csv.writer``
+    with names holding the delimiter, quotes and spaces, ``repr``-written
+    finite floats, and missing cells (None) written as "NA" or ""."""
+    delimiter = draw(st.sampled_from([",", ";", "\t"]))
+    name = st.text(alphabet=f"ab \"'\n{delimiter}", min_size=1, max_size=6).map(str.strip)
+    names = draw(st.lists(name.filter(bool), min_size=1, max_size=5, unique=True))
+    cell = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(["NA", ""]))
+    written = draw(
+        st.lists(st.lists(cell, min_size=len(names), max_size=len(names)), min_size=1, max_size=8)
+    )
+    buf = io.StringIO()
+    writer = csv.writer(buf, delimiter=delimiter)
+    writer.writerow(names)
+    writer.writerows([repr(c) if isinstance(c, float) else c for c in row] for row in written)
+    rows = [[c if isinstance(c, float) else None for c in row] for row in written]
+    return delimiter, names, rows, buf.getvalue()
+
+
+@st.composite
+def csv_like(draw):
+    """Text near the CSV grammar: a header and rows of one width, some
+    tokens and line endings that must fail."""
+    width = draw(st.integers(1, 3))
+    header = st.sampled_from(["a", "b", '"a,b"', " c ", "", '"'])
+    cell = st.sampled_from(["1", "-2.5e3", " 7 ", '"4"', "NA", "", "nan", "x", '"'])
+    lines = [draw(st.lists(header, min_size=width, max_size=width, unique=True))]
+    lines += draw(st.lists(st.lists(cell, min_size=width, max_size=width), max_size=3))
+    return draw(st.sampled_from(["\n", "\r\n", "\r"])).join(map(",".join, lines))
+
+
+# text near the config grammar, so that many examples parse
+CONFIG_LIKE = st.lists(
+    st.one_of(
+        st.sampled_from(["", "# note", "g.column = a", "h.column = b", "h.role = response"]),
+        st.builds(
+            "{}.{} = {}".format,
+            st.sampled_from(["g", "h", " g ", "", "a.b"]),
+            st.sampled_from(["column", "role", "other", ""]),
+            st.sampled_from(["a", "b", "", "predictor", "response", "x = y"]),
+        ),
+    ),
+    max_size=6,
+).map("\n".join)
+
+
+class TestParserProperties:
+    @settings(max_examples=300)
+    @given(st.one_of(st.text(), csv_like()))
+    @example("a\r1")
+    def test_any_text_loads_or_raises_data_error(self, text):
+        try:
+            t = load_csv(io.StringIO(text))
+        except DataError:
+            return
+        assert isinstance(t, RawTable) and t.n_rows >= 1
+
+    @settings(max_examples=300)
+    @given(st.one_of(st.text(), CONFIG_LIKE))
+    def test_any_config_text_parses_or_raises_config_error(self, text):
+        try:
+            cfg = SubsetConfig.from_text(text)
+        except ConfigError:
+            return
+        assert cfg.groups and all(cfg.groups.values())
+
+    @settings(max_examples=200)
+    @given(written_tables())
+    def test_csv_writer_round_trip(self, case):
+        delimiter, names, rows, text = case
+        t = load_csv(text.encode("utf-8"), delimiter=delimiter)
+        assert t.names == names
+        # float.hex is exact, so equal hex strings are bit-identical values
+        hexed = [[None if c is None else c.hex() for c in row] for row in t.rows]
+        assert hexed == [[None if c is None else c.hex() for c in row] for row in rows]
 
 
 class TestSubsetConfig:

@@ -36,9 +36,9 @@ def regressions(draw):
     return x, y
 
 
-# derandomized and without an example database: the same examples on
-# every run, and nothing written into the working tree
-one_qr = settings(max_examples=100, derandomize=True, database=None, deadline=None)
+# the suite's profile (tests/conftest.py) makes the examples the same on
+# every run
+one_qr = settings(max_examples=100)
 
 
 class TestFitMlm:

@@ -6,7 +6,6 @@ from .dataprep import (
     RawTable,
     StandardizedMatrix,
     SubsetConfig,
-    destandardize,
     load_csv,
     select_variables,
     standardize,
@@ -19,18 +18,15 @@ from .enet import (
     deviance_explained,
     fit_gaussian_path,
     fit_mgaussian_path,
-    group_soft_threshold,
     kkt_check,
     make_lambda_path,
     objective,
-    soft_threshold,
 )
 from .inference import (
     MlmFit,
     fit_mlm,
     manova_table,
     pearson,
-    residual_diagnostics,
     univariate_summary,
     vif,
 )
@@ -51,13 +47,11 @@ __all__ = [
     "cholesky_solve",
     "compute_lambda_max",
     "cross_validate",
-    "destandardize",
     "deviance_explained",
     "f_sf",
     "fit_gaussian_path",
     "fit_mgaussian_path",
     "fit_mlm",
-    "group_soft_threshold",
     "kkt_check",
     "least_squares",
     "load_csv",
@@ -69,9 +63,7 @@ __all__ = [
     "objective",
     "pearson",
     "reg_incomplete_beta",
-    "residual_diagnostics",
     "select_variables",
-    "soft_threshold",
     "standardize",
     "t_sf",
     "univariate_summary",

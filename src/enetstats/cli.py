@@ -42,7 +42,6 @@ from .inference import (
     fit_mlm,
     manova_table,
     pearson,
-    residual_diagnostics,
     univariate_summary,
     vif,
 )
@@ -146,6 +145,7 @@ class Pipeline:
         self.enet_cfg = _enet_config(args)
         self.table = load_csv(args.input)
         self.subsets = SubsetConfig.load(args.subsets)
+        self.predictors = _predictor_flag(args, self.subsets)
         self.standardized = _Groups(self.table, self.subsets)
         self.files: dict[str, str] = {}
         self.stdout = io.StringIO()
@@ -177,17 +177,8 @@ class Pipeline:
 
     @cached_property
     def reduced_predictors(self) -> list[str]:
-        flag = getattr(self.args, "predictors", None)
-        if flag:
-            names = [p.strip() for p in flag.split(",") if p.strip()]
-            group = self.subsets.groups[self.subsets.group_with_role(ROLE_PREDICTOR)]
-            unknown = [p for p in names if p not in group]
-            if unknown:
-                raise DataError(
-                    "--predictors: not in the predictor group: "
-                    + ", ".join(repr(u) for u in unknown)
-                )
-        else:
+        names = self.predictors
+        if names is None:
             x, _ = self.design
             keep = np.any(self.enet_path.coefs[self.selected_lambda_index()] != 0.0, axis=1)
             names = [name for name, kept in zip(x.names, keep) if kept]
@@ -324,9 +315,10 @@ class Pipeline:
 
         self.files["residuals.tsv"] = _tsv(
             ["response", "fitted", "residual"],
-            (
-                [pt.response, _g17(pt.fitted), _g17(pt.residual)]
-                for pt in residual_diagnostics(fit)
+            (  # observation-major: the responses cycle fastest
+                [name, _g17(f), _g17(r)]
+                for fitted, residuals in zip(fit.fitted.tolist(), fit.residuals.tolist())
+                for name, f, r in zip(fit.response_names, fitted, residuals)
             ),
         )
 
@@ -416,6 +408,22 @@ def _enet_config(args: argparse.Namespace) -> EnetConfig:
         if not ok:
             raise DataError(f"--{field} must be {rule}, got {getattr(args, field)!r}")
     return EnetConfig(alpha=args.alpha, nlambda=args.nlambda, lambda_min_ratio=args.lambda_min_ratio)
+
+
+def _predictor_flag(args: argparse.Namespace, subsets: SubsetConfig) -> list[str] | None:
+    """The ``--predictors`` names, checked against the predictor group when
+    the config is read, or None when the flag is absent or empty."""
+    flag = getattr(args, "predictors", None)
+    if not flag:
+        return None
+    names = [p.strip() for p in flag.split(",") if p.strip()]
+    group = subsets.groups[subsets.group_with_role(ROLE_PREDICTOR)]
+    unknown = [p for p in names if p not in group]
+    if unknown:
+        raise DataError(
+            "--predictors: not in the predictor group: " + ", ".join(repr(u) for u in unknown)
+        )
+    return names
 
 
 def _write_files(out: Path, files: dict[str, str]) -> None:

@@ -1,10 +1,15 @@
 """CSV ingestion, variable-subset selection, and z-score standardization.
 
+The parser returns each table as one N x p float64 matrix with NaN for a
+missing cell, which is unambiguous because every parsed cell must be
+finite. Selecting a group is column indexing, and the missing-value check
+is one ``np.isnan`` scan.
+
 Column scaling lives here and only here: every downstream solver consumes
 the standardized matrices exactly as produced (no internal rescaling), so
 one module owns the scaling convention. Standardization uses the sample
 standard deviation (divisor N - 1), and the per-column means and SDs are
-kept so values can be mapped back.
+kept, so ``matrix * sds + means`` maps the values back.
 
 Subset configuration grammar (flat, line-oriented, no nesting)::
 
@@ -24,6 +29,7 @@ import csv
 import io
 import itertools
 import math
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -42,7 +48,6 @@ __all__ = [
     "load_csv",
     "select_variables",
     "standardize",
-    "destandardize",
 ]
 
 DEFAULT_MISSING_TOKENS = ("NA", "")
@@ -78,10 +83,11 @@ class ConstantColumnError(DataError):
 
 @dataclass
 class RawTable:
-    """A rectangular table of numeric-or-missing cells with named columns."""
+    """Named columns over an N x p float64 matrix ``values``; NaN marks a
+    missing cell."""
 
     names: list[str]
-    rows: list[list[float | None]]
+    values: np.ndarray
 
     def __post_init__(self) -> None:
         if not self.names:
@@ -93,20 +99,16 @@ class RawTable:
             if name in seen:
                 raise DataError(f"duplicate column name {name!r}")
             seen.add(name)
-        width = len(self.names)
-        for i, row in enumerate(self.rows):
-            if len(row) != width:
-                raise DataError(
-                    f"row {i + 1} has {len(row)} cells, expected {width}"
-                )
+        self.values = np.asarray(self.values, dtype=float)
+        if self.values.ndim != 2 or self.values.shape[1] != len(self.names):
+            raise DataError(
+                f"values of shape {self.values.shape} do not hold "
+                f"{len(self.names)} cells per row"
+            )
 
     @property
     def n_rows(self) -> int:
-        return len(self.rows)
-
-    def column(self, name: str) -> list[float | None]:
-        j = self.names.index(name)
-        return [row[j] for row in self.rows]
+        return self.values.shape[0]
 
 
 @dataclass
@@ -210,13 +212,25 @@ class StandardizedMatrix:
             raise DataError("matrix columns are not standardized to tolerance")
 
 
-def _parse_cell(text: str, missing_tokens: tuple[str, ...]) -> float | None:
+def _is_utf8(text: str) -> bool:
+    """False when ``text`` holds a lone surrogate: a byte that was not
+    UTF-8, kept by the ``surrogateescape`` decoding."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+def _parse_cell(text: str, missing_tokens: tuple[str, ...]) -> float:
     cell = text.strip()
     if cell in missing_tokens:
-        return None
+        return math.nan
     try:
         value = float(cell)
     except ValueError:
+        if not _is_utf8(cell):
+            raise CsvFormatError(f"cell {cell!r} is not valid UTF-8") from None
         raise CsvFormatError(f"unparseable cell {cell!r}") from None
     if not math.isfinite(value):  # float() accepts nan, inf and overflow
         raise CsvFormatError(f"non-finite cell {cell!r}")
@@ -245,18 +259,21 @@ def load_csv(
 
     ``source`` may be a path, bytes, or an open text/byte stream; paths,
     bytes and byte streams are decoded as UTF-8 with any line ending. The
-    first record is the header. Cells matching a missing token become
-    missing; all other cells must parse as finite decimal numbers (``nan``,
-    ``inf`` and overflowing literals are rejected). Errors name the
-    offending data row (1-based) and column.
+    first record is the header. Cells matching a missing token become NaN;
+    all other cells must parse as finite decimal numbers (``nan``, ``inf``
+    and overflowing literals are rejected). Errors name the offending data
+    row (1-based) and column, also for a byte that is not valid UTF-8.
     """
+    # surrogateescape carries a bad byte into the cell that holds it, so the
+    # error names that cell; a strict decoder fails while reading ahead, on
+    # a chunk that may start rows earlier
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as handle:
+        with open(source, "r", encoding="utf-8", errors="surrogateescape", newline="") as handle:
             return load_csv(handle, delimiter=delimiter, missing_tokens=missing_tokens)
     if isinstance(source, (bytes, bytearray)):
-        source = io.StringIO(source.decode("utf-8"), newline="")
+        source = io.StringIO(source.decode("utf-8", "surrogateescape"), newline="")
     elif hasattr(source, "read") and isinstance(source.read(0), bytes):
-        source = io.TextIOWrapper(source, encoding="utf-8", newline="")
+        source = io.TextIOWrapper(source, encoding="utf-8", errors="surrogateescape", newline="")
 
     records = _records(csv.reader(source, delimiter=delimiter))
     _, header = next(records, (0, None))
@@ -264,14 +281,16 @@ def load_csv(
         raise CsvFormatError("input is empty; expected a header row")
     names = [h.strip() for h in header]
     seen: set[str] = set()
-    for name in names:
+    for j, name in enumerate(names, start=1):
         if not name:
             raise CsvFormatError("header contains an empty column name")
+        if not _is_utf8(name):
+            raise CsvFormatError(f"header row, column {j}: name {name!r} is not valid UTF-8")
         if name in seen:
             raise CsvFormatError(f"duplicate header column {name!r}")
         seen.add(name)
 
-    rows: list[list[float | None]] = []
+    values = array("d")  # the cells row by row, 8 bytes each
     for i, record in records:
         if not record:
             continue  # skip blank lines
@@ -279,16 +298,14 @@ def load_csv(
             raise CsvFormatError(
                 f"row {i} has {len(record)} cells, expected {len(names)}"
             )
-        parsed: list[float | None] = []
         for name, cell in zip(names, record):
             try:
-                parsed.append(_parse_cell(cell, missing_tokens))
+                values.append(_parse_cell(cell, missing_tokens))
             except CsvFormatError as exc:
                 raise CsvFormatError(f"row {i}, column {name!r}: {exc}") from None
-        rows.append(parsed)
-    if not rows:
+    if not values:
         raise CsvFormatError("no data rows after the header")
-    return RawTable(names=names, rows=rows)
+    return RawTable(names=names, values=np.frombuffer(values).reshape(-1, len(names)))
 
 
 def select_variables(table: RawTable, config: SubsetConfig, group: str) -> RawTable:
@@ -302,8 +319,9 @@ def select_variables(table: RawTable, config: SubsetConfig, group: str) -> RawTa
             "columns not present in the table: " + ", ".join(repr(m) for m in missing)
         )
     index = [table.names.index(name) for name in wanted]
-    rows = [[row[j] for j in index] for row in table.rows]
-    return RawTable(names=list(wanted), rows=rows)
+    # take returns C order like the parser; values[:, index] would return
+    # Fortran order, whose column sums in standardize round differently
+    return RawTable(names=list(wanted), values=table.values.take(index, axis=1))
 
 
 def standardize(table: RawTable) -> StandardizedMatrix:
@@ -314,13 +332,11 @@ def standardize(table: RawTable) -> StandardizedMatrix:
     """
     if table.n_rows < 2:
         raise DataError(f"need at least 2 rows to standardize, got {table.n_rows}")
-    for i, row in enumerate(table.rows):
-        for name, cell in zip(table.names, row):
-            if cell is None:
-                raise MissingValueError(
-                    f"row {i + 1}, column {name!r}: missing value"
-                )
-    values = np.array(table.rows, dtype=float)
+    values = table.values
+    missing = np.argwhere(np.isnan(values))  # row-major order
+    if len(missing):
+        i, j = missing[0]
+        raise MissingValueError(f"row {i + 1}, column {table.names[j]!r}: missing value")
     means = values.mean(axis=0)
     sds = values.std(axis=0, ddof=1)
     constant = np.flatnonzero(sds == 0.0)
@@ -329,8 +345,3 @@ def standardize(table: RawTable) -> StandardizedMatrix:
         raise ConstantColumnError(f"constant column(s): {names}")
     z = (values - means) / sds
     return StandardizedMatrix(matrix=z, means=means, sds=sds, names=list(table.names))
-
-
-def destandardize(standardized: StandardizedMatrix) -> np.ndarray:
-    """Map a standardized matrix back to the original scale."""
-    return standardized.matrix * standardized.sds + standardized.means

@@ -57,8 +57,6 @@ __all__ = [
     "EnetConfig",
     "EnetPath",
     "KktReport",
-    "soft_threshold",
-    "group_soft_threshold",
     "objective",
     "compute_lambda_max",
     "make_lambda_path",
@@ -150,27 +148,6 @@ class KktReport:
 
     max_violation: float
     violations: list[int]
-
-
-def soft_threshold(z: float, gamma: float) -> float:
-    """Scalar soft threshold sign(z) * max(|z| - gamma, 0)."""
-    if gamma < 0:
-        raise ValueError(f"threshold must be nonnegative, got {gamma!r}")
-    m = abs(z) - gamma
-    if m <= 0.0:
-        return 0.0
-    return math.copysign(m, z)
-
-
-def group_soft_threshold(u, gamma: float) -> np.ndarray:
-    """Vector soft threshold (1 - gamma / ||u||)_+ * u."""
-    if gamma < 0:
-        raise ValueError(f"threshold must be nonnegative, got {gamma!r}")
-    u = np.asarray(u, dtype=float)
-    nrm = math.sqrt(float(u @ u))
-    if nrm <= gamma:
-        return np.zeros_like(u)
-    return u * (1.0 - gamma / nrm)
 
 
 def _penalty(b: np.ndarray, alpha: float) -> float:

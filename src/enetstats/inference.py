@@ -3,8 +3,9 @@
 Fits the unpenalized multi-response OLS model and derives the reporting
 quantities: per-predictor multivariate tests (Pillai's trace with its
 exact F transform for single-df terms), per-response coefficient tables
-with overall F and adjusted R^2, variance inflation factors, Pearson
-correlation, and plot-ready residual records.
+with overall F and adjusted R^2, variance inflation factors and Pearson
+correlation. The plot-ready residual data is the fit's own ``fitted`` and
+``residuals`` arrays (N x K), which the CLI writes to ``residuals.tsv``.
 
 Every statistic is read from one rank-checked thin QR per matrix
 (:func:`~enetstats.linalg.thin_qr`): of the design for the coefficients
@@ -32,14 +33,11 @@ __all__ = [
     "UnivariateSummary",
     "VifEntry",
     "PearsonResult",
-    "ResidualPoint",
     "fit_mlm",
     "manova_table",
     "univariate_summary",
     "vif",
     "pearson",
-    "residual_diagnostics",
-    "r2_from_f",
     "f_from_r2",
     "adjusted_r2",
 ]
@@ -135,18 +133,6 @@ class PearsonResult(NamedTuple):
     r: float
     t: float
     p: float
-
-
-class ResidualPoint(NamedTuple):
-    response: str
-    fitted: float
-    residual: float
-
-
-def r2_from_f(f: float, df1: int, df2: int) -> float:
-    """R^2 implied by an overall F statistic with (df1, df2)."""
-    ratio = f * df1 / df2
-    return ratio / (1.0 + ratio)
 
 
 def f_from_r2(r2: float, df1: int, df2: int) -> float:
@@ -375,18 +361,3 @@ def pearson(a, b) -> PearsonResult:
     t = r * math.sqrt((n - 2) / (1.0 - r * r))
     return PearsonResult(r=r, t=t, p=t_sf(t, n - 2).value)
 
-
-def residual_diagnostics(fit: MlmFit) -> list[ResidualPoint]:
-    """(response, fitted, residual) records in observation-major order,
-    ready for a fitted-versus-residual plot."""
-    points: list[ResidualPoint] = []
-    for i in range(fit.n_obs):
-        for k, name in enumerate(fit.response_names):
-            points.append(
-                ResidualPoint(
-                    response=name,
-                    fitted=float(fit.fitted[i, k]),
-                    residual=float(fit.residuals[i, k]),
-                )
-            )
-    return points

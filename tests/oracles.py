@@ -2,8 +2,9 @@
 
 Everything here is deliberately written against the mathematics rather
 than the library code: triple-loop products, cofactor inverses, direct
-summation objectives, a proximal-gradient minimizer, and a hand-rolled
-cross-validation loop. Keep these dumb and obvious.
+summation objectives, the soft-threshold closed forms, a
+proximal-gradient minimizer, and a hand-rolled cross-validation loop.
+Keep these dumb and obvious.
 """
 
 from __future__ import annotations
@@ -84,6 +85,34 @@ def enet_objective_direct(x, y, b, b0, lam, alpha) -> float:
         row_norm = math.sqrt(row)
         pen += (1.0 - alpha) / 2.0 * row + alpha * row_norm
     return loss + lam * pen
+
+
+def soft_threshold(z: float, gamma: float) -> float:
+    """Scalar soft threshold sign(z) * max(|z| - gamma, 0): the lasso
+    solution for one orthonormal predictor."""
+    if gamma < 0:
+        raise ValueError(f"threshold must be nonnegative, got {gamma!r}")
+    m = abs(z) - gamma
+    if m <= 0.0:
+        return 0.0
+    return math.copysign(m, z)
+
+
+def group_soft_threshold(u, gamma: float) -> np.ndarray:
+    """Vector soft threshold (1 - gamma / ||u||)_+ * u."""
+    if gamma < 0:
+        raise ValueError(f"threshold must be nonnegative, got {gamma!r}")
+    u = np.asarray(u, dtype=float)
+    nrm = math.sqrt(float(u @ u))
+    if nrm <= gamma:
+        return np.zeros_like(u)
+    return u * (1.0 - gamma / nrm)
+
+
+def r2_from_f(f: float, df1: int, df2: int) -> float:
+    """R^2 implied by an overall F statistic with (df1, df2)."""
+    ratio = f * df1 / df2
+    return ratio / (1.0 + ratio)
 
 
 def prox_grad_reference(x, y, lam, alpha, fit_intercept=True, tol=1e-10, max_iter=500_000, b_init=None):

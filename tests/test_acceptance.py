@@ -21,19 +21,17 @@ from enetstats.enet import (
     fit_mgaussian_path,
     kkt_check,
     objective,
-    soft_threshold,
 )
 from enetstats.inference import (
     adjusted_r2,
     fit_mlm,
     manova_table,
     pearson,
-    r2_from_f,
     univariate_summary,
     vif,
 )
 
-from oracles import pillai_explicit, prox_grad_reference, wilks_f_single_df
+from oracles import pillai_explicit, prox_grad_reference, r2_from_f, soft_threshold, wilks_f_single_df
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 DEMO_CSV = DATA / "demo_lifestyle.csv"

@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from enetstats.cli import main, stars
+import enetstats.cli
+from enetstats.cli import _g17, main, stars
 from enetstats.cv import make_folds
+from enetstats.dataprep import SubsetConfig, load_csv, select_variables, standardize
 from enetstats.enet import EnetConfig, compute_lambda_max, default_lambda_grid, fit_mgaussian_path
+from enetstats.inference import fit_mlm
 
 from oracles import cv_refit_loop
 
@@ -101,6 +104,16 @@ class TestPrep:
         out = tmp_path / "o"
         assert run("prep", "--input", csv, "--subsets", cfg, "--out", out) == 2
         assert "row 2, column 'b': non-finite cell" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_utf8_byte_exits_2_naming_row_and_column(self, tmp_path, capsys):
+        csv = tmp_path / "latin1.csv"
+        csv.write_bytes(b"a,b\n1,2\n3,\xff\n")
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_text("g.column = a\ng.column = b\n", encoding="utf-8")
+        out = tmp_path / "o"
+        assert run("prep", "--input", csv, "--subsets", cfg, "--out", out) == 2
+        assert "row 2, column 'b': cell '\\udcff' is not valid UTF-8" in capsys.readouterr().err
         assert not out.exists()
 
     def test_overlong_quoted_cell_exits_2_before_out(self, tmp_path, capsys):
@@ -229,9 +242,20 @@ class TestMlm:
         assert all(r[4] == "2" for r in rows)  # num_df = K
         assert all(r[5] == "79" for r in rows)  # den_df = 80 - 2 + 1
 
-        # residual records: one per observation and response
+        # residual records: one per observation and response, observation-major
+        # (responses cycle fastest), written from the fit's own arrays
         _, rrows = read_tsv(out / "residuals.tsv")
         assert len(rrows) == 86 * 2
+        table, cfg = load_csv(DEMO_CSV), SubsetConfig.load(DEMO_CFG)
+        x = standardize(select_variables(table, cfg, cfg.group_with_role("predictor")))
+        y = standardize(select_variables(table, cfg, cfg.group_with_role("response")))
+        fit = fit_mlm(x.matrix[:, [x.names.index(t) for t in terms]], y.matrix)
+        assert [r[0] for r in rrows[:4]] == y.names * 2
+        assert rrows == [
+            [name, _g17(fit.fitted[i, k]), _g17(fit.residuals[i, k])]
+            for i in range(86)
+            for k, name in enumerate(y.names)
+        ]
         fitted = np.array([float(r[1]) for r in rrows])
         resid = np.array([float(r[2]) for r in rrows])
         for name in ("yll_communicable", "yll_noncommunicable"):
@@ -323,6 +347,18 @@ class TestFlagValidation:
         err = capsys.readouterr().err
         assert "--predictors" in err and "'nope'" in err and "fertility_rate" not in err
         assert not out.exists()
+
+    def test_unknown_predictor_exits_2_before_any_fit(self, tmp_path, capsys, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("the path was fitted before --predictors was checked")
+
+        monkeypatch.setattr(enetstats.cli, "fit_mgaussian_path", no_fit)
+        code = run(
+            "report", "--input", DEMO_CSV, "--subsets", DEMO_CFG, "--out", tmp_path / "o",
+            "--predictors", "nope",
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: --predictors: not in the predictor group: 'nope'\n"
 
     @pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
     def test_out_that_cannot_be_a_directory_exits_2(self, tmp_path, capsys, under):

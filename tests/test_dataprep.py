@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from enetstats.dataprep import (
     StandardizedMatrix,
     SubsetConfig,
     UnknownColumnError,
-    destandardize,
     load_csv,
     select_variables,
     standardize,
@@ -33,15 +33,16 @@ class TestLoadCsv:
         t = table("a,b\n1,2\n")
         assert t.names == ["a", "b"]
         assert t.n_rows == 1
-        assert t.rows[0] == [1.0, 2.0]
+        assert t.values.dtype == np.float64
+        assert t.values.tolist() == [[1.0, 2.0]]
 
     def test_missing_token(self):
         t = table("a,b\nNA,2\n")
-        assert t.rows[0][0] is None
+        assert np.isnan(t.values[0, 0]) and t.values[0, 1] == 2.0
 
     def test_custom_missing_token(self):
         t = table("a\n?\n", missing_tokens=("?",))
-        assert t.rows[0][0] is None
+        assert np.isnan(t.values[0, 0])
 
     def test_ragged_row(self):
         with pytest.raises(CsvFormatError, match="row 1"):
@@ -66,7 +67,7 @@ class TestLoadCsv:
 
     def test_alternate_delimiter(self):
         t = table("a;b\n1;2\n", delimiter=";")
-        assert t.rows[0] == [1.0, 2.0]
+        assert t.values.tolist() == [[1.0, 2.0]]
 
     def test_empty_input(self):
         with pytest.raises(CsvFormatError):
@@ -85,7 +86,32 @@ class TestLoadCsv:
         data = b"a,b\r1,2\r3,4\r"
         f = tmp_path / "cr.csv"
         f.write_bytes(data)
-        assert load_csv(data).rows == load_csv(f).rows == [[1.0, 2.0], [3.0, 4.0]]
+        assert load_csv(data).values.tolist() == load_csv(f).values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    @pytest.mark.parametrize("kind", ["path", "bytes", "stream"])
+    def test_non_utf8_byte_in_cell_names_row_and_column(self, tmp_path, kind):
+        # the bad byte sits past the first 8 KiB, so a strict decoder reading
+        # in chunks would fail rows before the one that holds it
+        data = b"a,b\n" + b"1.5,2.5\n" * 2000 + b"3,4\xff5\n" + b"6,7\n"
+        assert data.index(b"\xff") > 8192
+        with pytest.raises(CsvFormatError, match=r"^row 2001, column 'b': .*not valid UTF-8"):
+            load_csv(self._source(tmp_path, data, kind))
+
+    @pytest.mark.parametrize("kind", ["path", "bytes", "stream"])
+    def test_non_utf8_byte_in_header_names_column(self, tmp_path, kind):
+        data = b"a,b\xff\n1,2\n"
+        with pytest.raises(CsvFormatError, match=r"^header row, column 2: .*not valid UTF-8"):
+            load_csv(self._source(tmp_path, data, kind))
+
+    @staticmethod
+    def _source(tmp_path, data, kind):
+        if kind == "bytes":
+            return data
+        if kind == "stream":
+            return io.BytesIO(data)
+        path = tmp_path / "bad.csv"
+        path.write_bytes(data)
+        return path
 
 
 @st.composite
@@ -161,9 +187,11 @@ class TestParserProperties:
         delimiter, names, rows, text = case
         t = load_csv(text.encode("utf-8"), delimiter=delimiter)
         assert t.names == names
-        # float.hex is exact, so equal hex strings are bit-identical values
-        hexed = [[None if c is None else c.hex() for c in row] for row in t.rows]
-        assert hexed == [[None if c is None else c.hex() for c in row] for row in rows]
+        assert t.values.shape == (len(rows), len(names))
+        # float.hex is exact, so equal hex strings are bit-identical values;
+        # NaN must sit exactly at the missing tokens
+        hexed = [[None if math.isnan(c) else c.hex() for c in row] for row in t.values.tolist()]
+        assert hexed == [[None if c is None else float(repr(c)).hex() for c in row] for row in rows]
 
 
 class TestSubsetConfig:
@@ -212,26 +240,29 @@ class TestSelectVariables:
     def setup_method(self):
         self.table = RawTable(
             names=["a", "b", "c"],
-            rows=[[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]],
+            values=[[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]],
         )
 
     def test_identity(self):
         cfg = SubsetConfig(groups={"all": ["a", "b", "c"]})
         out = select_variables(self.table, cfg, "all")
         assert out.names == self.table.names
-        assert out.rows == self.table.rows
+        assert out.values.tolist() == self.table.values.tolist()
 
     def test_single_column(self):
         cfg = SubsetConfig(groups={"one": ["b"]})
         out = select_variables(self.table, cfg, "one")
         assert out.names == ["b"]
-        assert out.rows == [[2.0], [5.0]]
+        assert out.values.tolist() == [[2.0], [5.0]]
 
     def test_config_order_wins(self):
         cfg = SubsetConfig(groups={"rev": ["c", "a"]})
         out = select_variables(self.table, cfg, "rev")
         assert out.names == ["c", "a"]
-        assert out.rows == [[3.0, 1.0], [6.0, 4.0]]
+        assert out.values.tolist() == [[3.0, 1.0], [6.0, 4.0]]
+        # row-major like the parser's output, so standardize's column
+        # sums run in the same order for a selected and a parsed table
+        assert out.values.flags.c_contiguous
 
     def test_absent_column_named(self):
         cfg = SubsetConfig(groups={"bad": ["a", "zz", "ww"]})
@@ -247,13 +278,13 @@ class TestSelectVariables:
         cfg = SubsetConfig(groups={"g": ["b", "a"]})
         out = select_variables(self.table, cfg, "g")
         assert out.n_rows == self.table.n_rows
-        assert [r[1] for r in out.rows] == [1.0, 4.0]
+        assert out.values[:, 1].tolist() == [1.0, 4.0]
 
 
 class TestStandardize:
     def test_two_point_column(self):
         # hand z-scores with divisor N-1: mean 2, sd sqrt(2)
-        t = RawTable(names=["v"], rows=[[1.0], [3.0]])
+        t = RawTable(names=["v"], values=[[1.0], [3.0]])
         sm = standardize(t)
         assert_allclose(sm.matrix[:, 0], [-0.7071068, 0.7071068], atol=1e-7)
         assert_allclose(sm.means, [2.0])
@@ -261,39 +292,42 @@ class TestStandardize:
 
     def test_idempotent(self):
         rng = np.random.default_rng(0)
-        t = RawTable(names=["v", "w"], rows=rng.normal(size=(20, 2)).tolist())
+        t = RawTable(names=["v", "w"], values=rng.normal(size=(20, 2)))
         once = standardize(t)
-        twice = standardize(
-            RawTable(names=once.names, rows=once.matrix.tolist())
-        )
+        twice = standardize(RawTable(names=once.names, values=once.matrix))
         assert np.max(np.abs(twice.matrix - once.matrix)) <= 1e-10
 
     def test_constant_column(self):
-        t = RawTable(names=["v"], rows=[[5.0], [5.0], [5.0]])
+        t = RawTable(names=["v"], values=[[5.0], [5.0], [5.0]])
         with pytest.raises(ConstantColumnError, match="'v'"):
             standardize(t)
 
     def test_missing_cell(self):
-        t = RawTable(names=["v"], rows=[[1.0], [None]])
-        with pytest.raises(MissingValueError, match="row 2"):
+        t = RawTable(names=["v"], values=[[1.0], [np.nan]])
+        with pytest.raises(MissingValueError, match=r"^row 2, column 'v': missing value$"):
+            standardize(t)
+
+    def test_first_missing_cell_in_row_major_order(self):
+        # column-major order would name row 3, column 'a'
+        t = RawTable(names=["a", "b"], values=[[1.0, 2.0], [3.0, np.nan], [np.nan, 4.0]])
+        with pytest.raises(MissingValueError, match=r"^row 2, column 'b': missing value$"):
             standardize(t)
 
     def test_too_few_rows(self):
-        t = RawTable(names=["v"], rows=[[1.0]])
+        t = RawTable(names=["v"], values=[[1.0]])
         with pytest.raises(Exception, match="at least 2"):
             standardize(t)
 
     def test_round_trip(self):
         rng = np.random.default_rng(1)
         values = rng.normal(loc=50.0, scale=7.0, size=(30, 3))
-        t = RawTable(names=["a", "b", "c"], rows=values.tolist())
+        t = RawTable(names=["a", "b", "c"], values=values)
         sm = standardize(t)
-        back = destandardize(sm)
-        assert_allclose(back, values, rtol=1e-10)
+        assert_allclose(sm.matrix * sm.sds + sm.means, values, rtol=1e-10)
 
     def test_columns_standardized(self):
         rng = np.random.default_rng(2)
-        t = RawTable(names=["a", "b"], rows=rng.normal(5, 3, size=(40, 2)).tolist())
+        t = RawTable(names=["a", "b"], values=rng.normal(5, 3, size=(40, 2)))
         sm = standardize(t)
         assert np.max(np.abs(sm.matrix.mean(axis=0))) <= 1e-10
         assert np.max(np.abs(sm.matrix.std(axis=0, ddof=1) - 1)) <= 1e-10
@@ -314,8 +348,8 @@ class TestStandardizedMatrix:
 class TestRawTable:
     def test_rejects_duplicate_names(self):
         with pytest.raises(Exception, match="duplicate"):
-            RawTable(names=["a", "a"], rows=[[1.0, 2.0]])
+            RawTable(names=["a", "a"], values=[[1.0, 2.0]])
 
     def test_rejects_ragged(self):
         with pytest.raises(Exception, match="cells"):
-            RawTable(names=["a", "b"], rows=[[1.0]])
+            RawTable(names=["a", "b"], values=[[1.0]])

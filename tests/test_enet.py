@@ -13,14 +13,12 @@ from enetstats.enet import (
     deviance_explained,
     fit_gaussian_path,
     fit_mgaussian_path,
-    group_soft_threshold,
     kkt_check,
     make_lambda_path,
     objective,
-    soft_threshold,
 )
 
-from oracles import enet_objective_direct, prox_grad_reference
+from oracles import enet_objective_direct, group_soft_threshold, prox_grad_reference, soft_threshold
 
 
 def standardized(rng, n, p):

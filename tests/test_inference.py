@@ -14,14 +14,12 @@ from enetstats.inference import (
     fit_mlm,
     manova_table,
     pearson,
-    r2_from_f,
-    residual_diagnostics,
     univariate_summary,
     vif,
 )
 from enetstats.linalg import RankDeficiencyError, cholesky_solve
 
-from oracles import pillai_explicit, vif_auxiliary, wilks_f_single_df
+from oracles import pillai_explicit, r2_from_f, vif_auxiliary, wilks_f_single_df
 
 
 @st.composite
@@ -349,17 +347,6 @@ class TestPearson:
 
 
 class TestResidualDiagnostics:
-    def test_structure(self):
-        rng = np.random.default_rng(16)
-        n, k = 14, 2
-        x = rng.normal(size=(n, 3))
-        y = rng.normal(size=(n, k))
-        fit = fit_mlm(x, y, response_names=["r1", "r2"])
-        points = residual_diagnostics(fit)
-        assert len(points) == n * k
-        # observation-major: responses cycle fastest
-        assert [pt.response for pt in points[:4]] == ["r1", "r2", "r1", "r2"]
-
     def test_residual_moments(self):
         rng = np.random.default_rng(17)
         n, k = 30, 2

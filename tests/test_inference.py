@@ -347,6 +347,19 @@ class TestPearson:
 
 
 class TestResidualDiagnostics:
+    def test_structure(self):
+        rng = np.random.default_rng(16)
+        n, k = 14, 2
+        x = rng.normal(size=(n, 3))
+        y = rng.normal(size=(n, k))
+        fit = fit_mlm(x, y, response_names=["r1", "r2"])
+        # one row per observation, one column per response, named in order
+        assert fit.fitted.shape == fit.residuals.shape == (n, k)
+        assert fit.response_names == ["r1", "r2"]
+        # row i is observation i: fitted from x[i], residual against y[i]
+        assert_allclose(fit.fitted, np.column_stack([np.ones(n), x]) @ fit.coef, atol=1e-12)
+        assert_allclose(fit.fitted + fit.residuals, y, atol=1e-12)
+
     def test_residual_moments(self):
         rng = np.random.default_rng(17)
         n, k = 30, 2

@@ -14,12 +14,9 @@ from .dist import TailProbability, f_sf, log_gamma, reg_incomplete_beta, t_sf
 from .enet import (
     EnetConfig,
     EnetPath,
-    compute_lambda_max,
-    deviance_explained,
     fit_gaussian_path,
     fit_mgaussian_path,
     kkt_check,
-    make_lambda_path,
     objective,
 )
 from .inference import (
@@ -45,9 +42,7 @@ __all__ = [
     "SubsetConfig",
     "TailProbability",
     "cholesky_solve",
-    "compute_lambda_max",
     "cross_validate",
-    "deviance_explained",
     "f_sf",
     "fit_gaussian_path",
     "fit_mgaussian_path",
@@ -57,7 +52,6 @@ __all__ = [
     "load_csv",
     "log_gamma",
     "make_folds",
-    "make_lambda_path",
     "manova_table",
     "matmul",
     "objective",

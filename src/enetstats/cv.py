@@ -16,9 +16,12 @@ round-robin into folds: position t goes to fold t mod k. The README
 restates this contract verbatim; tests pin it.
 
 Every fold refit reuses the lambda grid computed on the full data, so
-held-out errors are comparable across folds at each grid point. Fold
-refits are independent of one another; aggregation always reduces in fold
-order, so results do not depend on any execution schedule.
+held-out errors are comparable across folds at each grid point. The
+fitter judges whether a training slice can be fitted at all; its
+rejection of a constant predictor or response is re-raised as a
+:class:`CvError` naming the fold. Fold refits are independent of one
+another; aggregation always reduces in fold order, so results do not
+depend on any execution schedule.
 """
 
 from __future__ import annotations
@@ -137,18 +140,10 @@ def cross_validate(x, y, config: EnetConfig | None = None, folds: FoldAssignment
 
     for f in range(folds.k):
         train = folds.assignment != f
-        x_train = x[train]
-        y_train = y[train]
-        spread = x_train.max(axis=0) - x_train.min(axis=0)
-        flat = np.flatnonzero(spread == 0.0)
-        if flat.size:
-            raise CvError(
-                f"fold {f}: training slice has constant predictor column {int(flat[0])}",
-                fold=f,
-            )
-        if np.all(y_train.max(axis=0) == y_train.min(axis=0)):
-            raise CvError(f"fold {f}: training slice has constant responses", fold=f)
-        path = fit_mgaussian_path(x_train, y_train, cfg, lambdas=lambdas)
+        try:
+            path = fit_mgaussian_path(x[train], y[train], cfg, lambdas=lambdas)
+        except ValueError as exc:  # the fitter's rejection of degenerate data
+            raise CvError(f"fold {f}: training slice: {exc}", fold=f) from None
         x_held = x[~train]
         y_held = y[~train]
         m = x_held.shape[0]

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import math
 from array import array
 from dataclasses import dataclass, field
@@ -132,6 +131,8 @@ class SubsetConfig:
         roles: dict[str, str] = {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
+            if not _is_utf8(line):
+                raise ConfigError(f"line {lineno}: {line!r} is not valid UTF-8")
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
@@ -174,7 +175,9 @@ class SubsetConfig:
 
     @classmethod
     def load(cls, path: str | Path) -> "SubsetConfig":
-        return cls.from_text(Path(path).read_text(encoding="utf-8"))
+        # surrogateescape carries a byte that is not UTF-8 into its line,
+        # so the error names that line
+        return cls.from_text(Path(path).read_text(encoding="utf-8", errors="surrogateescape"))
 
     def group_with_role(self, role: str) -> str:
         matches = [g for g, r in self.roles.items() if r == role]
@@ -238,16 +241,20 @@ def _parse_cell(text: str, missing_tokens: tuple[str, ...]) -> float:
 
 
 def _records(reader):
-    """Number ``reader``'s records from 0 (the header), re-raising a
-    ``csv.Error`` as a CsvFormatError that names the row."""
-    for i in itertools.count():
+    """Number ``reader``'s records from 0 (the header) and its data rows
+    from 1, skipping blank lines as :func:`standardize`'s row numbers do,
+    and re-raise a ``csv.Error`` as a CsvFormatError that names the row."""
+    i = 0
+    while True:
         try:
             record = next(reader)
         except StopIteration:
             return
         except csv.Error as exc:
             raise CsvFormatError(f"row {i}: {exc}" if i else f"header row: {exc}") from None
-        yield i, record
+        if record or not i:
+            yield i, record
+            i += 1
 
 
 def load_csv(
@@ -292,8 +299,6 @@ def load_csv(
 
     values = array("d")  # the cells row by row, 8 bytes each
     for i, record in records:
-        if not record:
-            continue  # skip blank lines
         if len(record) != len(names):
             raise CsvFormatError(
                 f"row {i} has {len(record)} cells, expected {len(names)}"

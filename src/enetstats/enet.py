@@ -18,6 +18,13 @@ scaling) and never rescales; with ``fit_intercept`` the intercept is
 profiled out exactly by centering working copies, and recovered as
 ``mean(y) - mean(x) @ b``.
 
+One function prepares every fit: it rejects a constant predictor (by its
+spread, max == min) and constant responses before any lambda is tried,
+and forms the working copies. The default lambda grid is read off the
+C = X'Y/N the fit forms anyway, so :func:`default_lambda_grid` and the
+fitters share one grid rule, and the fit reports its deviance ratio
+itself.
+
 One kernel serves every K. It uses the covariance updates of Friedman,
 Hastie & Tibshirani (2010, J. Stat. Softw. 33(1), section 2.2): each fit
 forms G = X'X/N and C = X'Y/N once from the centered data, so a coordinate
@@ -58,13 +65,10 @@ __all__ = [
     "EnetPath",
     "KktReport",
     "objective",
-    "compute_lambda_max",
-    "make_lambda_path",
     "default_lambda_grid",
     "fit_gaussian_path",
     "fit_mgaussian_path",
     "kkt_check",
-    "deviance_explained",
 ]
 
 # Stationarity level every returned solution meets; EnetConfig.tol may not
@@ -120,12 +124,12 @@ class EnetConfig:
 class EnetPath:
     """Per-lambda solutions of one elastic-net fit.
 
-    ``coefs`` has shape (L, p, K) and ``intercepts`` (L, K); ``nonzero``
-    counts predictors whose whole coefficient row is nonzero. ``rss`` keeps
-    the residual sum of squares each solution achieved so deviance ratios
-    can be recomputed without the design matrix. ``n_passes`` counts the
-    solver's passes at each lambda (Newton steps included) and ``kkt_max``
-    is the certificate each solution met, at most ``EnetConfig.tol``.
+    ``coefs`` has shape (L, p, K) and ``intercepts`` (L, K); ``dev_ratio``
+    is the fraction of deviance explained, 1 - RSS / TSS with TSS taken
+    about the column means of y; ``nonzero`` counts predictors whose whole
+    coefficient row is nonzero. ``n_passes`` counts the solver's passes at
+    each lambda (Newton steps included) and ``kkt_max`` is the certificate
+    each solution met, at most ``EnetConfig.tol``.
     """
 
     lambdas: np.ndarray
@@ -133,9 +137,8 @@ class EnetPath:
     intercepts: np.ndarray
     dev_ratio: np.ndarray
     nonzero: np.ndarray
-    rss: np.ndarray = field(repr=False, default=None)
-    n_passes: np.ndarray = field(repr=False, default=None)
-    kkt_max: np.ndarray = field(repr=False, default=None)
+    n_passes: np.ndarray = field(repr=False)
+    kkt_max: np.ndarray = field(repr=False)
 
     @property
     def n_lambdas(self) -> int:
@@ -174,59 +177,20 @@ def objective(x, y, b, b0, lam: float, alpha: float) -> float:
     return float((resid * resid).sum()) / (2.0 * n) + lam * _penalty(b, alpha)
 
 
-def compute_lambda_max(x, y, alpha: float) -> float:
-    """Smallest lambda at which the all-zero solution is stationary.
-
-    Expects ``x`` standardized and ``y`` centered (as the fitters prepare
-    them); equals max_j ||(1/N) x_j' y||_2 / alpha. Pure ridge has no
-    finite path start, so alpha must be positive.
-    """
-    if alpha <= 0:
-        raise ValueError(
-            "alpha = 0 has no finite lambda_max; supply an explicit lambda path"
-        )
-    x = as_matrix(x, "x")
-    y = as_matrix(y, "y")
-    if y.shape[0] != x.shape[0]:
-        raise ValueError(f"x has {x.shape[0]} rows but y has {y.shape[0]}")
-    g = x.T @ y / x.shape[0]
-    row_norms = np.sqrt((g * g).sum(axis=1))
-    return float(row_norms.max()) / alpha
-
-
-def make_lambda_path(lambda_max: float, nlambda: int, lambda_min_ratio: float) -> np.ndarray:
-    """Geometric grid of ``nlambda`` values from lambda_max down to
-    lambda_max * lambda_min_ratio."""
-    if not lambda_max > 0:
-        raise ValueError(f"lambda_max must be positive, got {lambda_max!r}")
-    if nlambda < 2:
-        raise ValueError(f"nlambda must be >= 2, got {nlambda!r}")
-    if not 0.0 < lambda_min_ratio < 1.0:
-        raise ValueError(
-            f"lambda_min_ratio must lie in (0, 1), got {lambda_min_ratio!r}"
-        )
-    return np.geomspace(lambda_max, lambda_max * lambda_min_ratio, nlambda)
-
-
 def default_lambda_grid(x, y, config: EnetConfig | None = None) -> np.ndarray:
-    """The grid the path fitters build when no explicit one is supplied."""
+    """The grid the path fitters build when no explicit one is supplied.
+
+    ``nlambda`` values spaced geometrically from lambda_max down to
+    lambda_max * lambda_min_ratio, where lambda_max = max_j ||C_j||_2 / alpha
+    for C = X'Y/N formed from the working copies the fit uses (centered
+    when ``fit_intercept``) is the smallest lambda at which the all-zero
+    solution is stationary (Friedman, Hastie & Tibshirani 2010, section
+    2.5). Pure ridge has no finite path start, so alpha must be positive.
+    """
     cfg = config if config is not None else EnetConfig()
-    x = as_matrix(x, "x")
-    y = as_matrix(y, "y")
-    n, p = x.shape
-    if cfg.fit_intercept:
-        x = x - x.mean(axis=0)
-        y = y - y.mean(axis=0)
-    lam_max = compute_lambda_max(x, y, cfg.alpha)
-    if lam_max <= 0:
-        raise ValueError(
-            "every predictor is uncorrelated with the response; "
-            "no data-driven lambda grid exists"
-        )
-    ratio = cfg.lambda_min_ratio
-    if ratio is None:
-        ratio = 1e-4 if n > p else 1e-2
-    return make_lambda_path(lam_max, cfg.nlambda, ratio)
+    xw, yw, _, _ = _working_copies(x, as_matrix(y, "y"), cfg)
+    n = xw.shape[0]
+    return _lambda_grid(xw.T @ yw / n, n, cfg)
 
 
 def fit_gaussian_path(x, y, config: EnetConfig | None = None, lambdas=None) -> EnetPath:
@@ -285,22 +249,6 @@ def kkt_check(x, y, b, b0, lam: float, alpha: float, tol: float = KKT_TOL) -> Kk
     )
 
 
-def deviance_explained(path: EnetPath, y) -> np.ndarray:
-    """Per-lambda fraction of deviance explained, 1 - RSS / TSS.
-
-    TSS is taken about the column means of ``y``. The result is also
-    written into ``path.dev_ratio``.
-    """
-    y = as_matrix(y, "y")
-    centered = y - y.mean(axis=0)
-    tss = float((centered * centered).sum())
-    if tss == 0.0:
-        raise ValueError("responses are constant; deviance ratio is undefined")
-    ratios = 1.0 - path.rss / tss
-    path.dev_ratio = ratios
-    return ratios
-
-
 # ---------------------------------------------------------------------------
 # solver internals
 
@@ -321,31 +269,58 @@ def _stationarity(grad: np.ndarray, b: np.ndarray, lam: float, alpha: float) -> 
     return np.where(zero, inactive, np.sqrt(np.einsum("jk,jk->j", miss, miss)))
 
 
-def _fit_path(x, y: np.ndarray, cfg: EnetConfig, lambdas) -> EnetPath:
+def _working_copies(x, y: np.ndarray, cfg: EnetConfig):
+    """Reject data no fit can use and return the working copies ``xw`` and
+    ``yw`` (centered when ``cfg.fit_intercept``) with the offsets removed.
+
+    Constancy is judged by each column's spread: a centered sum of squares
+    need not come out 0 when the column's mean is inexact.
+    """
     x = as_matrix(x, "x")
     n, p = x.shape
-    k = y.shape[1]
     if y.shape[0] != n:
         raise ValueError(f"x has {n} rows but y has {y.shape[0]}")
-
+    flat = np.flatnonzero(x.max(axis=0) == x.min(axis=0))
+    if flat.size:
+        raise ValueError(f"predictor column {int(flat[0])} is constant")
+    if np.all(y.max(axis=0) == y.min(axis=0)):
+        raise ValueError("responses are constant; deviance ratio is undefined")
     if cfg.fit_intercept:
         x_off = x.mean(axis=0)
         y_off = y.mean(axis=0)
     else:
         x_off = np.zeros(p)
-        y_off = np.zeros(k)
-    xw = x - x_off
-    yw = y - y_off
+        y_off = np.zeros(y.shape[1])
+    return x - x_off, y - y_off, x_off, y_off
+
+
+def _lambda_grid(cov: np.ndarray, n: int, cfg: EnetConfig) -> np.ndarray:
+    """:func:`default_lambda_grid` from C = X'Y/N of the working copies."""
+    if cfg.alpha <= 0:
+        raise ValueError(
+            "alpha = 0 has no finite lambda_max; supply an explicit lambda path"
+        )
+    lam_max = float(np.sqrt((cov * cov).sum(axis=1)).max()) / cfg.alpha
+    if lam_max <= 0:
+        raise ValueError(
+            "every predictor is uncorrelated with the response; "
+            "no data-driven lambda grid exists"
+        )
+    ratio = cfg.lambda_min_ratio
+    if ratio is None:
+        ratio = 1e-4 if n > cov.shape[0] else 1e-2
+    return np.geomspace(lam_max, lam_max * ratio, cfg.nlambda)
+
+
+def _fit_path(x, y: np.ndarray, cfg: EnetConfig, lambdas) -> EnetPath:
+    xw, yw, x_off, y_off = _working_copies(x, y, cfg)
+    n, p = xw.shape
+    k = yw.shape[1]
     gram = xw.T @ xw / n
     cov = xw.T @ yw / n
-    degenerate = np.flatnonzero(gram.diagonal() == 0.0)
-    if degenerate.size:
-        raise ValueError(
-            f"predictor column {int(degenerate[0])} is constant; standardize inputs first"
-        )
 
     if lambdas is None:
-        lams = default_lambda_grid(x, y, cfg)
+        lams = _lambda_grid(cov, n, cfg)
     else:
         lams = np.asarray(lambdas, dtype=float)
         if lams.ndim != 1 or lams.size < 1:
@@ -374,18 +349,16 @@ def _fit_path(x, y: np.ndarray, cfg: EnetConfig, lambdas) -> EnetPath:
         intercepts[i] = y_off - x_off @ b
         nonzero[i] = int(np.count_nonzero(np.any(b != 0.0, axis=1)))
 
-    path = EnetPath(
+    centered = y - y.mean(axis=0)
+    return EnetPath(
         lambdas=lams,
         coefs=coefs,
         intercepts=intercepts,
-        dev_ratio=np.empty(n_lams),
+        dev_ratio=1.0 - rss / float((centered * centered).sum()),
         nonzero=nonzero,
-        rss=rss,
         n_passes=n_passes,
         kkt_max=kkt_max,
     )
-    deviance_explained(path, y)
-    return path
 
 
 def _descend(

@@ -9,7 +9,7 @@ import enetstats.cli
 from enetstats.cli import _g17, main, stars
 from enetstats.cv import make_folds
 from enetstats.dataprep import SubsetConfig, load_csv, select_variables, standardize
-from enetstats.enet import EnetConfig, compute_lambda_max, default_lambda_grid, fit_mgaussian_path
+from enetstats.enet import EnetConfig, default_lambda_grid, fit_mgaussian_path
 from enetstats.inference import fit_mlm
 
 from oracles import cv_refit_loop
@@ -116,6 +116,14 @@ class TestPrep:
         assert "row 2, column 'b': cell '\\udcff' is not valid UTF-8" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_utf8_byte_in_config_exits_2_naming_line(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(b"g.column = water_access\ng.column = a\xff\n")
+        out = tmp_path / "o"
+        assert run("prep", "--input", DEMO_CSV, "--subsets", cfg, "--out", out) == 2
+        assert "line 2: 'g.column = a\\udcff' is not valid UTF-8" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_overlong_quoted_cell_exits_2_before_out(self, tmp_path, capsys):
         # the csv module refuses fields above 131,072 characters
         csv = tmp_path / "long.csv"
@@ -162,7 +170,8 @@ class TestEnet:
         cfg = SubsetConfig.load(DEMO_CFG)
         x = standardize(select_variables(table, cfg, "demographic")).matrix
         y = standardize(select_variables(table, cfg, "health")).matrix
-        lam_max = compute_lambda_max(x - x.mean(0), y - y.mean(0), 0.5)
+        g = (x - x.mean(0)).T @ (y - y.mean(0)) / x.shape[0]
+        lam_max = float(np.sqrt((g * g).sum(axis=1)).max()) / 0.5
         assert math.isclose(lams[0], lam_max, rel_tol=1e-15)
 
     def test_noise_predictor_removed(self, tmp_path):

@@ -56,6 +56,16 @@ class TestLoadCsv:
         with pytest.raises(CsvFormatError, match="row 2.*'b'"):
             table("a,b\n1,2\n3,oops\n")
 
+    def test_blank_line_is_not_a_data_row(self):
+        # the parser numbers rows as standardize does, so both name row 2
+        text = "a,b\n1,2\n\n3,{}\n5,6\n"
+        with pytest.raises(MissingValueError, match=r"^row 2, column 'b'"):
+            standardize(table(text.format("NA")))
+        with pytest.raises(CsvFormatError, match=r"^row 2, column 'b'"):
+            table(text.format("x"))
+        with pytest.raises(CsvFormatError, match=r"^row 2: field larger"):
+            table(text.format('"' + "x" * 200_000 + '"'))
+
     @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e999"])
     def test_non_finite_cell_names_row_and_column(self, cell):
         with pytest.raises(CsvFormatError, match=r"row 2, column 'b': non-finite cell"):
@@ -229,6 +239,12 @@ class TestSubsetConfig:
     def test_role_needs_columns(self):
         with pytest.raises(ConfigError, match="no columns"):
             SubsetConfig.from_text("g.role = predictor\nh.column = a\n")
+
+    def test_non_utf8_byte_names_line(self, tmp_path):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(b"g.column = a\ng.column = b\xff\n")
+        with pytest.raises(ConfigError, match=r"^line 2: .*not valid UTF-8"):
+            SubsetConfig.load(path)
 
     def test_ambiguous_role_lookup(self):
         cfg = SubsetConfig.from_text("g.column = a\n")

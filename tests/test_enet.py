@@ -2,19 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from enetstats.enet import (
     ConvergenceError,
     EnetConfig,
     _descend,
-    compute_lambda_max,
     default_lambda_grid,
-    deviance_explained,
     fit_gaussian_path,
     fit_mgaussian_path,
     kkt_check,
-    make_lambda_path,
     objective,
 )
 
@@ -99,20 +98,36 @@ class TestObjective:
             objective(np.ones((4, 2)), np.ones((4, 1)), np.ones((3, 1)), [0.0], 0.1, 0.5)
 
 
+def row_norm_max(x, y):
+    """max_j ||(1/N) x_j' y||_2 over the columns of centered x and y."""
+    y = y.reshape(x.shape[0], -1)
+    xc = x - x.mean(axis=0)
+    yc = y - y.mean(axis=0)
+    best = 0.0
+    for j in range(x.shape[1]):
+        g = xc[:, j] @ yc / x.shape[0]
+        best = max(best, math.sqrt(float(g @ g)))
+    return best
+
+
 class TestComputeLambdaMax:
+    """lambda_max, the head of the default grid and of the path."""
+
     def test_orthogonal_response(self):
-        x = np.array([[1.0], [-1.0]])
-        y = np.array([[1.0], [1.0]])
-        assert compute_lambda_max(x, y, 1.0) == 0.0
+        # x'y = 0: the all-zero solution is stationary at every lambda
+        x = np.array([[1.0], [-1.0], [1.0], [-1.0]])
+        y = np.array([[1.0], [1.0], [-1.0], [-1.0]])
+        path = fit_gaussian_path(x, y, EnetConfig(alpha=1.0), lambdas=[1.0, 1e-3])
+        assert np.all(path.coefs == 0.0)
+        assert np.all(path.dev_ratio == 0.0)
 
     def test_alpha_scaling(self):
         rng = np.random.default_rng(4)
         x = standardized(rng, 12, 4)
         y = rng.normal(size=(12, 1))
-        y = y - y.mean(axis=0)
         assert math.isclose(
-            compute_lambda_max(x, y, 0.5),
-            2.0 * compute_lambda_max(x, y, 1.0),
+            float(default_lambda_grid(x, y, EnetConfig(alpha=0.5))[0]),
+            2.0 * float(default_lambda_grid(x, y, EnetConfig(alpha=1.0))[0]),
             rel_tol=1e-15,
         )
 
@@ -120,37 +135,51 @@ class TestComputeLambdaMax:
         rng = np.random.default_rng(5)
         x = standardized(rng, 10, 3)
         y = rng.normal(size=(10, 2))
-        y = y - y.mean(axis=0)
-        best = 0.0
-        for j in range(3):
-            g = x[:, j] @ y / 10.0
-            best = max(best, math.sqrt(float(g @ g)))
-        assert math.isclose(compute_lambda_max(x, y, 0.5), best / 0.5, rel_tol=1e-12)
+        path = fit_mgaussian_path(x, y, EnetConfig(alpha=0.5, nlambda=5))
+        assert math.isclose(float(path.lambdas[0]), row_norm_max(x, y) / 0.5, rel_tol=1e-12)
 
     def test_alpha_zero_rejected(self):
-        with pytest.raises(ValueError):
-            compute_lambda_max(np.ones((3, 1)), np.ones((3, 1)), 0.0)
+        rng = np.random.default_rng(6)
+        x = standardized(rng, 5, 2)
+        with pytest.raises(ValueError, match="explicit"):
+            default_lambda_grid(x, rng.normal(size=5), EnetConfig(alpha=0.0))
 
 
 class TestMakeLambdaPath:
+    """Spacing of the default grid between its endpoints."""
+
+    @staticmethod
+    def grid(nlambda, ratio, scale=1.0):
+        rng = np.random.default_rng(35)
+        x = standardized(rng, 12, 3)
+        y = x @ rng.normal(size=3) + rng.normal(size=12)
+        cfg = EnetConfig(alpha=0.5, nlambda=nlambda, lambda_min_ratio=ratio)
+        return default_lambda_grid(x, scale * y, cfg), row_norm_max(x, scale * y) / 0.5
+
     def test_endpoints(self):
-        assert_allclose(make_lambda_path(1.0, 2, 0.01), [1.0, 0.01])
+        grid, lam_max = self.grid(2, 0.01)
+        assert_allclose(grid, [lam_max, 0.01 * lam_max], rtol=1e-12)
 
     def test_geometric_midpoint(self):
-        assert_allclose(make_lambda_path(1.0, 3, 0.01), [1.0, 0.1, 0.01], rtol=1e-12)
+        grid, lam_max = self.grid(3, 0.01)
+        assert_allclose(grid, [lam_max, 0.1 * lam_max, 0.01 * lam_max], rtol=1e-12)
 
     def test_homogeneity(self):
-        base = make_lambda_path(0.033, 7, 1e-3)
-        scaled = make_lambda_path(0.033 * 4.5, 7, 1e-3)
+        base, _ = self.grid(7, 1e-3)
+        scaled, _ = self.grid(7, 1e-3, scale=4.5)
         assert_allclose(scaled, 4.5 * base, rtol=1e-12)
 
     def test_strictly_decreasing(self):
-        lams = make_lambda_path(2.0, 100, 1e-4)
-        assert np.all(np.diff(lams) < 0)
+        grid, _ = self.grid(100, 1e-4)
+        assert np.all(np.diff(grid) < 0)
 
     def test_nonpositive_lambda_max(self):
-        with pytest.raises(ValueError):
-            make_lambda_path(0.0, 5, 0.1)
+        x = np.array([[1.0], [-1.0], [1.0], [-1.0]])
+        y = np.array([1.0, 1.0, -1.0, -1.0])
+        with pytest.raises(ValueError, match="uncorrelated"):
+            default_lambda_grid(x, y, EnetConfig(alpha=0.5))
+        with pytest.raises(ValueError, match="uncorrelated"):
+            fit_gaussian_path(x, y, EnetConfig(alpha=0.5))
 
 
 class TestGaussianPath:
@@ -158,7 +187,7 @@ class TestGaussianPath:
         rng = np.random.default_rng(6)
         x = standardized(rng, 20, 5)
         y = x @ rng.normal(size=5) + rng.normal(size=20)
-        lam_max = compute_lambda_max(x - x.mean(0), (y - y.mean()).reshape(-1, 1), 0.5)
+        lam_max = float(default_lambda_grid(x, y, EnetConfig(alpha=0.5))[0])
         path = fit_gaussian_path(x, y, EnetConfig(alpha=0.5), lambdas=[lam_max])
         assert np.all(path.coefs[0] == 0.0)
         assert path.nonzero[0] == 0
@@ -205,6 +234,16 @@ class TestGaussianPath:
         x = np.column_stack([np.ones(8), np.arange(8.0)])
         with pytest.raises(ValueError, match="constant"):
             fit_gaussian_path(x, np.arange(8.0), EnetConfig(alpha=0.5), lambdas=[0.1])
+
+    def test_constant_column_with_inexact_mean_rejected(self):
+        # the mean of three 0.1s is not 0.1 in floating point, so the
+        # centered column is not exactly zero; its spread still is
+        x = np.array([[1.0, 0.1], [2.0, 0.1], [4.0, 0.1]])
+        xc = x[:, 1] - x[:, 1].mean()
+        assert float(xc @ xc) != 0.0
+        for fit in (fit_gaussian_path, fit_mgaussian_path):
+            with pytest.raises(ValueError, match="column 1 is constant"):
+                fit(x, np.array([1.0, 3.0, 2.0]), EnetConfig(alpha=0.5), lambdas=[0.1])
 
     def test_max_iter_reports_lambda_index(self):
         rng = np.random.default_rng(10)
@@ -316,8 +355,7 @@ class TestKktCheck:
         rng = np.random.default_rng(17)
         x = standardized(rng, 15, 4)
         y = rng.normal(size=(15, 2))
-        yc = y - y.mean(axis=0)
-        lam_max = compute_lambda_max(x - x.mean(0), yc, 0.5)
+        lam_max = float(default_lambda_grid(x, y, EnetConfig(alpha=0.5))[0])
         report = kkt_check(x, y, np.zeros((4, 2)), y.mean(axis=0), lam_max, 0.5)
         assert report.max_violation <= 1e-6
         assert report.violations == []
@@ -368,24 +406,23 @@ class TestDevianceExplained:
         y = np.column_stack(
             [x @ rng.normal(size=4) + rng.normal(size=15) for _ in range(2)]
         )
-        path = fit_mgaussian_path(x, y, EnetConfig(alpha=0.5, nlambda=12))
-        ratios = deviance_explained(path, y)
         yc = y - y.mean(axis=0)
         tss = float((yc * yc).sum())
-        for i in range(path.n_lambdas):
-            resid = y - (x @ path.coefs[i] + path.intercepts[i])
-            want = 1.0 - float((resid * resid).sum()) / tss
-            assert math.isclose(float(ratios[i]), want, abs_tol=1e-12)
+        # TSS stays about the column means when no intercept is fitted
+        for intercept in (True, False):
+            cfg = EnetConfig(alpha=0.5, nlambda=12, fit_intercept=intercept)
+            path = fit_mgaussian_path(x, y, cfg)
+            for i in range(path.n_lambdas):
+                resid = y - (x @ path.coefs[i] + path.intercepts[i])
+                want = 1.0 - float((resid * resid).sum()) / tss
+                assert math.isclose(float(path.dev_ratio[i]), want, abs_tol=1e-12)
 
     def test_constant_response_rejected(self):
-        path = fit_gaussian_path(
-            standardized(np.random.default_rng(23), 10, 2),
-            np.arange(10.0),
-            EnetConfig(alpha=0.5),
-            lambdas=[0.1],
-        )
-        with pytest.raises(ValueError, match="constant"):
-            deviance_explained(path, np.ones(10))
+        x = standardized(np.random.default_rng(23), 10, 2)
+        for intercept in (True, False):
+            cfg = EnetConfig(alpha=0.5, fit_intercept=intercept)
+            with pytest.raises(ValueError, match="constant"):
+                fit_gaussian_path(x, np.full(10, 0.1), cfg, lambdas=[0.1])
 
 
 class TestPathInvariants:
@@ -590,12 +627,11 @@ class TestDefaultLambdaGrid:
         rng = np.random.default_rng(31)
         x = standardized(rng, 20, 4)
         y = x @ rng.normal(size=4) + rng.normal(size=20)
-        grid = default_lambda_grid(x, y.reshape(-1, 1), EnetConfig(alpha=0.5))
-        xc = x - x.mean(axis=0)
-        yc = (y - y.mean()).reshape(-1, 1)
-        assert math.isclose(
-            float(grid[0]), compute_lambda_max(xc, yc, 0.5), rel_tol=1e-15
-        )
+        cfg = EnetConfig(alpha=0.5, nlambda=10)
+        grid = default_lambda_grid(x, y, cfg)
+        # the fitters build this very grid, bit for bit
+        assert np.array_equal(fit_gaussian_path(x, y, cfg).lambdas, grid)
+        assert math.isclose(float(grid[0]), row_norm_max(x, y) / 0.5, rel_tol=1e-12)
 
     def test_ratio_default_depends_on_shape(self):
         rng = np.random.default_rng(32)
@@ -607,3 +643,41 @@ class TestDefaultLambdaGrid:
         yw = rng.normal(size=6).reshape(-1, 1)
         grid_w = default_lambda_grid(x_wide, yw, EnetConfig(alpha=0.5))
         assert math.isclose(float(grid_w[-1] / grid_w[0]), 1e-2, rel_tol=1e-9)
+
+
+@st.composite
+def path_problems(draw):
+    """Small standardized designs, p > N and duplicated columns included,
+    with K responses and an alpha from near-ridge to lasso."""
+    n = draw(st.integers(3, 12))
+    p = draw(st.integers(1, 14))
+    k = draw(st.integers(1, 3))
+    duplicate = draw(st.booleans())
+    alpha = draw(st.sampled_from([1e-3, 0.5, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = standardized(rng, n, p)
+    if duplicate:
+        x = np.column_stack([x, x[:, 0]])
+    y = x[:, :2] @ rng.normal(size=(min(2, x.shape[1]), k)) + 0.5 * rng.normal(size=(n, k))
+    return x, y, EnetConfig(alpha=alpha, nlambda=8)
+
+
+class TestPathProperties:
+    @settings(max_examples=60)
+    @given(path_problems())
+    def test_path_contract(self, problem):
+        x, y, cfg = problem
+        path = fit_mgaussian_path(x, y, cfg)
+        assert np.array_equal(path.lambdas, default_lambda_grid(x, y, cfg))
+        yc = y - y.mean(axis=0)
+        tss = float((yc * yc).sum())
+        for i, lam in enumerate(path.lambdas):
+            b, b0 = path.coefs[i], path.intercepts[i]
+            assert kkt_check(x, y, b, b0, float(lam), cfg.alpha).max_violation <= 1e-6, i
+            resid = y - (x @ b + b0)
+            want = 1.0 - float((resid * resid).sum()) / tss
+            assert math.isclose(float(path.dev_ratio[i]), want, abs_tol=1e-9), i
+        if y.shape[1] == 1:
+            single = fit_gaussian_path(x, y[:, 0], cfg)
+            for name in ("lambdas", "coefs", "intercepts", "dev_ratio", "nonzero"):
+                assert np.array_equal(getattr(single, name), getattr(path, name)), name

@@ -27,7 +27,6 @@ from .inference import (
     univariate_summary,
     vif,
 )
-from .linalg import cholesky_solve, least_squares, matmul
 
 __version__ = "0.1.0"
 
@@ -41,19 +40,16 @@ __all__ = [
     "StandardizedMatrix",
     "SubsetConfig",
     "TailProbability",
-    "cholesky_solve",
     "cross_validate",
     "f_sf",
     "fit_gaussian_path",
     "fit_mgaussian_path",
     "fit_mlm",
     "kkt_check",
-    "least_squares",
     "load_csv",
     "log_gamma",
     "make_folds",
     "manova_table",
-    "matmul",
     "objective",
     "pearson",
     "reg_incomplete_beta",

@@ -34,6 +34,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .linalg import is_constant
+
 __all__ = [
     "DataError",
     "CsvFormatError",
@@ -344,7 +346,8 @@ def standardize(table: RawTable) -> StandardizedMatrix:
         raise MissingValueError(f"row {i + 1}, column {table.names[j]!r}: missing value")
     means = values.mean(axis=0)
     sds = values.std(axis=0, ddof=1)
-    constant = np.flatnonzero(sds == 0.0)
+    # a spread below ~1e-154 still squares to an sd of 0
+    constant = np.flatnonzero(is_constant(values) | (sds == 0.0))
     if constant.size:
         names = ", ".join(repr(table.names[j]) for j in constant)
         raise ConstantColumnError(f"constant column(s): {names}")

@@ -165,9 +165,9 @@ def reg_incomplete_beta(a: float, b: float, x: float) -> float:
     (a + 1) / (a + b + 2) converges fast, using
     I_x(a, b) = 1 - I_{1-x}(b, a) for the far side.
     """
-    if not a > 0 or not b > 0:
-        raise ValueError(f"shape parameters must be positive, got a={a!r}, b={b!r}")
-    if x < 0.0 or x > 1.0:
+    if not (0 < a < math.inf and 0 < b < math.inf):
+        raise ValueError(f"shape parameters must be positive and finite, got a={a!r}, b={b!r}")
+    if not 0.0 <= x <= 1.0:
         raise ValueError(f"x must lie in [0, 1], got {x!r}")
     return _reg_incomplete_beta(a, b, x, 1.0 - x)
 
@@ -190,9 +190,9 @@ def _reg_incomplete_beta(a: float, b: float, x: float, y: float) -> float:
 
 def f_sf(f: float, d1: int, d2: int) -> TailProbability:
     """Upper tail P(F_{d1,d2} > f) of the F distribution."""
-    if d1 < 1 or d2 < 1:
-        raise ValueError(f"degrees of freedom must be >= 1, got ({d1!r}, {d2!r})")
-    if f < 0:
+    if not (1 <= d1 < math.inf and 1 <= d2 < math.inf):
+        raise ValueError(f"degrees of freedom must be finite and >= 1, got ({d1!r}, {d2!r})")
+    if not f >= 0:
         raise ValueError(f"F statistics are nonnegative, got {f!r}")
     if math.isinf(f):
         return TailProbability(0.0)
@@ -203,8 +203,10 @@ def f_sf(f: float, d1: int, d2: int) -> TailProbability:
 
 def t_sf(t: float, df: int) -> TailProbability:
     """Two-sided tail P(|T_df| > |t|) of Student's t distribution."""
-    if df < 1:
-        raise ValueError(f"degrees of freedom must be >= 1, got {df!r}")
+    if not 1 <= df < math.inf:
+        raise ValueError(f"degrees of freedom must be finite and >= 1, got {df!r}")
+    if math.isnan(t):
+        raise ValueError("t statistic is NaN")
     if math.isinf(t):
         return TailProbability(0.0)
     scale = df + t * t

@@ -57,7 +57,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import as_matrix
+from .linalg import as_matrix, is_constant
 
 __all__ = [
     "ConvergenceError",
@@ -273,17 +273,16 @@ def _working_copies(x, y: np.ndarray, cfg: EnetConfig):
     """Reject data no fit can use and return the working copies ``xw`` and
     ``yw`` (centered when ``cfg.fit_intercept``) with the offsets removed.
 
-    Constancy is judged by each column's spread: a centered sum of squares
-    need not come out 0 when the column's mean is inexact.
+    Constancy is judged by :func:`~enetstats.linalg.is_constant`.
     """
     x = as_matrix(x, "x")
     n, p = x.shape
     if y.shape[0] != n:
         raise ValueError(f"x has {n} rows but y has {y.shape[0]}")
-    flat = np.flatnonzero(x.max(axis=0) == x.min(axis=0))
+    flat = np.flatnonzero(is_constant(x))
     if flat.size:
         raise ValueError(f"predictor column {int(flat[0])} is constant")
-    if np.all(y.max(axis=0) == y.min(axis=0)):
+    if np.all(is_constant(y)):
         raise ValueError("responses are constant; deviance ratio is undefined")
     if cfg.fit_intercept:
         x_off = x.mean(axis=0)

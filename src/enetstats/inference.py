@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dist import f_sf, t_sf
-from .linalg import RankDeficiencyError, as_matrix, thin_qr
+from .linalg import RankDeficiencyError, as_matrix, is_constant, thin_qr
 
 __all__ = [
     "PerfectFitError",
@@ -255,6 +255,8 @@ def univariate_summary(fit: MlmFit, response: int) -> UnivariateSummary:
     if not 0 <= response < k:
         raise ValueError(f"response index {response} out of range for K={k}")
     p = fit.n_predictors
+    if p < 1:
+        raise ValueError("the model has no non-intercept terms to summarize")
     n = fit.n_obs
     y = fit.fitted[:, response] + fit.residuals[:, response]
     centered = y - y.mean()
@@ -310,11 +312,11 @@ def vif(x, names=None) -> list[VifEntry]:
         names = [f"x{j + 1}" for j in range(p)]
     if len(names) != p:
         raise ValueError("name list must match the column count")
-    centered = x - x.mean(axis=0)
-    tss = (centered * centered).sum(axis=0)
-    constant = np.flatnonzero(tss == 0.0)
+    constant = np.flatnonzero(is_constant(x))
     if constant.size:
         raise ValueError(f"predictor {names[constant[0]]!r} is constant")
+    centered = x - x.mean(axis=0)
+    tss = (centered * centered).sum(axis=0)
     try:
         _, r = thin_qr(centered)
     except RankDeficiencyError as exc:
@@ -341,19 +343,21 @@ def pearson(a, b) -> PearsonResult:
     |r| = 1 is degenerate: the t statistic is reported as signed infinity
     with p = 0 rather than dividing by zero.
     """
-    a = np.asarray(a, dtype=float).ravel()
-    b = np.asarray(b, dtype=float).ravel()
+    a = as_matrix(a, "a").ravel()
+    b = as_matrix(b, "b").ravel()
     n = a.size
     if b.size != n:
         raise ValueError(f"length mismatch: {n} vs {b.size}")
     if n < 3:
         raise ValueError(f"need at least 3 observations, got {n}")
-    ac = a - a.mean()
-    bc = b - b.mean()
+    if is_constant(a) or is_constant(b):
+        raise ValueError("correlation is undefined for constant input")
+    # the power-of-two scaling leaves r unchanged and keeps each sum of
+    # squares from underflowing to 0 (a spread of 1e-200) or overflowing
+    ac = _unit_scale(a - a.mean())
+    bc = _unit_scale(b - b.mean())
     sa = math.sqrt(float(ac @ ac))
     sb = math.sqrt(float(bc @ bc))
-    if sa == 0.0 or sb == 0.0:
-        raise ValueError("correlation is undefined for constant input")
     r = float(ac @ bc) / (sa * sb)
     r = max(-1.0, min(1.0, r))
     if 1.0 - r * r <= 0.0:
@@ -361,3 +365,7 @@ def pearson(a, b) -> PearsonResult:
     t = r * math.sqrt((n - 2) / (1.0 - r * r))
     return PearsonResult(r=r, t=t, p=t_sf(t, n - 2).value)
 
+
+def _unit_scale(v: np.ndarray) -> np.ndarray:
+    """Scale ``v`` in place by a power of two to max |v| in [0.5, 1)."""
+    return np.ldexp(v, -int(np.frexp(max(v.max(), -v.min()))[1]), out=v)

@@ -1,9 +1,9 @@
 """Independent reference implementations used to check the package.
 
 Everything here is deliberately written against the mathematics rather
-than the library code: triple-loop products, cofactor inverses, direct
-summation objectives, the soft-threshold closed forms, a
-proximal-gradient minimizer, and a hand-rolled cross-validation loop.
+than the library code: cofactor inverses, direct summation objectives,
+the soft-threshold closed forms, a proximal-gradient minimizer, and a
+hand-rolled cross-validation loop.
 Keep these dumb and obvious.
 """
 
@@ -12,22 +12,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-
-def matmul_loops(a, b):
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    n, m = a.shape
-    m2, k = b.shape
-    assert m == m2
-    out = np.zeros((n, k))
-    for i in range(n):
-        for j in range(k):
-            acc = 0.0
-            for t in range(m):
-                acc += a[i, t] * b[t, j]
-            out[i, j] = acc
-    return out
 
 
 def det_cofactor(a) -> float:

@@ -318,6 +318,18 @@ class TestStandardize:
         with pytest.raises(ConstantColumnError, match="'v'"):
             standardize(t)
 
+    def test_constant_column_with_inexact_mean(self):
+        # mean(0.1, 0.1, 0.1) is not 0.1 exactly, so the sd comes out 1.7e-17
+        t = RawTable(names=["a", "b"], values=[[1.0, 0.1], [2.0, 0.1], [4.0, 0.1]])
+        with pytest.raises(ConstantColumnError, match=r"^constant column\(s\): 'b'$"):
+            standardize(t)
+
+    def test_sd_underflow_counts_as_constant(self):
+        # max != min, but the spread squares below the smallest double
+        t = RawTable(names=["v"], values=[[0.0], [1e-200], [0.0]])
+        with pytest.raises(ConstantColumnError, match="'v'"):
+            standardize(t)
+
     def test_missing_cell(self):
         t = RawTable(names=["v"], values=[[1.0], [np.nan]])
         with pytest.raises(MissingValueError, match=r"^row 2, column 'v': missing value$"):

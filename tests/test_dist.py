@@ -87,6 +87,10 @@ class TestRegIncompleteBeta:
         with pytest.raises(ValueError):
             reg_incomplete_beta(1.0, 1.0, 1.5)
 
+    def test_nan_x_rejected(self):
+        with pytest.raises(ValueError, match="x must lie in"):
+            reg_incomplete_beta(2.0, 3.0, math.nan)
+
 
 class TestFSf:
     def test_pinned_tail_values_df_2_79(self):
@@ -123,6 +127,14 @@ class TestFSf:
             f_sf(-0.5, 2, 10)
         with pytest.raises(ValueError):
             f_sf(1.0, 0, 10)
+
+    def test_nan_statistic_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            f_sf(math.nan, 2, 5)
+
+    def test_infinite_df_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            f_sf(1.0, 2, math.inf)
 
     def test_underflow_clamps_with_flag(self):
         tail = f_sf(1e6, 20, 1000)
@@ -162,6 +174,18 @@ class TestTSf:
     def test_domain(self):
         with pytest.raises(ValueError):
             t_sf(1.0, 0)
+
+    def test_nan_statistic_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            t_sf(math.nan, 5)
+
+    def test_infinite_df_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            t_sf(1.0, math.inf)
+
+    def test_nan_df_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            t_sf(1.0, math.nan)
 
 
 class TestLargeDf:

@@ -17,7 +17,7 @@ from enetstats.inference import (
     univariate_summary,
     vif,
 )
-from enetstats.linalg import RankDeficiencyError, cholesky_solve
+from enetstats.linalg import RankDeficiencyError
 
 from oracles import pillai_explicit, r2_from_f, vif_auxiliary, wilks_f_single_df
 
@@ -61,7 +61,7 @@ class TestFitMlm:
         y = rng.normal(size=(10, 2))
         fit = fit_mlm(x, y)
         design = np.column_stack([np.ones(10), x])
-        want = cholesky_solve(design.T @ design, design.T @ y)
+        want = np.linalg.solve(design.T @ design, design.T @ y)
         assert_allclose(fit.coef, want, atol=1e-9)
 
     def test_residual_orthogonality(self):
@@ -259,6 +259,12 @@ class TestUnivariateSummary:
         with pytest.raises(ValueError):
             univariate_summary(fit, 1)
 
+    def test_intercept_only_is_error(self):
+        y = np.random.default_rng(46).normal(size=(10, 2))
+        fit = fit_mlm(np.empty((10, 0)), y)
+        with pytest.raises(ValueError, match="^the model has no non-intercept terms"):
+            univariate_summary(fit, 0)
+
 
 class TestVif:
     def test_orthogonal_columns_give_one(self):
@@ -302,6 +308,11 @@ class TestVif:
         with pytest.raises(ValueError):
             vif(np.ones((5, 1)))
 
+    def test_constant_column_with_inexact_mean(self):
+        x = np.column_stack([[1.0, 2.0, 4.0], np.full(3, 0.1)])
+        with pytest.raises(ValueError, match="^predictor 'x2' is constant$"):
+            vif(x)
+
 
 class TestPearson:
     def test_perfect_negative(self):
@@ -340,6 +351,25 @@ class TestPearson:
     def test_constant_input(self):
         with pytest.raises(ValueError):
             pearson(np.ones(5), np.arange(5.0))
+
+    def test_constant_input_with_inexact_mean(self):
+        with pytest.raises(ValueError, match="constant input"):
+            pearson(np.full(3, 0.1), [1.0, 2.0, 4.0])
+
+    @pytest.mark.parametrize("arg", ["a", "b"])
+    def test_non_finite_cell_names_argument(self, arg):
+        good = np.array([1.0, 2.0, 3.0, 5.0])
+        bad = np.array([np.nan, 1.0, 2.0, 3.0])
+        a, b = (bad, good) if arg == "a" else (good, bad)
+        with pytest.raises(ValueError, match=f"^{arg} contains non-finite"):
+            pearson(a, b)
+
+    def test_tiny_spread_is_not_constant(self):
+        # the sums of squares of the raw centered vectors underflow to 0
+        out = pearson([0.0, 1e-200, 0.0], [1.0, 2.0, 4.0])
+        assert math.isclose(out.r, -3.0 / math.sqrt(252.0), rel_tol=1e-12)
+        out = pearson([1e-170, 0.0, 2e-170], [1e-170, 0.0, 3e-170])
+        assert math.isclose(out.r, pearson([1.0, 0.0, 2.0], [1.0, 0.0, 3.0]).r, rel_tol=1e-12)
 
     def test_too_short(self):
         with pytest.raises(ValueError):

@@ -417,6 +417,8 @@ def _predictor_flag(args: argparse.Namespace, subsets: SubsetConfig) -> list[str
     if not flag:
         return None
     names = [p.strip() for p in flag.split(",") if p.strip()]
+    if not names or len(set(names)) < len(names):
+        raise DataError(f"--predictors must name distinct predictors, got {flag!r}")
     group = subsets.groups[subsets.group_with_role(ROLE_PREDICTOR)]
     unknown = [p for p in names if p not in group]
     if unknown:

@@ -129,6 +129,10 @@ def cross_validate(x, y, config: EnetConfig | None = None, folds: FoldAssignment
         raise ValueError(
             f"fold assignment covers {folds.assignment.shape[0]} observations, data has {n}"
         )
+    bad = np.flatnonzero((folds.assignment < 0) | (folds.assignment >= folds.k))
+    if bad.size:
+        i, f = int(bad[0]), int(folds.assignment[bad[0]])
+        raise ValueError(f"observation {i} is assigned to fold {f}; folds run 0..{folds.k - 1}")
     counts = np.bincount(folds.assignment, minlength=folds.k)
     empty = np.flatnonzero(counts == 0)
     if empty.size:

@@ -41,13 +41,12 @@ stops at a lambda as soon as the largest residual is at most
 ``EnetConfig.tol``; that certificate is the only stopping rule.
 
 Otherwise the pass either finds the active set or solves it. Cyclic sweeps
-over the rows that are nonzero or violate their condition find it. Once a
-sweep has been made at this lambda and every zero row satisfies its
-condition, the pass is instead a Newton step on the nonzero rows, where
-the objective is smooth; it is kept only if no row becomes zero and the
-objective does not increase, else the pass falls back to the sweep. On
-correlated designs, where sweeps converge slowly, this takes the pass
-count per lambda from tens to a few.
+over the rows that are nonzero or violate their condition find it. When no
+zero row violates its condition, from the first pass at a lambda on, the
+pass is instead a Newton step on the nonzero rows, where the objective is
+smooth. The certificate damps the step, so it exists on a singular support,
+and keeps it only if it falls; else the pass sweeps. On correlated designs
+this takes the passes per lambda from tens to a few.
 """
 
 from __future__ import annotations
@@ -153,14 +152,6 @@ class KktReport:
     violations: list[int]
 
 
-def _penalty(b: np.ndarray, alpha: float) -> float:
-    row_norms = np.sqrt((b * b).sum(axis=1))
-    return float(
-        (1.0 - alpha) / 2.0 * float((row_norms * row_norms).sum())
-        + alpha * float(row_norms.sum())
-    )
-
-
 def objective(x, y, b, b0, lam: float, alpha: float) -> float:
     """Penalized least-squares objective at a candidate solution."""
     x = as_matrix(x, "x")
@@ -174,7 +165,9 @@ def objective(x, y, b, b0, lam: float, alpha: float) -> float:
             f"shapes do not conform: x {x.shape}, y {y.shape}, b {b.shape}, b0 {b0.shape}"
         )
     resid = y - b0 - x @ b
-    return float((resid * resid).sum()) / (2.0 * n) + lam * _penalty(b, alpha)
+    norms = np.sqrt((b * b).sum(axis=1))
+    penalty = (1.0 - alpha) / 2.0 * float((norms * norms).sum()) + alpha * float(norms.sum())
+    return float((resid * resid).sum()) / (2.0 * n) + lam * penalty
 
 
 def default_lambda_grid(x, y, config: EnetConfig | None = None) -> np.ndarray:
@@ -375,21 +368,19 @@ def _descend(
     diag = gram.diagonal().tolist()
     denom = (gram.diagonal() + lam * (1.0 - cfg.alpha)).tolist()
     grad = cov - gram @ b
+    residuals = _stationarity(grad, b, lam, cfg.alpha)
     passes = 0
-    cycled = False
     while True:
-        residuals = _stationarity(grad, b, lam, cfg.alpha)
         kkt = float(residuals.max(initial=0.0))
         if kkt <= cfg.tol or passes == cfg.max_iter:
             return passes, kkt
         passes += 1
         active = b.any(axis=1)
-        # once a pass has found a support that no zero row wants to leave,
-        # try to solve it outright
-        if cycled and not np.any(residuals[~active] > cfg.tol):
-            stepped = _newton_step(gram, cov, b, grad, np.flatnonzero(active), lam, cfg.alpha)
+        # no zero row wants in: try to solve the support outright
+        if not np.any(residuals[~active] > cfg.tol):
+            stepped = _newton_step(gram, cov, b, grad, np.flatnonzero(active), lam, cfg.alpha, kkt)
             if stepped is not None:
-                grad = stepped
+                grad, residuals = stepped
                 continue
         # zero rows that satisfy their condition would stay zero; skip them
         rows = np.flatnonzero(active | (residuals > cfg.tol))
@@ -401,8 +392,8 @@ def _descend(
             # gram is symmetric: its contiguous row j is column j
             grad -= gram[j][:, None] * (new - bj)
             bj[:] = new
-        cycled = True
         grad = cov - gram @ b
+        residuals = _stationarity(grad, b, lam, cfg.alpha)
 
 
 def _newton_step(
@@ -413,47 +404,49 @@ def _newton_step(
     rows: np.ndarray,
     lam: float,
     alpha: float,
-) -> np.ndarray | None:
-    """Safeguarded Newton step on the nonzero ``rows`` of ``b``, in place.
+    mu: float,
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Damped Newton step on the nonzero ``rows`` of ``b``, in place.
 
     While those rows stay nonzero the objective restricted to them is
     smooth, with gradient -miss (the stationarity miss of
     :func:`_stationarity`) and Hessian (G_AA + diag(c)) (x) I_K minus
     sum_j w_j (e_j e_j' (x) u_j u_j'), where u_j = b_j / ||b_j||,
     w_j = lam * alpha / ||b_j|| and c_j = lam * (1 - alpha) + w_j (the
-    shrink factor of :func:`_stationarity`). The system is solved by the
-    Woodbury identity with one m x m inverse and one m x m capacitance
-    solve, m = len(rows), written so that w = 0 (alpha = 0) simply drops
-    the rank term; for K = 1 the terms cancel to G_AA + lam * (1 - alpha) I.
+    shrink factor of :func:`_stationarity`). The step solves with that
+    Hessian plus mu I, mu the current certificate (Levenberg-Marquardt
+    damping; Fan & Yuan 2005, Computing 74), by the Woodbury identity with
+    one m x m inverse and one m x m capacitance solve, m = len(rows),
+    written so that w = 0 (alpha = 0) simply drops the rank term; for K = 1
+    the terms cancel to G_AA + (lam * (1 - alpha) + mu) I. A row carried
+    past zero (u_j . new_j <= 0) is set to zero, as in the orthant
+    projection of OWL-QN (Andrew & Gao 2007).
 
-    Returns the exact gradient at the new iterate, or None, with ``b``
-    untouched, when the system is singular or the step would zero a row
-    or raise the objective.
+    Returns the exact gradient and the stationarity residuals at the new
+    iterate, or None, with ``b`` untouched, when the system is singular or
+    the certificate there is not below mu.
     """
     ba = b[rows]
     norms = np.sqrt(np.einsum("jk,jk->j", ba, ba))
-    if not np.all(norms > 0.0):
-        return None
     w = lam * alpha / norms
     shrink = lam * (1.0 - alpha) + w
     miss = grad[rows] - shrink[:, None] * ba
     u = ba / norms[:, None]
     try:
-        inv = np.linalg.inv(gram[np.ix_(rows, rows)] + np.diag(shrink))
+        inv = np.linalg.inv(gram[np.ix_(rows, rows)] + np.diag(shrink + mu))
         z = inv @ miss
         capacitance = np.eye(rows.size) - inv * (u @ u.T) * w
         s = np.linalg.solve(capacitance, np.einsum("jk,jk->j", u, z))
     except np.linalg.LinAlgError:
         return None
     new = ba + z + inv @ ((w * s)[:, None] * u)
-    if not np.all(np.isfinite(new)) or not np.all(new.any(axis=1)):
+    if not np.all(np.isfinite(new)):
         return None
+    new[np.einsum("jk,jk->j", u, new) <= 0.0] = 0.0
     b[rows] = new
     new_grad = cov - gram @ b
-    # objective up to a constant: 1/2 b'Gb - C'b = -1/2 b.(C + g)
-    before = -0.5 * float(np.vdot(ba, cov[rows] + grad[rows])) + lam * _penalty(ba, alpha)
-    after = -0.5 * float(np.vdot(new, cov[rows] + new_grad[rows])) + lam * _penalty(new, alpha)
-    if not after <= before:
+    residuals = _stationarity(new_grad, b, lam, alpha)
+    if not residuals.max(initial=0.0) < mu:
         b[rows] = ba
         return None
-    return new_grad
+    return new_grad, residuals

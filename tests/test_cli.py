@@ -306,9 +306,10 @@ class TestMlm:
         assert "nope" in capsys.readouterr().err
 
     def test_duplicate_predictor_exits_4(self, tmp_path, capsys):
+        # a copy under another name; a name given twice is a flag error
         code = run(
-            "mlm", "--input", DEMO_CSV, "--subsets", DEMO_CFG, "--out", tmp_path / "o",
-            "--predictors", "fertility_rate,fertility_rate",
+            "mlm", "--input", write_copied_column_csv(tmp_path), "--subsets", DEMO_CFG,
+            "--out", tmp_path / "o", "--predictors", "fertility_rate,gni_per_capita",
         )
         assert code == 4
         assert "collinear" in capsys.readouterr().err
@@ -369,6 +370,29 @@ class TestFlagValidation:
         assert code == 2
         assert capsys.readouterr().err == "error: --predictors: not in the predictor group: 'nope'\n"
 
+    @pytest.mark.parametrize(
+        "command, value",
+        [("mlm", "fertility_rate,fertility_rate,gni_per_capita"), ("report", " , ")],
+        ids=["repeated", "separators_only"],
+    )
+    def test_repeated_or_no_predictor_exits_2_before_any_fit(
+        self, tmp_path, capsys, monkeypatch, command, value
+    ):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a model was fitted before --predictors was checked")
+
+        monkeypatch.setattr(enetstats.cli, "fit_mgaussian_path", no_fit)
+        monkeypatch.setattr(enetstats.cli, "fit_mlm", no_fit)
+        out = tmp_path / "o"
+        code = run(
+            command, "--input", DEMO_CSV, "--subsets", DEMO_CFG, "--out", out,
+            "--predictors", value,
+        )
+        assert code == 2
+        want = f"error: --predictors must name distinct predictors, got {value!r}\n"
+        assert capsys.readouterr().err == want
+        assert not out.exists()
+
     @pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
     def test_out_that_cannot_be_a_directory_exits_2(self, tmp_path, capsys, under):
         blocker = tmp_path / "taken"
@@ -388,13 +412,25 @@ def write_nan_csv(tmp_path):
     return tmp_path / "nan.csv"
 
 
+def write_copied_column_csv(tmp_path):
+    """The demo data with gni_per_capita overwritten by fertility_rate."""
+    lines = DEMO_CSV.read_text(encoding="utf-8").splitlines(keepends=True)
+    rows = [lines[0]]
+    for line in lines[1:]:
+        cells = line.split(",")
+        cells[1] = cells[0]
+        rows.append(",".join(cells))
+    (tmp_path / "copied.csv").write_text("".join(rows), encoding="utf-8")
+    return tmp_path / "copied.csv"
+
+
 class TestFailedRunWritesNothing:
     """A run that fails at any stage leaves ``--out`` and stdout as they were."""
 
     CASES = {
         # mlm computes MANOVA and the follow-up tables before VIF refuses
         "one_predictor": (["mlm", "--predictors", "fertility_rate"], 2),
-        "collinear": (["mlm", "--predictors", "fertility_rate,fertility_rate"], 4),
+        "collinear": (["mlm", "--predictors", "fertility_rate,gni_per_capita"], 4),
         "folds_above_n": (["report", "--folds", "87"], 2),
         "unknown_predictor": (["report", "--predictors", "nope"], 2),
         "nan_cell": (["report"], 2),
@@ -404,7 +440,8 @@ class TestFailedRunWritesNothing:
     @pytest.mark.parametrize("case", list(CASES))
     def test_out_and_stdout_untouched(self, tmp_path, capsys, case, existing):
         argv, code = self.CASES[case]
-        csv = write_nan_csv(tmp_path) if case == "nan_cell" else DEMO_CSV
+        writer = {"nan_cell": write_nan_csv, "collinear": write_copied_column_csv}.get(case)
+        csv = writer(tmp_path) if writer else DEMO_CSV
         out = tmp_path / "o"
         if existing:
             out.mkdir()

@@ -201,3 +201,15 @@ class TestCrossValidate:
         y = rng.normal(size=10)
         with pytest.raises(ValueError):
             cross_validate(x, y, EnetConfig(), make_folds(8, 2, 1))
+
+    @pytest.mark.parametrize("value", [3, -1], ids=["k", "negative"])
+    def test_fold_index_outside_range_names_observation(self, value):
+        rng = np.random.default_rng(34)
+        x = standardized(rng, 12, 2)
+        y = rng.normal(size=12)
+        assignment = make_folds(12, 3, 1).assignment.copy()
+        assignment[5:] = value
+        folds = FoldAssignment(assignment=assignment, k=3, seed=1)
+        message = rf"observation 5 is assigned to fold {value}; folds run 0\.\.2"
+        with pytest.raises(ValueError, match=message):
+            cross_validate(x, y, EnetConfig(alpha=0.5, nlambda=10), folds)

@@ -621,6 +621,28 @@ class TestNewtonStep:
             fitted = x @ path.coefs[i] + path.intercepts[i]
             assert np.max(np.abs(fitted - (x @ b_ref + b0_ref))) <= 1e-6, i
 
+    @pytest.mark.parametrize("seed", [4, 6])
+    def test_copied_column_lasso_does_not_diverge(self, seed):
+        # a copy of column 0 makes G_AA singular at alpha = 1; an undamped
+        # step there was ~1e15 and drove b to overflow
+        rng = np.random.default_rng(seed)
+        x = standardized(rng, 9, 13)
+        x = np.column_stack([x, x[:, 0]])
+        y = x[:, :2] @ rng.normal(size=(2, 1)) + 0.5 * rng.normal(size=(9, 1))
+        path = self._certified(x, y, EnetConfig(alpha=1.0, nlambda=8))
+        assert int(path.n_passes.max()) <= 200
+
+    def test_copied_column_pairs_lasso_takes_few_passes(self):
+        # two copied pairs at alpha = 1: the undamped step was rejected on
+        # nearly every pass, ~480 passes at the worst lambda
+        rng = np.random.default_rng(2)
+        x = standardized(rng, 29, 27)
+        x[:, 1] = x[:, 0]
+        x[:, 3] = x[:, 2]
+        y = x[:, :2] @ rng.normal(size=(2, 2)) + 0.5 * rng.normal(size=(29, 2))
+        path = self._certified(x, y, EnetConfig(alpha=1.0))
+        assert int(path.n_passes.max()) <= 50
+
 
 class TestDefaultLambdaGrid:
     def test_head_is_lambda_max(self):
@@ -647,15 +669,20 @@ class TestDefaultLambdaGrid:
 
 @st.composite
 def path_problems(draw):
-    """Small standardized designs, p > N and duplicated columns included,
-    with K responses and an alpha from near-ridge to lasso."""
+    """Small standardized designs, p > N, one-factor (ill-conditioned) and
+    duplicated columns included, with K responses and an alpha from
+    near-ridge to lasso."""
     n = draw(st.integers(3, 12))
     p = draw(st.integers(1, 14))
     k = draw(st.integers(1, 3))
+    factor = draw(st.booleans())
     duplicate = draw(st.booleans())
     alpha = draw(st.sampled_from([1e-3, 0.5, 1.0]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     x = standardized(rng, n, p)
+    if factor:
+        x = 0.9 * rng.normal(size=(n, 1)) + 0.45 * x
+        x = (x - x.mean(axis=0)) / x.std(axis=0, ddof=1)
     if duplicate:
         x = np.column_stack([x, x[:, 0]])
     y = x[:, :2] @ rng.normal(size=(min(2, x.shape[1]), k)) + 0.5 * rng.normal(size=(n, k))

@@ -6,14 +6,18 @@ are also rendered as aligned text on stdout at a configurable display
 precision. A run computes first and writes once: ``--out`` is created,
 the files written and stdout printed only after every stage of the
 command has returned, so a failed run creates or changes no file in
-``--out`` and prints nothing to stdout. Exit codes: 0 success, 2
-input/validation failure, 3 solver or CV failure, 4 inference failure.
+``--out`` and prints nothing to stdout; the files go in under temporary
+names, so an I/O error while writing leaves ``--out`` as it was too.
+Exit codes: 0 success, 2 input/validation failure, 3 solver or CV
+failure, 4 inference failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import io
+import os
+import shutil
 import sys
 from functools import cached_property
 from pathlib import Path
@@ -87,6 +91,16 @@ def _tsv(header: list[str], rows, footer: str | None = None) -> str:
     lines.extend("\t".join(cells) for cells in rows)
     if footer is not None:
         lines.append(footer)
+    lines.append("")
+    return "\n".join(lines)
+
+
+def _g17_tsv(header: list[str], line: str, rows) -> str:
+    """One TSV file of numbers, formatted one row at a time: ``line`` holds
+    a "%.17g" per number and is filled from each tuple of floats in
+    ``rows``, which writes every number as :func:`_g17` does."""
+    lines = ["\t".join(header)]
+    lines.extend(line % row for row in rows)
     lines.append("")
     return "\n".join(lines)
 
@@ -209,7 +223,11 @@ class Pipeline:
     def run_prep(self) -> None:
         for group in self.subsets.groups:
             sm = self.standardized[group]
-            self.files[f"{group}.tsv"] = _tsv(sm.names, (map(_g17, row) for row in sm.matrix))
+            self.files[f"{group}.tsv"] = _g17_tsv(
+                sm.names,
+                "\t".join(["%.17g"] * len(sm.names)),
+                (tuple(row.tolist()) for row in sm.matrix),
+            )
             self.files[f"{group}_scale.tsv"] = _tsv(
                 ["column", "mean", "sd"],
                 (
@@ -313,13 +331,20 @@ class Pipeline:
         print("Variance inflation factors:", file=out)
         print(_render_table(["predictor", "vif"], [[e.name, fixed(e.vif)] for e in entries]), file=out)
 
-        self.files["residuals.tsv"] = _tsv(
+        def residual_rows():
+            cells = [0.0] * (2 * fit.n_responses)
+            for fitted, residuals in zip(fit.fitted, fit.residuals):
+                cells[0::2] = fitted.tolist()
+                cells[1::2] = residuals.tolist()
+                yield tuple(cells)
+
+        # one observation per row of the format: the responses cycle fastest
+        self.files["residuals.tsv"] = _g17_tsv(
             ["response", "fitted", "residual"],
-            (  # observation-major: the responses cycle fastest
-                [name, _g17(f), _g17(r)]
-                for fitted, residuals in zip(fit.fitted.tolist(), fit.residuals.tolist())
-                for name, f, r in zip(fit.response_names, fitted, residuals)
+            "\n".join(
+                name.replace("%", "%%") + "\t%.17g\t%.17g" for name in fit.response_names
             ),
+            residual_rows(),
         )
 
         y = fit.fitted + fit.residuals
@@ -429,16 +454,49 @@ def _predictor_flag(args: argparse.Namespace, subsets: SubsetConfig) -> list[str
 
 
 def _write_files(out: Path, files: dict[str, str]) -> None:
-    """Create the ``--out`` directory and write every file into it."""
+    """Write every file into the ``--out`` directory so that an I/O error
+    leaves ``--out`` as it was, with no temporary file behind.
+
+    A fresh ``--out`` is built as a hidden sibling directory and renamed
+    into place. In an existing one every file is first written under a
+    hidden name beside its target, and then each is moved over its target
+    with ``os.replace``.
+    """
     for name in files:  # group and response names become file names
         if Path(name).name != name:
             raise DataError(f"output file name {name!r} is not a plain file name")
+    # names of this process's own, not mkdtemp/mkstemp, which would leave
+    # --out and its files readable by the owner alone
+    suffix = f".{os.getpid()}.tmp"
+    fresh = not out.is_dir()
+    staging = out.parent / f".{out.name}{suffix}" if fresh else out
+    if fresh:
+        try:
+            out.parent.mkdir(parents=True, exist_ok=True)
+            staging.mkdir()
+        except OSError as exc:
+            raise DataError(
+                f"--out: cannot create directory {str(out)!r}: {exc.strerror}"
+            ) from None
+    temporary = {name: staging / (name if fresh else f".{name}{suffix}") for name in files}
     try:
-        out.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            failure = f"cannot write {name!r}"
+            temporary[name].write_text(text, encoding="utf-8", newline="")
+        if fresh:
+            failure = f"cannot create directory {str(out)!r}"
+            staging.rename(out)
+        else:
+            for name, path in temporary.items():
+                failure = f"cannot write {name!r}"
+                os.replace(path, out / name)
     except OSError as exc:
-        raise DataError(f"--out: cannot create directory {str(out)!r}: {exc.strerror}") from None
-    for name, text in files.items():
-        (out / name).write_text(text, encoding="utf-8", newline="")
+        if fresh:
+            shutil.rmtree(staging, ignore_errors=True)
+        else:
+            for path in temporary.values():
+                path.unlink(missing_ok=True)
+        raise DataError(f"--out: {failure}: {exc.strerror}") from None
 
 
 def main(argv=None) -> int:

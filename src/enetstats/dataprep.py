@@ -28,6 +28,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import warnings
 from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -259,32 +260,24 @@ def _records(reader):
             i += 1
 
 
-def load_csv(
-    source,
-    delimiter: str = ",",
-    missing_tokens: tuple[str, ...] = DEFAULT_MISSING_TOKENS,
-) -> RawTable:
-    """Read a delimited table (RFC-4180-style quoting) into a RawTable.
+def _parses_as_float(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
 
-    ``source`` may be a path, bytes, or an open text/byte stream; paths,
-    bytes and byte streams are decoded as UTF-8 with any line ending. The
-    first record is the header. Cells matching a missing token become NaN;
-    all other cells must parse as finite decimal numbers (``nan``, ``inf``
-    and overflowing literals are rejected). Errors name the offending data
-    row (1-based) and column, also for a byte that is not valid UTF-8.
-    """
-    # surrogateescape carries a bad byte into the cell that holds it, so the
-    # error names that cell; a strict decoder fails while reading ahead, on
-    # a chunk that may start rows earlier
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", errors="surrogateescape", newline="") as handle:
-            return load_csv(handle, delimiter=delimiter, missing_tokens=missing_tokens)
-    if isinstance(source, (bytes, bytearray)):
-        source = io.StringIO(source.decode("utf-8", "surrogateescape"), newline="")
-    elif hasattr(source, "read") and isinstance(source.read(0), bytes):
-        source = io.TextIOWrapper(source, encoding="utf-8", errors="surrogateescape", newline="")
 
-    records = _records(csv.reader(source, delimiter=delimiter))
+def _rewind_point(stream):
+    """Where ``stream`` can be rewound to, or None when it cannot be."""
+    try:
+        return stream.tell() if stream.seekable() else None
+    except OSError:  # a text file iterated with next() cannot tell
+        return None
+
+
+def _header(records) -> list[str]:
+    """The column names from the first of ``records``, checked."""
     _, header = next(records, (0, None))
     if header is None:
         raise CsvFormatError("input is empty; expected a header row")
@@ -298,7 +291,98 @@ def load_csv(
         if name in seen:
             raise CsvFormatError(f"duplicate header column {name!r}")
         seen.add(name)
+    return names
 
+
+def _single_lines(stream):
+    """``stream``'s lines, with a ValueError at one the csv module could
+    reject whatever its cells hold: one longer than its field-size limit,
+    or one with a line break before its end (a text stream that splits
+    lines at "\n" only keeps a lone "\r", where the C reader would split)."""
+    limit = csv.field_size_limit()
+    for line in stream:
+        body = line.rstrip("\r\n")
+        if len(body) > limit or "\r" in body or "\n" in body:
+            raise ValueError("line is not a single record of bounded fields")
+        yield line
+
+
+def _c_values(stream, delimiter: str, width: int) -> np.ndarray | None:
+    """The rest of ``stream`` read by numpy's C ``loadtxt``, or None unless
+    that gives at least one row of ``width`` finite numbers.
+
+    ``loadtxt`` is given no quote character, so a quote fails its parse
+    and every quoted cell is left to the csv module; a missing token fails
+    it too, as ``float()`` rejects it. Both readers skip blank lines.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            values = np.loadtxt(
+                _single_lines(stream), delimiter=delimiter, comments=None, ndmin=2, dtype=float
+            )
+    except ValueError:
+        return None
+    if len(values) == 0 or values.shape[1] != width:
+        return None
+    # a NaN makes both extremes NaN, an inf one of them; no temporary array
+    if not (math.isfinite(values.min()) and math.isfinite(values.max())):
+        return None
+    return values
+
+
+def load_csv(
+    source,
+    delimiter: str = ",",
+    missing_tokens: tuple[str, ...] = DEFAULT_MISSING_TOKENS,
+) -> RawTable:
+    """Read a delimited table (RFC-4180-style quoting) into a RawTable.
+
+    ``source`` may be a path, bytes, or an open text/byte stream; paths,
+    bytes and byte streams are decoded as UTF-8 with any line ending. The
+    first record is the header. Cells matching a missing token become NaN;
+    all other cells must parse as finite decimal numbers (``nan``, ``inf``
+    and overflowing literals are rejected). Errors name the offending data
+    row (1-based) and column, also for a byte that is not valid UTF-8.
+    ``delimiter`` is one character other than a quote, CR or LF.
+
+    The header is always read by the csv module. When the source can be
+    rewound and ``float()`` rejects every missing token, the rows are
+    first read by numpy's C ``loadtxt``, streamed from the open source;
+    its matrix is kept only when every row holds one finite number per
+    column. A quoted cell, a missing or unparseable cell, a NaN or inf, a
+    ragged row or an overlong line makes it give up, and the source is
+    read again from the start by the Python parser, the reference: every
+    error, every NaN for a missing cell, and every row and column name in
+    a message come from it. Bytes and paths can be rewound; a stream that
+    cannot is read by the Python parser alone.
+    """
+    if not (isinstance(delimiter, str) and len(delimiter) == 1) or delimiter in '"\r\n':
+        raise ValueError(
+            f"delimiter must be one character other than '\"', '\\r' and '\\n', "
+            f"got {delimiter!r}"
+        )
+    # surrogateescape carries a bad byte into the cell that holds it, so the
+    # error names that cell; a strict decoder fails while reading ahead, on
+    # a chunk that may start rows earlier
+    if isinstance(source, (str, Path)):
+        with open(source, "r", encoding="utf-8", errors="surrogateescape", newline="") as handle:
+            return load_csv(handle, delimiter=delimiter, missing_tokens=missing_tokens)
+    if isinstance(source, (bytes, bytearray)):
+        source = io.StringIO(source.decode("utf-8", "surrogateescape"), newline="")
+    elif hasattr(source, "read") and isinstance(source.read(0), bytes):
+        source = io.TextIOWrapper(source, encoding="utf-8", errors="surrogateescape", newline="")
+
+    start = None if any(map(_parses_as_float, missing_tokens)) else _rewind_point(source)
+    if start is not None:
+        names = _header(_records(csv.reader(source, delimiter=delimiter)))
+        values = _c_values(source, delimiter, len(names))
+        if values is not None:
+            return RawTable(names=names, values=values)
+        source.seek(start)
+
+    records = _records(csv.reader(source, delimiter=delimiter))
+    names = _header(records)
     values = array("d")  # the cells row by row, 8 bytes each
     for i, record in records:
         if len(record) != len(names):

@@ -1,12 +1,16 @@
+import errno
 import math
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import enetstats.cli
-from enetstats.cli import _g17, main, stars
+from enetstats.cli import _g17, _g17_tsv, main, stars
 from enetstats.cv import make_folds
 from enetstats.dataprep import SubsetConfig, load_csv, select_variables, standardize
 from enetstats.enet import EnetConfig, default_lambda_grid, fit_mgaussian_path
@@ -58,6 +62,31 @@ class TestStars:
         assert stars(p) == want
 
 
+class TestTsvEgress:
+    @settings(max_examples=300)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=8))
+    @example([-0.0, 0.0, 5e-324, 1e-310, 2.225073858507201e-308, 0.1, 1e16, 123456789.125])
+    @example([1.7976931348623157e308, -1.7976931348623157e308, -5e-324])
+    def test_row_format_matches_per_cell_format(self, values):
+        header = [f"c{j}" for j in range(len(values))]
+        line = "\t".join(["%.17g"] * len(values))
+        want = "\t".join(header) + "\n" + "\t".join(format(v, ".17g") for v in values) + "\n"
+        assert _g17_tsv(header, line, [tuple(values)]) == want
+
+    def test_percent_in_response_name_written_verbatim(self, tmp_path, capsys):
+        csv, cfg = write_small_dataset(tmp_path)
+        names = ["y%d", "100%"]
+        for path in (csv, cfg):
+            text = path.read_text(encoding="utf-8")
+            path.write_text(text.replace("y1", names[0]).replace("y2", names[1]), encoding="utf-8")
+        out = tmp_path / "out"
+        assert run("mlm", "--input", csv, "--subsets", cfg, "--out", out) == 0
+        capsys.readouterr()
+        _, rows = read_tsv(out / "residuals.tsv")
+        assert [r[0] for r in rows] == names * 12
+        assert all(len(r) == 3 for r in rows)
+
+
 class TestPrep:
     def test_demo_writes_three_groups(self, tmp_path):
         out = tmp_path / "out"
@@ -71,6 +100,9 @@ class TestPrep:
         assert values.shape == (86, 6)
         assert np.max(np.abs(values.mean(axis=0))) <= 1e-10
         assert np.max(np.abs(values.std(axis=0, ddof=1) - 1.0)) <= 1e-10
+        table, cfg = load_csv(DEMO_CSV), SubsetConfig.load(DEMO_CFG)
+        sm = standardize(select_variables(table, cfg, "demographic"))
+        assert rows == [[_g17(v) for v in row] for row in sm.matrix]
 
     def test_scale_sidecar_round_trips(self, tmp_path):
         out = tmp_path / "out"
@@ -454,6 +486,56 @@ class TestFailedRunWritesNothing:
             assert (out / "sentinel.tsv").read_bytes() == b"before\n"
         else:
             assert not out.exists()
+
+
+class TestAtomicOutput:
+    @pytest.mark.parametrize("existing", [False, True], ids=["fresh", "existing"])
+    def test_failed_second_write_leaves_out_unchanged(self, tmp_path, capsys, monkeypatch, existing):
+        out = tmp_path / "o"
+        if existing:
+            out.mkdir()
+            (out / "sentinel.tsv").write_bytes(b"before\n")
+            (out / "demographic.tsv").write_bytes(b"old\n")
+        write_text = Path.write_text
+        written = []
+
+        def full_disk_on_second(path, text, *args, **kwargs):
+            written.append(path)
+            if len(written) == 2:  # a truncated file, then the error
+                write_text(path, text[:5], *args, **kwargs)
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return write_text(path, text, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", full_disk_on_second)
+        assert run("prep", "--input", DEMO_CSV, "--subsets", DEMO_CFG, "--out", out) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: --out: cannot write 'demographic_scale.tsv': No space left on device\n"
+        )
+        assert all(not path.exists() for path in written)
+        if existing:
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["o"]
+            assert sorted(p.name for p in out.iterdir()) == ["demographic.tsv", "sentinel.tsv"]
+            assert (out / "sentinel.tsv").read_bytes() == b"before\n"
+            assert (out / "demographic.tsv").read_bytes() == b"old\n"
+        else:
+            assert list(tmp_path.iterdir()) == []
+
+    def test_existing_out_files_replaced(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "demographic.tsv").write_bytes(b"old\n")
+        (out / "sentinel.tsv").write_bytes(b"before\n")
+        assert run("prep", "--input", DEMO_CSV, "--subsets", DEMO_CFG, "--out", out) == 0
+        fresh = tmp_path / "fresh"
+        assert run("prep", "--input", DEMO_CSV, "--subsets", DEMO_CFG, "--out", fresh) == 0
+        capsys.readouterr()
+        names = sorted(p.name for p in fresh.iterdir())
+        assert sorted(p.name for p in out.iterdir()) == sorted(names + ["sentinel.tsv"])
+        for name in names:
+            assert (out / name).read_bytes() == (fresh / name).read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh", "o"]
 
 
 class TestReport:

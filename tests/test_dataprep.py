@@ -1,6 +1,9 @@
 import csv
 import io
 import math
+import re
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +25,9 @@ from enetstats.dataprep import (
     select_variables,
     standardize,
 )
+
+
+DEMO_CSV = Path(__file__).resolve().parent.parent / "data" / "demo_lifestyle.csv"
 
 
 def table(text, **kwargs):
@@ -84,8 +90,10 @@ class TestLoadCsv:
             table("")
 
     def test_header_only(self):
-        with pytest.raises(CsvFormatError, match="no data rows"):
-            table("a,b\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no warning from numpy's reader
+            with pytest.raises(CsvFormatError, match="no data rows"):
+                table("a,b\n")
 
     def test_reads_path(self, tmp_path):
         f = tmp_path / "t.csv"
@@ -112,6 +120,29 @@ class TestLoadCsv:
         data = b"a,b\xff\n1,2\n"
         with pytest.raises(CsvFormatError, match=r"^header row, column 2: .*not valid UTF-8"):
             load_csv(self._source(tmp_path, data, kind))
+
+    @pytest.mark.parametrize("delimiter", [";;", "", '"', "\r", "\n", None])
+    def test_bad_delimiter_rejected_before_reading(self, tmp_path, delimiter):
+        # the file does not exist, so a parser that opened it would raise
+        # FileNotFoundError, which is not a ValueError
+        with pytest.raises(ValueError, match=f"^delimiter .*, got {re.escape(repr(delimiter))}$"):
+            load_csv(tmp_path / "absent.csv", delimiter=delimiter)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("a\n1\r2\n", r"^row 1: new-line character seen in unquoted field"),
+            ("a\n1\n0." + "0" * 200_000 + "1\n", r"^row 2: field larger than field limit"),
+            ('a\n"1' + "\n" * 200_000 + '"\n', r"^row 1: field larger than field limit"),
+        ],
+        ids=["lone_cr_in_line", "overlong_number", "overlong_quoted_number"],
+    )
+    def test_csv_module_errors_survive_the_c_reader(self, text, message):
+        # numpy's reader would take all three: it splits lines at a lone CR,
+        # and it has no field-size limit, also not for a quoted cell spread
+        # over short lines
+        with pytest.raises(CsvFormatError, match=message):
+            table(text)
 
     @staticmethod
     def _source(tmp_path, data, kind):
@@ -202,6 +233,107 @@ class TestParserProperties:
         # NaN must sit exactly at the missing tokens
         hexed = [[None if math.isnan(c) else c.hex() for c in row] for row in t.values.tolist()]
         assert hexed == [[None if c is None else float(repr(c)).hex() for c in row] for row in rows]
+
+
+class _Unseekable(io.BytesIO):
+    """Bytes behind a stream that cannot be rewound, which load_csv reads
+    with the Python parser alone."""
+
+    def seekable(self):
+        return False
+
+
+def _outcome(source, delimiter=","):
+    """The names, shape and matrix bytes (NaNs included, bit for bit) that
+    load_csv reads from ``source``, or the type and message it raises."""
+    try:
+        t = load_csv(source, delimiter=delimiter)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return t.names, t.values.shape, t.values.tobytes()
+
+
+@st.composite
+def delimited_bytes(draw):
+    """(delimiter, data): a header and rows of numbers both readers take,
+    or, in about half the examples, with the cells, lines and bytes where
+    numpy's C reader and the csv module could disagree."""
+    delimiter = draw(st.sampled_from([",", ";", "\t", " "]))
+    width = draw(st.integers(1, 3))
+    number = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    clean = draw(st.booleans())
+    odd = st.sampled_from(
+        [
+            "1_0", "\uff11", " 7 ", "\u20037\u2003", "\x0c7\t", "0x1p3", "0x10",
+            "nan", "-inf", "1e999", "-0", "5e-324", "NA", "", "x",
+            '"4"', f'"1{delimiter}5"', '"2\n"', '"3\r\n5"', '"6""7"', '"8"9', ' "1"',
+        ]
+    )
+    cell = number if clean else st.one_of(number, odd)
+    row = st.lists(cell, min_size=width, max_size=width).map(delimiter.join)
+    line = row if clean else st.one_of(
+        row,
+        row.map(lambda r: r + delimiter),  # a trailing delimiter
+        st.lists(cell, max_size=width + 1).map(delimiter.join),  # ragged
+        st.sampled_from(["", " ", "\t", delimiter]),  # blank or whitespace only
+    )
+    header = delimiter.join(f"c{j}" for j in range(width))
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    lines = [header] + draw(st.lists(line, max_size=6))
+    data = (ending.join(lines) + draw(st.sampled_from(["", ending]))).encode("utf-8")
+    if not clean and draw(st.booleans()):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xe2\x82"])) + data[at:]
+    return delimiter, data
+
+
+class TestIngestPaths:
+    """load_csv's C fast path against the Python parser, its reference."""
+
+    @settings(max_examples=400)
+    @given(case=delimited_bytes())
+    @example(case=(",", b"a\n1\n \n2\n"))  # a whitespace-only line is a missing cell
+    @example(case=(" ", b"a b\n 1 2\n"))  # a leading delimiter is a third cell
+    def test_c_reader_agrees_with_python_parser(self, tmp_path_factory, case):
+        delimiter, data = case
+        path = tmp_path_factory.getbasetemp() / "differential.csv"
+        path.write_bytes(data)
+        assert _outcome(path, delimiter) == _outcome(_Unseekable(data), delimiter)
+
+    def test_clean_file_takes_the_c_reader(self, monkeypatch):
+        parsed = []
+        loadtxt = np.loadtxt
+
+        def spy(*args, **kwargs):
+            parsed.append(loadtxt(*args, **kwargs))
+            return parsed[-1]
+
+        monkeypatch.setattr(np, "loadtxt", spy)
+        t = load_csv(DEMO_CSV)
+        assert len(parsed) == 1 and t.values is parsed[0]
+        assert t.values.shape == (86, 11)
+        monkeypatch.undo()
+        assert _outcome(DEMO_CSV) == _outcome(_Unseekable(DEMO_CSV.read_bytes()))
+
+    def test_iterated_text_file_reads_on_from_its_position(self, tmp_path):
+        # a text file that next() has advanced cannot tell() where it is
+        path = tmp_path / "preamble.csv"
+        path.write_bytes(b"# preamble\na,b\n1,2\n")
+        with open(path, encoding="utf-8", newline="") as handle:
+            next(handle)
+            t = load_csv(handle)
+        assert t.names == ["a", "b"] and t.values.tolist() == [[1.0, 2.0]]
+
+    def test_missing_token_that_parses_as_a_number(self, tmp_path, monkeypatch):
+        def no_loadtxt(*args, **kwargs):
+            raise AssertionError("float() takes the missing token, so the C reader must not run")
+
+        monkeypatch.setattr(np, "loadtxt", no_loadtxt)
+        path = tmp_path / "sentinel.csv"
+        path.write_bytes(b"a,b\n1,-999\n-999.0, -999 \n")
+        t = load_csv(path, missing_tokens=("-999",))
+        assert np.isnan(t.values).tolist() == [[False, True], [False, True]]
+        assert t.values[:, 0].tolist() == [1.0, -999.0]
 
 
 class TestSubsetConfig:

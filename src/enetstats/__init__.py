@@ -10,7 +10,7 @@ from .dataprep import (
     select_variables,
     standardize,
 )
-from .dist import TailProbability, f_sf, log_gamma, reg_incomplete_beta, t_sf
+from .dist import TailProbability, f_sf, reg_incomplete_beta, t_sf
 from .enet import (
     EnetConfig,
     EnetPath,
@@ -47,7 +47,6 @@ __all__ = [
     "fit_mlm",
     "kkt_check",
     "load_csv",
-    "log_gamma",
     "make_folds",
     "manova_table",
     "objective",

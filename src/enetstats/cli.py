@@ -38,9 +38,7 @@ from .dataprep import (
 )
 from .enet import ConvergenceError, EnetConfig, EnetPath, fit_mgaussian_path
 from .inference import (
-    CoefficientRow,
     CollinearityError,
-    ManovaRow,
     MlmFit,
     PerfectFitError,
     fit_mlm,
@@ -84,23 +82,15 @@ def stars(p: float) -> str:
     return "NS"
 
 
-def _tsv(header: list[str], rows, footer: str | None = None) -> str:
-    """One TSV file's text, joined one row at a time from ``rows``, an
-    iterable of each row's cells."""
-    lines = ["\t".join(header)]
-    lines.extend("\t".join(cells) for cells in rows)
-    if footer is not None:
-        lines.append(footer)
-    lines.append("")
-    return "\n".join(lines)
-
-
-def _g17_tsv(header: list[str], line: str, rows) -> str:
-    """One TSV file of numbers, formatted one row at a time: ``line`` holds
-    a "%.17g" per number and is filled from each tuple of floats in
-    ``rows``, which writes every number as :func:`_g17` does."""
+def _tsv(header: list[str], line: str, rows, footer: str | None = None) -> str:
+    """One TSV file's text, formatted one row at a time: the %-format
+    ``line`` is filled from each tuple in ``rows``. Its "%.17g" writes a
+    number as :func:`_g17` does; cells that are already text go through
+    "%s"."""
     lines = ["\t".join(header)]
     lines.extend(line % row for row in rows)
+    if footer is not None:
+        lines.append(footer)
     lines.append("")
     return "\n".join(lines)
 
@@ -114,24 +104,6 @@ def _render_table(header: list[str], rows: list[list[str]]) -> str:
     for row in rows:
         lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
     return "\n".join(lines)
-
-
-def _manova_cells(rows: list[ManovaRow], num, p_value) -> list[list[str]]:
-    """Cells of the MANOVA table, with ``num`` and ``p_value`` formatting
-    the statistics and the p-values."""
-    return [
-        [r.term, str(r.df), num(r.pillai), num(r.approx_f), str(r.num_df), str(r.den_df),
-         p_value(r.p_value), stars(r.p_value)]
-        for r in rows
-    ]
-
-
-def _coef_cells(rows: list[CoefficientRow], num, p_value) -> list[list[str]]:
-    """Cells of a coefficient table, formatted as in :func:`_manova_cells`."""
-    return [
-        [r.name, num(r.estimate), num(r.std_error), num(r.t), p_value(r.p), stars(r.p)]
-        for r in rows
-    ]
 
 
 class _Groups(dict):
@@ -201,20 +173,13 @@ class Pipeline:
         return names
 
     @cached_property
-    def mlm_x(self) -> np.ndarray:
-        """The reduced model's predictor columns."""
-        names = self.reduced_predictors
-        x, _ = self.design
-        return x.matrix[:, [x.names.index(n) for n in names]]
-
-    @cached_property
     def mlm_fit(self) -> MlmFit:
-        x = self.mlm_x  # checks --predictors before the design is standardized
-        _, y = self.design
+        names = self.reduced_predictors  # checked before the design is standardized
+        x, y = self.design
         return fit_mlm(
-            x,
+            x.matrix[:, [x.names.index(n) for n in names]],
             y.matrix,
-            predictor_names=self.reduced_predictors,
+            predictor_names=names,
             response_names=y.names,
         )
 
@@ -223,27 +188,23 @@ class Pipeline:
     def run_prep(self) -> None:
         for group in self.subsets.groups:
             sm = self.standardized[group]
-            self.files[f"{group}.tsv"] = _g17_tsv(
+            self.files[f"{group}.tsv"] = _tsv(
                 sm.names,
                 "\t".join(["%.17g"] * len(sm.names)),
                 (tuple(row.tolist()) for row in sm.matrix),
             )
             self.files[f"{group}_scale.tsv"] = _tsv(
                 ["column", "mean", "sd"],
-                (
-                    [name, _g17(mean), _g17(sd)]
-                    for name, mean, sd in zip(sm.names, sm.means, sm.sds)
-                ),
+                "%s\t%.17g\t%.17g",
+                zip(sm.names, sm.means.tolist(), sm.sds.tolist()),
             )
 
     def run_enet(self) -> None:
         path = self.enet_path
         self.files["path.tsv"] = _tsv(
             ["lambda", "dev_ratio", "nonzero"],
-            (
-                [_g17(lam), _g17(dev), str(int(nz))]
-                for lam, dev, nz in zip(path.lambdas, path.dev_ratio, path.nonzero)
-            ),
+            "%.17g\t%.17g\t%d",
+            zip(path.lambdas.tolist(), path.dev_ratio.tolist(), path.nonzero.tolist()),
         )
         idx = self.selected_lambda_index()
         lam = float(path.lambdas[idx])
@@ -256,7 +217,8 @@ class Pipeline:
 
         self.files[f"coef_{lam:.6g}.tsv"] = _tsv(
             ["predictor"] + list(y.names),
-            ([name] + coef_cells(row) for name, row in zip(x.names, path.coefs[idx])),
+            "\t".join(["%s"] * (1 + len(y.names))),
+            ((name, *coef_cells(row)) for name, row in zip(x.names, path.coefs[idx])),
         )
         print(f"coefficients written at lambda={_g17(lam)} rule={self.args.rule}", file=self.stdout)
 
@@ -264,10 +226,8 @@ class Pipeline:
         cv = self.cv_result
         self.files["cv.tsv"] = _tsv(
             ["lambda", "mean_error", "se_error"],
-            (
-                [_g17(lam), _g17(m), _g17(s)]
-                for lam, m, s in zip(cv.lambdas, cv.mean_error, cv.se_error)
-            ),
+            "%.17g\t%.17g\t%.17g",
+            zip(cv.lambdas.tolist(), cv.mean_error.tolist(), cv.se_error.tolist()),
         )
         print(f"lambda.min={_g17(cv.lambda_min)}", file=self.stdout)
         print(f"lambda.1se={_g17(cv.lambda_1se)}", file=self.stdout)
@@ -286,13 +246,22 @@ class Pipeline:
         manova = manova_table(fit)
         self.files["manova.tsv"] = _tsv(
             ["term", "df", "pillai", "approx_f", "num_df", "den_df", "p", "stars"],
-            _manova_cells(manova, _g17, _g17),
+            "%s\t%d\t%.17g\t%.17g\t%d\t%d\t%.17g\t%s",
+            (
+                (r.term, r.df, r.pillai, r.approx_f, r.num_df, r.den_df, r.p_value,
+                 stars(r.p_value))
+                for r in manova
+            ),
         )
         print("Multivariate tests:", file=out)
         print(
             _render_table(
                 ["term", "df", "pillai", "approx F", "num df", "den df", "p", ""],
-                _manova_cells(manova, fixed, p4),
+                [
+                    [r.term, str(r.df), fixed(r.pillai), fixed(r.approx_f), str(r.num_df),
+                     str(r.den_df), p4(r.p_value), stars(r.p_value)]
+                    for r in manova
+                ],
             ),
             file=out,
         )
@@ -305,14 +274,19 @@ class Pipeline:
             )
             self.files[f"uni_{response}.tsv"] = _tsv(
                 ["term", "estimate", "std_error", "t", "p", "stars"],
-                _coef_cells(summary.coef_rows, _g17, _g17),
+                "%s\t%.17g\t%.17g\t%.17g\t%.17g\t%s",
+                ((r.name, r.estimate, r.std_error, r.t, r.p, stars(r.p)) for r in summary.coef_rows),
                 footer=footer,
             )
             print(f"Follow-up regression: {response}", file=out)
             print(
                 _render_table(
                     ["term", "estimate", "std error", "t", "p", ""],
-                    _coef_cells(summary.coef_rows, fixed, p4),
+                    [
+                        [r.name, fixed(r.estimate), fixed(r.std_error), fixed(r.t), p4(r.p),
+                         stars(r.p)]
+                        for r in summary.coef_rows
+                    ],
                 ),
                 file=out,
             )
@@ -323,10 +297,11 @@ class Pipeline:
                 file=out,
             )
 
-        entries = vif(self.mlm_x, names=fit.predictor_names)
+        entries = vif(fit)
         self.files["vif.tsv"] = _tsv(
             ["predictor", "r2_aux", "vif"],
-            ([e.name, _g17(e.r2_aux), _g17(e.vif)] for e in entries),
+            "%s\t%.17g\t%.17g",
+            ((e.name, e.r2_aux, e.vif) for e in entries),
         )
         print("Variance inflation factors:", file=out)
         print(_render_table(["predictor", "vif"], [[e.name, fixed(e.vif)] for e in entries]), file=out)
@@ -339,7 +314,7 @@ class Pipeline:
                 yield tuple(cells)
 
         # one observation per row of the format: the responses cycle fastest
-        self.files["residuals.tsv"] = _g17_tsv(
+        self.files["residuals.tsv"] = _tsv(
             ["response", "fitted", "residual"],
             "\n".join(
                 name.replace("%", "%%") + "\t%.17g\t%.17g" for name in fit.response_names

@@ -344,7 +344,8 @@ def load_csv(
     all other cells must parse as finite decimal numbers (``nan``, ``inf``
     and overflowing literals are rejected). Errors name the offending data
     row (1-based) and column, also for a byte that is not valid UTF-8.
-    ``delimiter`` is one character other than a quote, CR or LF.
+    ``delimiter`` is one character other than a quote, CR or LF. A byte
+    stream is left open.
 
     The header is always read by the csv module. When the source can be
     rewound and ``float()`` rejects every missing token, the rows are
@@ -371,7 +372,11 @@ def load_csv(
     if isinstance(source, (bytes, bytearray)):
         source = io.StringIO(source.decode("utf-8", "surrogateescape"), newline="")
     elif hasattr(source, "read") and isinstance(source.read(0), bytes):
-        source = io.TextIOWrapper(source, encoding="utf-8", errors="surrogateescape", newline="")
+        text = io.TextIOWrapper(source, encoding="utf-8", errors="surrogateescape", newline="")
+        try:
+            return load_csv(text, delimiter=delimiter, missing_tokens=missing_tokens)
+        finally:
+            text.detach()  # a collected wrapper would close the caller's stream
 
     start = None if any(map(_parses_as_float, missing_tokens)) else _rewind_point(source)
     if start is not None:

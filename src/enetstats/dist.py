@@ -18,7 +18,6 @@ from typing import NamedTuple
 
 __all__ = [
     "TailProbability",
-    "log_gamma",
     "reg_incomplete_beta",
     "f_sf",
     "t_sf",
@@ -44,17 +43,6 @@ class TailProbability(NamedTuple):
 
     def __float__(self) -> float:
         return self.value
-
-
-def log_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0.
-
-    Backed by the platform lgamma, which is accurate to a few ulp across
-    [0.5, 1000]; the domain check is ours.
-    """
-    if not x > 0:
-        raise ValueError(f"log_gamma is defined for x > 0, got {x!r}")
-    return math.lgamma(x)
 
 
 # Above this, the Stirling correction series for log-gamma is accurate to

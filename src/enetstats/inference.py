@@ -7,10 +7,10 @@ with overall F and adjusted R^2, variance inflation factors and Pearson
 correlation. The plot-ready residual data is the fit's own ``fitted`` and
 ``residuals`` arrays (N x K), which the CLI writes to ``residuals.tsv``.
 
-Every statistic is read from one rank-checked thin QR per matrix
-(:func:`~enetstats.linalg.thin_qr`): of the design for the coefficients
-and (X'X)^-1 = R^-1 R^-T, of the residuals for all MANOVA terms, and of
-the centered predictors for all VIFs.
+Every statistic is read from two rank-checked thin QRs
+(:func:`~enetstats.linalg.thin_qr`): one of the design [1, X], which
+gives the coefficients, (X'X)^-1 = R^-1 R^-T and every VIF, and one of
+the residuals, which gives every MANOVA term.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ class MlmFit:
 
     ``coef`` is (p+1) x K with the intercept row first; ``e_matrix`` is the
     K x K residual cross-product; ``xtx_inv`` inverts the intercept-augmented
-    normal matrix.
+    normal matrix, and ``design_r`` is the R factor of that design.
     """
 
     coef: np.ndarray
@@ -70,6 +70,7 @@ class MlmFit:
     e_matrix: np.ndarray
     df_error: int
     xtx_inv: np.ndarray
+    design_r: np.ndarray
     predictor_names: list[str]
     response_names: list[str]
 
@@ -193,6 +194,7 @@ def fit_mlm(x, y, predictor_names=None, response_names=None) -> MlmFit:
         e_matrix=residuals.T @ residuals,
         df_error=n - p - 1,
         xtx_inv=r_inv @ r_inv.T,
+        design_r=r,
         predictor_names=list(predictor_names),
         response_names=list(response_names),
     )
@@ -296,44 +298,31 @@ def univariate_summary(fit: MlmFit, response: int) -> UnivariateSummary:
     )
 
 
-def vif(x, names=None) -> list[VifEntry]:
-    """Variance inflation factors of the columns of ``x``.
+def vif(fit: MlmFit) -> list[VifEntry]:
+    """Variance inflation factors of the fit's predictors.
 
-    vif_j = 1 / (1 - R_j^2), with R_j^2 the auxiliary R^2 of column j on
-    all other columns plus an intercept, equals tss_j [(Xc'Xc)^-1]_jj for
-    the centered predictors Xc = QR: vif_j = tss_j ||row j of R^-1||^2.
-    A column collinear with earlier ones raises :class:`CollinearityError`.
+    vif_j = 1 / (1 - R_j^2), with R_j^2 the auxiliary R^2 of predictor j on
+    all the others plus an intercept, equals tss_j [(Xc'Xc)^-1]_jj for the
+    centered predictors Xc. The first column of Q in the fit's [1, X] = QR
+    is constant, so R[1:, 1:] is the R factor of Xc: tss_j is the squared
+    norm of R[1:, j+1] and [(Xc'Xc)^-1]_jj is ``xtx_inv[j+1, j+1]``. A
+    predictor with R_j^2 >= 1 - 1e-12 raises :class:`CollinearityError`.
     """
-    x = as_matrix(x, "x")
-    n, p = x.shape
+    p = fit.n_predictors
     if p < 2:
         raise ValueError(f"VIF needs at least 2 predictors, got {p}")
-    if names is None:
-        names = [f"x{j + 1}" for j in range(p)]
-    if len(names) != p:
-        raise ValueError("name list must match the column count")
-    constant = np.flatnonzero(is_constant(x))
-    if constant.size:
-        raise ValueError(f"predictor {names[constant[0]]!r} is constant")
-    centered = x - x.mean(axis=0)
-    tss = (centered * centered).sum(axis=0)
-    try:
-        _, r = thin_qr(centered)
-    except RankDeficiencyError as exc:
-        raise CollinearityError(
-            f"predictor {names[exc.column]!r} is an exact linear combination of the others"
-        ) from None
-    r_inv = np.linalg.inv(r)
-    vifs = tss * (r_inv * r_inv).sum(axis=1)
+    r = fit.design_r[1:, 1:]
+    vifs = (r * r).sum(axis=0) * np.diag(fit.xtx_inv)[1:]
     r2_aux = 1.0 - 1.0 / vifs
     near = np.flatnonzero(r2_aux >= 1.0 - 1e-12)
     if near.size:
         raise CollinearityError(
-            f"predictor {names[near[0]]!r} is an exact linear combination of the others"
+            f"predictor {fit.predictor_names[near[0]]!r} is an exact linear "
+            "combination of the others"
         )
     return [
         VifEntry(name=name, r2_aux=r2, vif=v)
-        for name, r2, v in zip(names, r2_aux.tolist(), vifs.tolist())
+        for name, r2, v in zip(fit.predictor_names, r2_aux.tolist(), vifs.tolist())
     ]
 
 

@@ -215,11 +215,12 @@ def test_criterion_07_vif_and_pearson_oracles():
     matches the direct formula and its symmetries."""
     u = np.array([1.0, -1.0, 1.0, -1.0])
     v = np.array([1.0, 1.0, -1.0, -1.0])
-    for e in vif(np.column_stack([u, v])):
+    y = np.arange(4.0)  # VIF depends on the predictors alone
+    for e in vif(fit_mlm(np.column_stack([u, v]), y)):
         assert e.vif == 1.0
 
     x = np.column_stack([u / 2.0, 0.8 * (u / 2.0) + 0.6 * (v / 2.0)])
-    for e in vif(x):
+    for e in vif(fit_mlm(x, y)):
         assert abs(e.vif - 2.7778) <= 1e-4
 
     rng = np.random.default_rng(77)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import enetstats.cli
-from enetstats.cli import _g17, _g17_tsv, main, stars
+from enetstats.cli import _g17, _tsv, main, stars
 from enetstats.cv import make_folds
 from enetstats.dataprep import SubsetConfig, load_csv, select_variables, standardize
 from enetstats.enet import EnetConfig, default_lambda_grid, fit_mgaussian_path
@@ -71,7 +71,7 @@ class TestTsvEgress:
         header = [f"c{j}" for j in range(len(values))]
         line = "\t".join(["%.17g"] * len(values))
         want = "\t".join(header) + "\n" + "\t".join(format(v, ".17g") for v in values) + "\n"
-        assert _g17_tsv(header, line, [tuple(values)]) == want
+        assert _tsv(header, line, [tuple(values)]) == want
 
     def test_percent_in_response_name_written_verbatim(self, tmp_path, capsys):
         csv, cfg = write_small_dataset(tmp_path)

@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import math
 import re
@@ -314,6 +315,18 @@ class TestIngestPaths:
         assert t.values.shape == (86, 11)
         monkeypatch.undo()
         assert _outcome(DEMO_CSV) == _outcome(_Unseekable(DEMO_CSV.read_bytes()))
+
+    @pytest.mark.parametrize("stream", [io.BytesIO, _Unseekable])
+    def test_byte_stream_is_left_open(self, stream):
+        # a seekable stream takes the C reader, an unseekable one the
+        # Python parser; either way the caller's stream stays open
+        good = stream(b"a,b\n1,2\n")
+        assert load_csv(good).values.tolist() == [[1.0, 2.0]]
+        bad = stream(b"a,b\n1,x\n")
+        with pytest.raises(CsvFormatError):
+            load_csv(bad)
+        gc.collect()
+        assert not good.closed and not bad.closed
 
     def test_iterated_text_file_reads_on_from_its_position(self, tmp_path):
         # a text file that next() has advanced cannot tell() where it is

@@ -5,35 +5,9 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from enetstats.dist import TailProbability, f_sf, log_gamma, reg_incomplete_beta, t_sf
+from enetstats.dist import TailProbability, f_sf, reg_incomplete_beta, t_sf
 
 mpmath.mp.dps = 40
-
-
-class TestLogGamma:
-    def test_one(self):
-        assert log_gamma(1.0) == 0.0
-
-    def test_half(self):
-        assert math.isclose(log_gamma(0.5), math.log(math.sqrt(math.pi)), rel_tol=1e-13)
-
-    def test_factorial(self):
-        assert math.isclose(log_gamma(10.0), math.log(362880.0), rel_tol=1e-13)
-
-    def test_accuracy_over_range(self):
-        for x in np.geomspace(0.5, 1000.0, 60):
-            want = float(mpmath.loggamma(mpmath.mpf(float(x))))
-            got = log_gamma(float(x))
-            if want == 0.0:
-                assert abs(got) <= 1e-13
-            else:
-                assert abs(got - want) <= 1e-13 * abs(want) + 1e-15
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            log_gamma(0.0)
-        with pytest.raises(ValueError):
-            log_gamma(-1.0)
 
 
 def beta_quadrature(a, b, x):

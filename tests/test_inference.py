@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from enetstats import inference
 from enetstats.inference import (
     CollinearityError,
     PerfectFitError,
@@ -17,7 +18,7 @@ from enetstats.inference import (
     univariate_summary,
     vif,
 )
-from enetstats.linalg import RankDeficiencyError
+from enetstats.linalg import RankDeficiencyError, thin_qr
 
 from oracles import pillai_explicit, r2_from_f, vif_auxiliary, wilks_f_single_df
 
@@ -37,6 +38,13 @@ def regressions(draw):
 # the suite's profile (tests/conftest.py) makes the examples the same on
 # every run
 one_qr = settings(max_examples=100)
+
+
+def vif_of(x, names=None):
+    """VIFs of the predictors ``x`` read from their fit; VIF depends on the
+    predictors alone, so any response will do."""
+    x = np.asarray(x, dtype=float)
+    return vif(fit_mlm(x, np.arange(len(x), dtype=float), predictor_names=names))
 
 
 class TestFitMlm:
@@ -186,10 +194,10 @@ class TestOneFactorization:
     @one_qr
     @given(regressions())
     def test_vif_matches_auxiliary_regressions(self, data):
-        x, _ = data
+        x, y = data
         if x.shape[1] < 2:
             x = np.column_stack([x, np.cos(np.arange(len(x)))])
-        for entry, (r2_aux, want) in zip(vif(x), vif_auxiliary(x)):
+        for entry, (r2_aux, want) in zip(vif(fit_mlm(x, y)), vif_auxiliary(x)):
             assert math.isclose(entry.vif, want, rel_tol=1e-9)
             assert math.isclose(entry.r2_aux, r2_aux, abs_tol=1e-12)
 
@@ -202,11 +210,27 @@ class TestOneFactorization:
         with pytest.raises(PerfectFitError, match="'y2'"):
             manova_table(fit)
 
+    def test_design_and_residuals_are_factorized_once_each(self, monkeypatch):
+        shapes = []
+
+        def spy(x):
+            shapes.append(np.shape(x))
+            return thin_qr(x)
+
+        monkeypatch.setattr(inference, "thin_qr", spy)
+        rng = np.random.default_rng(47)
+        fit = fit_mlm(rng.normal(size=(30, 4)), rng.normal(size=(30, 3)))
+        manova_table(fit)
+        for k in range(3):
+            univariate_summary(fit, k)
+        vif(fit)
+        assert shapes == [(30, 5), (30, 3)]
+
     def test_vif_names_the_repeated_predictor(self):
         rng = np.random.default_rng(43)
         c, z = rng.normal(size=(2, 10))
-        with pytest.raises(CollinearityError, match="'c'"):
-            vif(np.column_stack([c, z, c]), names=["a", "b", "c"])
+        with pytest.raises(RankDeficiencyError, match="'c'"):
+            vif_of(np.column_stack([c, z, c]), names=["a", "b", "c"])
 
 
 class TestUnivariateSummary:
@@ -270,7 +294,7 @@ class TestVif:
     def test_orthogonal_columns_give_one(self):
         u = np.array([1.0, -1.0, 1.0, -1.0])
         v = np.array([1.0, 1.0, -1.0, -1.0])
-        entries = vif(np.column_stack([u, v]))
+        entries = vif_of(np.column_stack([u, v]))
         for e in entries:
             assert abs(e.vif - 1.0) <= 1e-12
             assert abs(e.r2_aux) <= 1e-12
@@ -279,39 +303,49 @@ class TestVif:
         u = np.array([1.0, -1.0, 1.0, -1.0]) / 2.0
         v = np.array([1.0, 1.0, -1.0, -1.0]) / 2.0
         x = np.column_stack([u, 0.8 * u + 0.6 * v])
-        for e in vif(x):
+        for e in vif_of(x):
             assert abs(e.vif - 1.0 / 0.36) <= 1e-4
 
     def test_duplicate_column_is_error(self):
         rng = np.random.default_rng(13)
         c = rng.normal(size=10)
-        with pytest.raises((CollinearityError, RankDeficiencyError)):
-            vif(np.column_stack([c, rng.normal(size=10), c]))
+        with pytest.raises(RankDeficiencyError):
+            vif_of(np.column_stack([c, rng.normal(size=10), c]))
+
+    def test_near_copy_is_collinearity_error(self):
+        # a copy perturbed by 1e-9 passes the design's rank check, but its
+        # auxiliary R^2 is 1 - 1e-18; the first of the pair is named
+        rng = np.random.default_rng(13)
+        c, z = rng.normal(size=(2, 10))
+        x = np.column_stack([c, z, c + 1e-9 * rng.normal(size=10)])
+        with pytest.raises(CollinearityError, match="^predictor 'a' is an exact linear"):
+            vif_of(x, names=["a", "b", "c"])
 
     def test_rescaling_other_columns_is_invariant(self):
         rng = np.random.default_rng(14)
         x = rng.normal(size=(20, 3))
-        base = vif(x)
+        base = vif_of(x)
         x2 = x.copy()
         x2[:, 1] *= 37.0
         x2[:, 2] = x2[:, 2] * 0.01 + 5.0
-        again = vif(x2)
+        again = vif_of(x2)
         assert math.isclose(base[0].vif, again[0].vif, rel_tol=1e-9)
 
     def test_non_finite_cell_names_argument(self):
         x = np.random.default_rng(45).normal(size=(10, 3))
         x[4, 1] = np.nan
         with pytest.raises(ValueError, match="^x contains non-finite"):
-            vif(x)
+            vif_of(x)
 
     def test_needs_two_columns(self):
-        with pytest.raises(ValueError):
-            vif(np.ones((5, 1)))
+        with pytest.raises(ValueError, match="^VIF needs at least 2 predictors, got 1$"):
+            vif_of(np.arange(5.0))
 
     def test_constant_column_with_inexact_mean(self):
-        x = np.column_stack([[1.0, 2.0, 4.0], np.full(3, 0.1)])
-        with pytest.raises(ValueError, match="^predictor 'x2' is constant$"):
-            vif(x)
+        # a constant predictor is collinear with the intercept
+        x = np.column_stack([[1.0, 2.0, 4.0, 5.0], np.full(4, 0.1)])
+        with pytest.raises(RankDeficiencyError, match="^predictor 'x2' is collinear"):
+            vif_of(x)
 
 
 class TestPearson:

@@ -139,8 +139,7 @@ def cross_validate(x, y, config: EnetConfig | None = None, folds: FoldAssignment
         raise CvError(f"fold {int(empty[0])} holds no observations", fold=int(empty[0]))
 
     lambdas = default_lambda_grid(x, y, cfg)
-    n_lams = lambdas.size
-    fold_errors = np.empty((folds.k, n_lams))
+    fold_errors = np.empty((folds.k, lambdas.size))
 
     for f in range(folds.k):
         train = folds.assignment != f
@@ -149,11 +148,8 @@ def cross_validate(x, y, config: EnetConfig | None = None, folds: FoldAssignment
         except ValueError as exc:  # the fitter's rejection of degenerate data
             raise CvError(f"fold {f}: training slice: {exc}", fold=f) from None
         x_held = x[~train]
-        y_held = y[~train]
-        m = x_held.shape[0]
-        for l in range(n_lams):
-            err = y_held - (x_held @ path.coefs[l] + path.intercepts[l])
-            fold_errors[f, l] = float((err * err).sum()) / m
+        err = y[~train] - (x_held @ path.coefs + path.intercepts[:, None, :])
+        fold_errors[f] = np.einsum("lik,lik->l", err, err) / x_held.shape[0]
 
     mean_error = fold_errors.mean(axis=0)
     se_error = fold_errors.std(axis=0, ddof=1) / math.sqrt(folds.k)

@@ -1,4 +1,5 @@
 import errno
+import json
 import math
 import os
 from pathlib import Path
@@ -21,6 +22,7 @@ from oracles import cv_refit_loop
 DATA = Path(__file__).resolve().parent.parent / "data"
 DEMO_CSV = DATA / "demo_lifestyle.csv"
 DEMO_CFG = DATA / "demo_subsets.cfg"
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
 
 
 def run(*argv):
@@ -268,6 +270,20 @@ class TestCv:
         )
         assert_allclose(got_mean, mean_e, atol=1e-10)
         assert_allclose(got_se, se_e, atol=1e-10)
+
+
+    def test_demo_selection_matches_benchmark_reference(self, tmp_path, capsys):
+        # perfbench/reference.json stores the lambda index each fold seed
+        # selected when the benchmark was recorded; a solver change must
+        # not move the CV argmin on the demo data
+        reference = json.loads(REFERENCE.read_text(encoding="utf-8"))["demo_report"]
+        for seed in range(20):
+            out = tmp_path / f"seed{seed}"
+            assert run("cv", "--input", DEMO_CSV, "--subsets", DEMO_CFG, "--out", out, "--seed", seed) == 0
+            _, rows = read_tsv(out / "cv.tsv")
+            chosen = int(np.argmin([float(r[1]) for r in rows]))
+            assert chosen == reference[str(seed)]["lambda_index"], seed
+        capsys.readouterr()
 
 
 class TestMlm:

@@ -1,4 +1,4 @@
-"""Elastic-net regularization paths by cyclic coordinate descent.
+"""Elastic-net regularization paths by working-set Newton steps.
 
 Fits single-response (gaussian) and multi-response grouped (mgaussian)
 models along a decreasing lambda grid, each lambda started from a
@@ -41,15 +41,20 @@ predictor off it (the certificate :func:`kkt_check` applies). The solver
 stops at a lambda as soon as the largest residual is at most
 ``EnetConfig.tol``; that certificate is the only stopping rule.
 
-Otherwise the pass either finds the active set or solves it. Cyclic sweeps
-over the rows that are nonzero or violate their condition find it. When no
-zero row violates its condition, from the first pass at a lambda on, the
-pass is instead a Newton step on the nonzero rows, where the objective is
-smooth. The certificate damps the step, so it exists on a singular support,
-and keeps it only if it falls; a row the step carries past zero is set to
-zero, and if the certificate rejects that the step stops at the first
-crossing instead. When neither is kept the pass sweeps. On correlated
-designs this takes the passes per lambda from tens to a few.
+Otherwise the pass grows the working set and solves it. Every zero row
+that violates its condition is admitted at once, at its own row update
+from the current g (b_j = 0, so the update is S(g_j, lambda * alpha) /
+(G_jj + lambda * (1 - alpha))), and one Newton step then runs on the
+nonzero rows, where the objective is smooth: the working-set admission of
+newGLMNET (Yuan, Ho & Lin 2012, JMLR 13) and Celer (Massias, Gramfort &
+Salmon 2018). The certificate damps the step, so it exists on a singular
+support, and keeps it only if it falls below its value before the
+admission; a row the step carries past zero is set to zero, and if the
+certificate rejects that the step stops at the first crossing instead.
+Only when neither is kept do the admitted rows go back to zero and the
+pass is a cyclic sweep of the row update over the same rows, the fallback
+near-copy designs still need. On correlated designs this takes the passes
+per lambda from tens to a few.
 
 The path is a predictor-corrector (Park & Hastie 2007, JRSS-B 69(4)).
 Differentiating the stationarity condition on the support in lambda gives
@@ -59,9 +64,10 @@ through the inverse it already forms, so the tangent costs no extra
 factorization or certificate. The next lambda then starts from
 b_A + (1 - lambda / lambda_prev) d, a row the move carries past zero set to
 zero, and the passes there only correct that prediction: a lambda whose
-predicted start meets the certificate takes no pass at all. A cyclic sweep
-after the last Newton step makes the tangent stale, and the next lambda
-starts from the plain warm start.
+predicted start meets the certificate takes no pass at all. The tangent of
+a step that admitted rows covers them too; only a cyclic sweep, run after a
+rejected step, makes it stale, and the next lambda then starts from the
+plain warm start.
 """
 
 from __future__ import annotations
@@ -342,13 +348,9 @@ def _fit_path(x, y: np.ndarray, cfg: EnetConfig, lambdas) -> EnetPath:
     n_lams = lams.size
     b = np.zeros((p, k))
     coefs = np.empty((n_lams, p, k))
-    intercepts = np.empty((n_lams, k))
-    nonzero = np.empty(n_lams, dtype=np.int64)
-    rss = np.empty(n_lams)
     n_passes = np.empty(n_lams, dtype=np.int64)
     kkt_max = np.empty(n_lams)
 
-    yy = float((yw * yw).sum()) / n
     tangent = None
     for i, lam in enumerate(lams):
         if tangent is not None:  # predictor: follow the tangent to this lambda
@@ -360,19 +362,18 @@ def _fit_path(x, y: np.ndarray, cfg: EnetConfig, lambdas) -> EnetPath:
         n_passes[i], kkt_max[i], tangent = _descend(gram, cov, b, float(lam), cfg, tangent)
         if kkt_max[i] > cfg.tol:
             raise ConvergenceError(i, cfg.max_iter)
-        # RSS / N = y'y / N - 2 <C, B> + <B, G B>
-        rss[i] = n * (yy - float(np.vdot(b, 2.0 * cov - gram @ b)))
         coefs[i] = b
-        intercepts[i] = y_off - x_off @ b
-        nonzero[i] = int(np.count_nonzero(np.any(b != 0.0, axis=1)))
 
+    # RSS / N = y'y / N - 2 <C, B> + <B, G B>, for every lambda at once
+    fit = np.einsum("ljk,ljk->l", coefs, 2.0 * cov - gram @ coefs)
+    rss = float((yw * yw).sum()) - n * fit
     centered = y - y.mean(axis=0)
     return EnetPath(
         lambdas=lams,
         coefs=coefs,
-        intercepts=intercepts,
+        intercepts=y_off - x_off @ coefs,
         dev_ratio=1.0 - rss / float((centered * centered).sum()),
-        nonzero=nonzero,
+        nonzero=np.count_nonzero(coefs.any(axis=2), axis=1),
         n_passes=n_passes,
         kkt_max=kkt_max,
     )
@@ -386,19 +387,22 @@ def _descend(
     cfg: EnetConfig,
     tangent: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[int, float, tuple[np.ndarray, np.ndarray] | None]:
-    """Coordinate descent at one lambda, started from ``b`` (the predicted
+    """Corrector passes at one lambda, started from ``b`` (the predicted
     or warm start) and updating it in place.
 
-    Returns the passes made (Newton steps included), the final
-    certificate, the largest stationarity residual, and the ``(rows, d)``
-    tangent of the last accepted Newton step: ``tangent`` itself when no
-    pass was needed, None when a cyclic sweep came after that step. The
+    Each pass admits the zero rows that violate their condition at their
+    row updates and takes one :func:`_newton_step` with them; after a
+    rejected step they go back to zero and the pass is a cyclic sweep.
+
+    Returns the passes made, the final certificate (the largest
+    stationarity residual), and the ``(rows, d)`` tangent of the last
+    accepted Newton step, admitted rows included: ``tangent`` itself when
+    no pass was needed, None when a cyclic sweep came after that step. The
     solution is accepted when the certificate is at most ``cfg.tol``, which
     fails only once ``cfg.max_iter`` passes are spent.
     """
     gamma = lam * cfg.alpha
-    diag = gram.diagonal().tolist()
-    denom = (gram.diagonal() + lam * (1.0 - cfg.alpha)).tolist()
+    ridge = lam * (1.0 - cfg.alpha)
     grad = cov - gram @ b
     residuals = _stationarity(grad, b, lam, cfg.alpha)
     passes = 0
@@ -408,17 +412,25 @@ def _descend(
             return passes, kkt, tangent
         passes += 1
         active = b.any(axis=1)
-        # no zero row wants in: try to solve the support outright
-        if not np.any(residuals[~active] > cfg.tol):
-            rows = np.flatnonzero(active)
-            stepped = _newton_step(gram, cov, b, grad, rows, lam, cfg.alpha, kkt)
-            if stepped is not None:
-                grad, residuals, d = stepped
-                tangent = rows, d
-                continue
-        tangent = None
         # zero rows that satisfy their condition would stay zero; skip them
-        rows = np.flatnonzero(active | (residuals > cfg.tol))
+        work = active | (residuals > cfg.tol)
+        enter = work & ~active
+        step_grad = grad
+        if enter.any():  # admit the violators at once, each at its row update
+            g = grad[enter]
+            nrm = np.sqrt(np.einsum("jk,jk->j", g, g))
+            b[enter] = g * ((1.0 - gamma / nrm) / (gram.diagonal()[enter] + ridge))[:, None]
+            step_grad = cov - gram @ b
+        rows = np.flatnonzero(work)
+        stepped = _newton_step(gram, cov, b, step_grad, rows, lam, cfg.alpha, kkt)
+        if stepped is not None:
+            grad, residuals, d = stepped
+            tangent = rows, d
+            continue
+        b[enter] = 0.0
+        tangent = None
+        diag = gram.diagonal().tolist()
+        denom = (gram.diagonal() + ridge).tolist()
         for j in rows.tolist():
             bj = b[j]
             u = grad[j] + diag[j] * bj
@@ -441,7 +453,9 @@ def _newton_step(
     alpha: float,
     mu: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Damped Newton step on the nonzero ``rows`` of ``b``, in place.
+    """Damped Newton step on the nonzero ``rows`` of ``b``, in place, from
+    the gradient ``grad`` at ``b``; the rows :func:`_descend` has just
+    admitted are among them.
 
     While those rows stay nonzero the objective restricted to them is
     smooth, with gradient -miss (the stationarity miss of
@@ -449,19 +463,19 @@ def _newton_step(
     sum_j w_j (e_j e_j' (x) u_j u_j'), where u_j = b_j / ||b_j||,
     w_j = lam * alpha / ||b_j|| and c_j = lam * (1 - alpha) + w_j (the
     shrink factor of :func:`_stationarity`). The step solves with that
-    Hessian plus mu I, mu the current certificate (Levenberg-Marquardt
-    damping; Fan & Yuan 2005, Computing 74), by the Woodbury identity with
-    one m x m inverse and one m x m capacitance solve, m = len(rows),
-    written so that w = 0 (alpha = 0) simply drops the rank term; for K = 1
-    the terms cancel to G_AA + (lam * (1 - alpha) + mu) I. A row carried
-    past zero (u_j . new_j <= 0) is set to zero, as in the orthant
-    projection of OWL-QN (Andrew & Gao 2007). If the certificate rejects
-    that, the step is cut at the first crossing instead, that row set to
-    zero: along a near-flat direction of G_AA, such as a column and its
-    near copy, mu barely damps the step, which overshoots, and the cut
-    moves the pair's weight onto one column. The same two solves also take
-    the right-hand side c o b_A, giving the path tangent d = H^-1 (c o b_A)
-    (see the module docstring).
+    Hessian plus mu I, mu the certificate before the admission
+    (Levenberg-Marquardt damping; Fan & Yuan 2005, Computing 74), by the
+    Woodbury identity with one m x m inverse and one m x m capacitance
+    solve, m = len(rows), written so that w = 0 (alpha = 0) simply drops
+    the rank term; for K = 1 the terms cancel to G_AA + (lam * (1 - alpha)
+    + mu) I. A row carried past zero (u_j . new_j <= 0) is set to zero, as
+    in the orthant projection of OWL-QN (Andrew & Gao 2007). If the
+    certificate rejects that, the step is cut at the first crossing
+    instead, that row set to zero: along a near-flat direction of G_AA,
+    such as a column and its near copy, mu barely damps the step, which
+    overshoots, and the cut moves the pair's weight onto one column. The
+    same two solves also take the right-hand side c o b_A, giving the path
+    tangent d = H^-1 (c o b_A) (see the module docstring).
 
     Returns the exact gradient and the stationarity residuals at the new
     iterate and the tangent, or None, with ``b`` untouched, when the system
@@ -475,9 +489,14 @@ def _newton_step(
     rhs = np.array([grad[rows] - pull, pull])  # the step's and the tangent's
     u = ba / norms[:, None]
     try:
-        inv = np.linalg.inv(gram[rows[:, None], rows] + np.diag(shrink + mu))
+        hess = gram.take(rows, 0)[:, rows]
+        hess.flat[:: rows.size + 1] += shrink + mu
+        inv = np.linalg.inv(hess)
         z = inv @ rhs
-        capacitance = np.eye(rows.size) - inv * (u @ u.T) * w
+        capacitance = u @ u.T
+        capacitance *= inv
+        capacitance *= -w
+        capacitance.flat[:: rows.size + 1] += 1.0
         s = np.linalg.solve(capacitance, np.einsum("jk,tjk->jt", u, z))
     except np.linalg.LinAlgError:
         return None

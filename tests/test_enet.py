@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from enetstats import enet
 from enetstats.dataprep import SubsetConfig, load_csv, select_variables, standardize
 from enetstats.enet import (
     ConvergenceError,
@@ -28,6 +29,15 @@ DATA = Path(__file__).resolve().parent.parent / "data"
 def standardized(rng, n, p):
     x = rng.normal(size=(n, p))
     return (x - x.mean(axis=0)) / x.std(axis=0, ddof=1)
+
+
+def demo_groups():
+    """The demo's standardized demographic predictors and health responses."""
+    table = load_csv(DATA / "demo_lifestyle.csv")
+    subsets = SubsetConfig.load(DATA / "demo_subsets.cfg")
+    x = standardize(select_variables(table, subsets, "demographic")).matrix
+    y = standardize(select_variables(table, subsets, "health")).matrix
+    return x, y
 
 
 class TestSoftThreshold:
@@ -545,10 +555,7 @@ class TestPathTelemetry:
         # the tangent of each lambda's last Newton step predicts the next
         # solution, so the typical lambda needs one corrector pass or none
         # (plain warm starts need two)
-        table = load_csv(DATA / "demo_lifestyle.csv")
-        subsets = SubsetConfig.load(DATA / "demo_subsets.cfg")
-        x = standardize(select_variables(table, subsets, "demographic")).matrix
-        y = standardize(select_variables(table, subsets, "health")).matrix
+        x, y = demo_groups()
         rng = np.random.default_rng(35)
         x_tall = standardized(rng, 400, 40)
         y_tall = x_tall[:, :6] @ rng.normal(scale=0.3, size=(6, 3)) + rng.normal(size=(400, 3))
@@ -556,6 +563,19 @@ class TestPathTelemetry:
             path = fit_mgaussian_path(xs, ys, EnetConfig())
             assert np.all(path.kkt_max <= EnetConfig().tol)
             assert np.median(path.n_passes) <= 1, np.bincount(path.n_passes)
+
+    def test_entering_rows_take_two_passes(self):
+        # where the support grows, one pass admits the entering rows at
+        # their row updates inside a Newton step and one more finishes; a
+        # cyclic sweep to admit them, then two Newton steps, made it three
+        rng = np.random.default_rng([13, 1])
+        x_tall = standardized(rng, 400, 40)
+        y_tall = x_tall[:, :8] @ rng.normal(scale=0.3, size=(8, 3)) + rng.normal(size=(400, 3))
+        for xs, ys in (demo_groups(), (x_tall, y_tall)):
+            path = fit_mgaussian_path(xs, ys, EnetConfig())
+            grows = np.flatnonzero(np.diff(path.nonzero) > 0) + 1
+            assert grows.size >= 5
+            assert np.median(path.n_passes[grows]) <= 2, path.n_passes[grows]
 
     def test_cold_start_passes_within_max_iter(self):
         rng = np.random.default_rng(34)
@@ -592,6 +612,15 @@ class TestNewtonStep:
         for i, lam in enumerate(path.lambdas):
             report = kkt_check(x, y, path.coefs[i], path.intercepts[i], float(lam), 0.5)
             assert report.max_violation <= 1e-6, i
+
+    def test_sweep_fallback_alone_certifies(self, monkeypatch):
+        # the cyclic sweep runs only after a rejected Newton step, which the
+        # benchmark designs no longer reach; with every step rejected it
+        # must certify the demo path on its own
+        monkeypatch.setattr(enet, "_newton_step", lambda *args: None)
+        x, y = demo_groups()
+        path = self._certified(x, y, EnetConfig())
+        assert path.n_passes.sum() > path.n_lambdas
 
     @staticmethod
     def _certified(x, y, cfg, lambdas=None):

@@ -105,8 +105,7 @@ def make_folds(n: int, k: int, seed: int) -> FoldAssignment:
         j = draw % (i + 1)
         perm[i], perm[j] = perm[j], perm[i]
     assignment = np.empty(n, dtype=np.int64)
-    for position, obs in enumerate(perm):
-        assignment[obs] = position % k
+    assignment[perm] = np.arange(n) % k
     return FoldAssignment(assignment=assignment, k=k, seed=seed)
 
 

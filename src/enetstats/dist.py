@@ -41,9 +41,6 @@ class TailProbability(NamedTuple):
     value: float
     clamped: bool = False
 
-    def __float__(self) -> float:
-        return self.value
-
 
 # Above this, the Stirling correction series for log-gamma is accurate to
 # ~1 ulp with five terms.

@@ -7,10 +7,10 @@ with overall F and adjusted R^2, variance inflation factors and Pearson
 correlation. The plot-ready residual data is the fit's own ``fitted`` and
 ``residuals`` arrays (N x K), which the CLI writes to ``residuals.tsv``.
 
-Every statistic is read from two rank-checked thin QRs
-(:func:`~enetstats.linalg.thin_qr`): one of the design [1, X], which
-gives the coefficients, (X'X)^-1 = R^-1 R^-T and every VIF, and one of
-the residuals, which gives every MANOVA term.
+Every statistic is read from one Q-free QR of [1, X, Y]
+(:func:`~enetstats.linalg.r_factor`). The leading (p+1) block of its R is
+the design's R: the coefficients, (X'X)^-1 = R^-1 R^-T and every VIF. The
+trailing K block is the residuals' R factor: E and every MANOVA term.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dist import f_sf, t_sf
-from .linalg import RankDeficiencyError, as_matrix, is_constant, thin_qr
+from .linalg import RankDeficiencyError, as_matrix, check_rank, is_constant, r_factor
 
 __all__ = [
     "PerfectFitError",
@@ -61,7 +61,8 @@ class MlmFit:
 
     ``coef`` is (p+1) x K with the intercept row first; ``e_matrix`` is the
     K x K residual cross-product; ``xtx_inv`` inverts the intercept-augmented
-    normal matrix, and ``design_r`` is the R factor of that design.
+    normal matrix, and ``r`` is the R factor of [1, X, Y], upper
+    trapezoidal when N < 1+p+K.
     """
 
     coef: np.ndarray
@@ -70,7 +71,7 @@ class MlmFit:
     e_matrix: np.ndarray
     df_error: int
     xtx_inv: np.ndarray
-    design_r: np.ndarray
+    r: np.ndarray
     predictor_names: list[str]
     response_names: list[str]
 
@@ -150,10 +151,10 @@ def fit_mlm(x, y, predictor_names=None, response_names=None) -> MlmFit:
     """Multivariate multiple regression of y (N x K) on x (N x p) plus an
     intercept.
 
-    One thin QR of the design [1, X] = QR gives both the coefficients
-    R^-1 Q'y and (X'X)^-1 = R^-1 R^-T. Raises
-    :class:`~enetstats.linalg.RankDeficiencyError` naming the first
-    predictor that is collinear with the columns before it.
+    One Q-free QR of [1, X, Y] gives R = [[R_x, R_xy], [0, R_e]]: the
+    coefficients are R_x^-1 R_xy, (X'X)^-1 = R_x^-1 R_x^-T and
+    E = R_e'R_e. Raises :class:`~enetstats.linalg.RankDeficiencyError`
+    naming the first predictor that is collinear with the columns before it.
     """
     x = as_matrix(x, "x")
     y = as_matrix(y, "y")
@@ -172,29 +173,30 @@ def fit_mlm(x, y, predictor_names=None, response_names=None) -> MlmFit:
     if len(predictor_names) != p or len(response_names) != k:
         raise ValueError("name lists must match the matrix shapes")
 
-    design = np.column_stack([np.ones(n), x])
+    augmented = np.column_stack([np.ones(n), x, y])
+    r = r_factor(augmented)
+    m = p + 1
     try:
-        q, r = thin_qr(design)
+        check_rank(r[:m, :m])
     except RankDeficiencyError as exc:
-        if exc.column is not None and exc.column > 0:
+        if exc.column > 0:
             name = predictor_names[exc.column - 1]
             raise RankDeficiencyError(
                 f"predictor {name!r} is collinear with the preceding columns",
                 column=exc.column,
             ) from exc
         raise
-    r_inv = np.linalg.inv(r)
-    coef = r_inv @ (q.T @ y)
-    fitted = design @ coef
-    residuals = y - fitted
+    r_inv = np.linalg.inv(r[:m, :m])
+    coef = r_inv @ r[:m, m:]
+    fitted = augmented[:, :m] @ coef
     return MlmFit(
         coef=coef,
         fitted=fitted,
-        residuals=residuals,
-        e_matrix=residuals.T @ residuals,
+        residuals=y - fitted,
+        e_matrix=r[m:, m:].T @ r[m:, m:],
         df_error=n - p - 1,
         xtx_inv=r_inv @ r_inv.T,
-        design_r=r,
+        r=r,
         predictor_names=list(predictor_names),
         response_names=list(response_names),
     )
@@ -206,9 +208,9 @@ def manova_table(fit: MlmFit) -> list[ManovaRow]:
     Term j's hypothesis matrix H_j = b_j b_j' / c_jj (b_j its coefficient
     row, c_jj = [(X'X)^-1]_jj) has rank one, so E^-1 H_j has the single
     eigenvalue q_j = b_j' E^-1 b_j / c_jj = ||R_e^-T b_j||^2 / c_jj, with
-    E = R_e'R_e from one thin QR of the residuals. Pillai's V = q / (1 + q)
-    and F = q * den_df / K, exact with (K, df_error - K + 1) df. Residuals
-    of rank below K raise :class:`PerfectFitError` naming the response.
+    E = R_e'R_e read off ``fit.r``. Pillai's V = q / (1 + q) and
+    F = q * den_df / K, exact with (K, df_error - K + 1) df. Residuals of
+    rank below K raise :class:`PerfectFitError` naming the response.
     """
     p = fit.n_predictors
     k = fit.n_responses
@@ -220,8 +222,9 @@ def manova_table(fit: MlmFit) -> list[ManovaRow]:
             f"not enough error degrees of freedom for {k} responses "
             f"(df_error={fit.df_error})"
         )
+    r_e = fit.r[p + 1 :, p + 1 :]
     try:
-        _, r_e = thin_qr(fit.residuals)
+        check_rank(r_e)
     except RankDeficiencyError as exc:
         raise PerfectFitError(
             f"response {fit.response_names[exc.column]!r} leaves no residual "
@@ -259,10 +262,8 @@ def univariate_summary(fit: MlmFit, response: int) -> UnivariateSummary:
     p = fit.n_predictors
     if p < 1:
         raise ValueError("the model has no non-intercept terms to summarize")
-    n = fit.n_obs
-    y = fit.fitted[:, response] + fit.residuals[:, response]
-    centered = y - y.mean()
-    tss = float(centered @ centered)
+    tss_part = fit.r[1:, p + 1 + response]  # Q's first column is 1/sqrt(N)
+    tss = float(tss_part @ tss_part)
     rss = float(fit.e_matrix[response, response])
     if rss <= tss * _PERFECT_FIT_RTOL:
         raise PerfectFitError(
@@ -293,7 +294,7 @@ def univariate_summary(fit: MlmFit, response: int) -> UnivariateSummary:
         df1=p,
         df2=fit.df_error,
         r2=r2,
-        r2_adj=adjusted_r2(r2, n, p),
+        r2_adj=adjusted_r2(r2, fit.n_obs, p),
         sigma=math.sqrt(sigma2),
     )
 
@@ -303,15 +304,15 @@ def vif(fit: MlmFit) -> list[VifEntry]:
 
     vif_j = 1 / (1 - R_j^2), with R_j^2 the auxiliary R^2 of predictor j on
     all the others plus an intercept, equals tss_j [(Xc'Xc)^-1]_jj for the
-    centered predictors Xc. The first column of Q in the fit's [1, X] = QR
-    is constant, so R[1:, 1:] is the R factor of Xc: tss_j is the squared
-    norm of R[1:, j+1] and [(Xc'Xc)^-1]_jj is ``xtx_inv[j+1, j+1]``. A
-    predictor with R_j^2 >= 1 - 1e-12 raises :class:`CollinearityError`.
+    centered predictors Xc. Q's first column is constant, so ``fit.r[1:, 1:]``
+    is the R factor of the centered [X, Y]: tss_j is the squared norm of
+    R[1:, j+1] and [(Xc'Xc)^-1]_jj is ``xtx_inv[j+1, j+1]``. A predictor
+    with R_j^2 >= 1 - 1e-12 raises :class:`CollinearityError`.
     """
     p = fit.n_predictors
     if p < 2:
         raise ValueError(f"VIF needs at least 2 predictors, got {p}")
-    r = fit.design_r[1:, 1:]
+    r = fit.r[1 : p + 1, 1 : p + 1]
     vifs = (r * r).sum(axis=0) * np.diag(fit.xtx_inv)[1:]
     r2_aux = 1.0 - 1.0 / vifs
     near = np.flatnonzero(r2_aux >= 1.0 - 1e-12)

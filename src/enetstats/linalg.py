@@ -1,16 +1,16 @@
 """Small dense linear algebra with the package's error vocabulary.
 
-numpy supplies the factorization; this module holds the three checks the
-statistical layers build their diagnostics on:
+numpy supplies the factorization; this module holds what the statistical
+layers build their diagnostics on:
 
 * one array validator (:func:`as_matrix`), which every layer takes its
   inputs through, so a malformed or non-finite argument is named;
 * one constancy rule (:func:`is_constant`): a column is constant when
   its largest and smallest entries are equal. A centered sum of squares
   need not come out 0 for such a column when its mean is inexact;
-* one rank-checked thin QR (:func:`thin_qr`), from which every regression
-  statistic is read, so upstream collinearity surfaces here as a rank
-  failure naming the first dependent column.
+* one Q-free QR (:func:`r_factor`), whose R holds every regression
+  statistic, and one pivot rule for its blocks (:func:`check_rank`), so
+  collinearity surfaces as a rank failure naming the dependent column.
 
 Problems in this package stay small (~100 columns at most), so everything
 is dense and unblocked.
@@ -24,7 +24,7 @@ __all__ = [
     "DimensionError",
     "RankDeficiencyError",
     "as_matrix",
-    "thin_qr",
+    "r_factor",
 ]
 
 _RANK_TOL = 1e-12
@@ -71,19 +71,19 @@ def is_constant(x: np.ndarray) -> np.ndarray:
     return x.max(axis=0) == x.min(axis=0)
 
 
-def thin_qr(x) -> tuple[np.ndarray, np.ndarray]:
-    """Thin QR factors (Q, R) of ``x``, which needs rows >= columns.
+def r_factor(x) -> np.ndarray:
+    """Upper-trapezoidal R of ``x`` = QR, min(rows, columns) x columns;
+    Q is never formed."""
+    return np.linalg.qr(as_matrix(x, "x"), mode="r")
 
-    A pivot of R at most 1e-12 times the largest one raises
-    :class:`RankDeficiencyError` carrying the first such column, which is
-    numerically a combination of the columns before it.
+
+def check_rank(r: np.ndarray) -> None:
+    """Raise :class:`RankDeficiencyError` carrying the first column of the
+    R factor ``r`` whose pivot is at most 1e-12 times the largest one: that
+    column is numerically a combination of the columns before it.
+
+    Left out of ``__all__`` for the reason :func:`is_constant` is.
     """
-    x = as_matrix(x, "x")
-    if x.shape[0] < x.shape[1]:
-        raise DimensionError(
-            f"need rows >= columns, got {x.shape[0]} rows for {x.shape[1]} columns"
-        )
-    q, r = np.linalg.qr(x)
     diag = np.abs(np.diag(r))
     bad = np.flatnonzero(diag <= _RANK_TOL * float(diag.max(initial=0.0)))
     if bad.size:
@@ -91,4 +91,3 @@ def thin_qr(x) -> tuple[np.ndarray, np.ndarray]:
         raise RankDeficiencyError(
             f"design column {j} is collinear with the preceding columns", column=j
         )
-    return q, r

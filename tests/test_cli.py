@@ -15,7 +15,7 @@ from enetstats.cli import _g17, _tsv, main, stars
 from enetstats.cv import make_folds
 from enetstats.dataprep import SubsetConfig, load_csv, select_variables, standardize
 from enetstats.enet import EnetConfig, default_lambda_grid, fit_mgaussian_path
-from enetstats.inference import fit_mlm
+from enetstats.inference import fit_mlm, pearson
 
 from oracles import cv_refit_loop
 
@@ -345,6 +345,24 @@ class TestMlm:
         assert [r[0] for r in rows] == ["fertility_rate", "sanitation_access"]
         assert all(r[5] == "82" for r in rows)  # den_df = (86-3) - 2 + 1
 
+    def test_pearson_line_per_response_pair(self, tmp_path, capsys):
+        csv, cfg = write_small_dataset(tmp_path)
+        lines = csv.read_text(encoding="utf-8").splitlines()
+        y3 = np.random.default_rng(6).normal(size=len(lines) - 1)
+        rows = [f"{line},{v:.9f}\n" for line, v in zip(lines[1:], y3)]
+        csv.write_text(lines[0] + ",y3\n" + "".join(rows), encoding="utf-8")
+        with open(cfg, "a", encoding="utf-8") as handle:
+            handle.write("resp.column = y3\n")
+        assert run("mlm", "--input", csv, "--subsets", cfg, "--out", tmp_path / "out") == 0
+        out = capsys.readouterr().out
+        got = [line.split() for line in out.splitlines() if line.startswith("pearson")]
+        assert [g[1] for g in got] == ["y1~y2", "y1~y3", "y2~y3"]
+        y = standardize(select_variables(load_csv(csv), SubsetConfig.load(cfg), "resp")).matrix
+        for (i, j), g in zip([(0, 1), (0, 2), (1, 2)], got):
+            want = pearson(y[:, i], y[:, j])
+            assert math.isclose(float(g[2].removeprefix("r=")), want.r, rel_tol=1e-12)
+            assert math.isclose(float(g[3].removeprefix("p=")), want.p, rel_tol=1e-9)
+
     def test_unknown_predictor_exits_2(self, tmp_path, capsys):
         code = run(
             "mlm", "--input", DEMO_CSV, "--subsets", DEMO_CFG, "--out", tmp_path / "o",
@@ -472,6 +490,21 @@ def write_copied_column_csv(tmp_path):
     return tmp_path / "copied.csv"
 
 
+def write_fold_constant_csv(tmp_path):
+    """The demo data with water_access held at one value outside fold 0 of
+    the default split, so fold 0's training slice has a constant predictor."""
+    lines = DEMO_CSV.read_text(encoding="utf-8").splitlines(keepends=True)
+    folds = make_folds(len(lines) - 1, 10, 1).assignment
+    rows = [lines[0]]
+    for line, fold in zip(lines[1:], folds):
+        cells = line.split(",")
+        if fold != 0:
+            cells[4] = "50.0"
+        rows.append(",".join(cells))
+    (tmp_path / "fold_constant.csv").write_text("".join(rows), encoding="utf-8")
+    return tmp_path / "fold_constant.csv"
+
+
 class TestFailedRunWritesNothing:
     """A run that fails at any stage leaves ``--out`` and stdout as they were."""
 
@@ -482,13 +515,18 @@ class TestFailedRunWritesNothing:
         "folds_above_n": (["report", "--folds", "87"], 2),
         "unknown_predictor": (["report", "--predictors", "nope"], 2),
         "nan_cell": (["report"], 2),
+        "cv_fold_fails": (["report"], 3),
     }
 
     @pytest.mark.parametrize("existing", [False, True], ids=["fresh", "existing"])
     @pytest.mark.parametrize("case", list(CASES))
     def test_out_and_stdout_untouched(self, tmp_path, capsys, case, existing):
         argv, code = self.CASES[case]
-        writer = {"nan_cell": write_nan_csv, "collinear": write_copied_column_csv}.get(case)
+        writer = {
+            "nan_cell": write_nan_csv,
+            "collinear": write_copied_column_csv,
+            "cv_fold_fails": write_fold_constant_csv,
+        }.get(case)
         csv = writer(tmp_path) if writer else DEMO_CSV
         out = tmp_path / "o"
         if existing:
@@ -555,6 +593,19 @@ class TestAtomicOutput:
 
 
 class TestReport:
+    def test_selected_model_without_predictors_exits_2(self, tmp_path, capsys):
+        # the two lambdas barely differ in CV error, so the 1se rule keeps
+        # lambda_max, where every coefficient row is zero
+        out = tmp_path / "o"
+        code = run(
+            "report", "--input", DEMO_CSV, "--subsets", DEMO_CFG, "--out", out,
+            "--nlambda", "2", "--lambda-min-ratio", "0.99", "--rule", "1se",
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: the selected model keeps no predictors\n"
+        assert captured.out == "" and not out.exists()
+
     def test_full_chain(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert run("report", "--input", DEMO_CSV, "--subsets", DEMO_CFG, "--out", out) == 0

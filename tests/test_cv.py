@@ -195,6 +195,15 @@ class TestCrossValidate:
             cross_validate(x, y, EnetConfig(alpha=0.5, nlambda=10), folds)
         assert info.value.fold == 0
 
+    def test_empty_fold_is_named(self):
+        rng = np.random.default_rng(35)
+        x = standardized(rng, 12, 2)
+        y = rng.normal(size=12)
+        folds = FoldAssignment(assignment=np.repeat([0, 2], 6), k=3, seed=0)
+        with pytest.raises(CvError, match="^fold 1 holds no observations$") as info:
+            cross_validate(x, y, EnetConfig(alpha=0.5, nlambda=10), folds)
+        assert info.value.fold == 1
+
     def test_requires_matching_fold_length(self):
         rng = np.random.default_rng(33)
         x = standardized(rng, 10, 2)

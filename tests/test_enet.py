@@ -278,6 +278,33 @@ class TestGaussianPath:
         with pytest.raises(ValueError, match="tol"):
             EnetConfig(tol=1e-5)
 
+    def test_max_iter_below_one_rejected(self):
+        EnetConfig(max_iter=1)
+        with pytest.raises(ValueError, match="^max_iter must be >= 1, got 0$"):
+            EnetConfig(max_iter=0)
+
+    @pytest.mark.parametrize(
+        "lambdas, message",
+        [
+            ([], "a nonempty 1-D sequence"),
+            ([0.5, -0.1], "finite and nonnegative"),
+            ([0.5, 0.5], "strictly decreasing"),
+            ([0.1, 0.5], "strictly decreasing"),
+        ],
+        ids=["empty", "negative", "repeated", "increasing"],
+    )
+    def test_explicit_grid_checked(self, lambdas, message):
+        rng = np.random.default_rng(13)
+        x = standardized(rng, 10, 2)
+        with pytest.raises(ValueError, match=f"^lambdas must be {message}$"):
+            fit_gaussian_path(x, rng.normal(size=10), EnetConfig(alpha=0.5), lambdas=lambdas)
+
+    def test_two_responses_rejected(self):
+        rng = np.random.default_rng(14)
+        x = standardized(rng, 10, 2)
+        with pytest.raises(ValueError, match="^gaussian fit expects a single response, got 2$"):
+            fit_gaussian_path(x, rng.normal(size=(10, 2)), EnetConfig(alpha=0.5))
+
     def test_alpha_zero_needs_explicit_grid(self):
         rng = np.random.default_rng(11)
         x = standardized(rng, 10, 2)

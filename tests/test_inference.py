@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from enetstats import inference
 from enetstats.inference import (
     CollinearityError,
     PerfectFitError,
@@ -18,7 +17,7 @@ from enetstats.inference import (
     univariate_summary,
     vif,
 )
-from enetstats.linalg import RankDeficiencyError, thin_qr
+from enetstats.linalg import RankDeficiencyError
 
 from oracles import pillai_explicit, r2_from_f, vif_auxiliary, wilks_f_single_df
 
@@ -211,20 +210,45 @@ class TestOneFactorization:
             manova_table(fit)
 
     def test_design_and_residuals_are_factorized_once_each(self, monkeypatch):
-        shapes = []
+        # one QR of [1, X, Y], in numpy's mode "r", which forms no Q
+        calls = []
+        qr = np.linalg.qr
 
-        def spy(x):
-            shapes.append(np.shape(x))
-            return thin_qr(x)
+        def spy(a, mode="reduced"):
+            calls.append((np.shape(a), mode))
+            return qr(a, mode)
 
-        monkeypatch.setattr(inference, "thin_qr", spy)
+        monkeypatch.setattr(np.linalg, "qr", spy)
         rng = np.random.default_rng(47)
         fit = fit_mlm(rng.normal(size=(30, 4)), rng.normal(size=(30, 3)))
         manova_table(fit)
         for k in range(3):
             univariate_summary(fit, k)
         vif(fit)
-        assert shapes == [(30, 5), (30, 3)]
+        assert calls == [((30, 8), "r")]
+
+    def test_fewer_rows_than_augmented_columns(self):
+        # N = 6 < 1 + p + K = 8, so the R factor of [1, X, Y] is trapezoidal
+        rng = np.random.default_rng(48)
+        n, p = 6, 4
+        x = rng.normal(size=(n, p))
+        y = x @ rng.normal(size=(p, 3)) + rng.normal(size=(n, 3))
+        fit = fit_mlm(x, y)
+        assert fit.r.shape == (n, 1 + p + 3)
+        design = np.column_stack([np.ones(n), x])
+        coef = np.linalg.lstsq(design, y, rcond=None)[0]
+        unscaled_se = np.sqrt(np.diag(np.linalg.inv(design.T @ design)))
+        for k in range(3):
+            resid = y[:, k] - design @ coef[:, k]
+            centered = y[:, k] - y[:, k].mean()
+            rss = float(resid @ resid)
+            s = univariate_summary(fit, k)
+            assert math.isclose(s.r2, 1.0 - rss / float(centered @ centered), rel_tol=1e-9)
+            assert math.isclose(s.sigma, math.sqrt(rss / (n - p - 1)), rel_tol=1e-9)
+            assert_allclose([row.estimate for row in s.coef_rows], coef[:, k], rtol=1e-9)
+            assert_allclose([row.std_error for row in s.coef_rows], s.sigma * unscaled_se, rtol=1e-9)
+        with pytest.raises(ValueError, match="^not enough error degrees of freedom for 3"):
+            manova_table(fit)
 
     def test_vif_names_the_repeated_predictor(self):
         rng = np.random.default_rng(43)

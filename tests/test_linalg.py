@@ -2,17 +2,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from enetstats.linalg import DimensionError, RankDeficiencyError, is_constant, thin_qr
+from enetstats.linalg import RankDeficiencyError, check_rank, is_constant, r_factor
 
 
-class TestThinQr:
+class TestRFactor:
     def test_factors(self):
         rng = np.random.default_rng(40)
         x = rng.normal(size=(9, 4))
-        q, r = thin_qr(x)
-        assert q.shape == (9, 4) and r.shape == (4, 4)
-        assert_allclose(q @ r, x, atol=1e-12)
-        assert_allclose(q.T @ q, np.eye(4), atol=1e-12)
+        r = r_factor(x)
+        assert r.shape == (4, 4)
+        assert_allclose(r.T @ r, x.T @ x, atol=1e-12)
         assert np.all(np.tril(r, -1) == 0.0)
 
     def test_first_dependent_column_reported(self):
@@ -20,12 +19,14 @@ class TestThinQr:
         a, b = rng.normal(size=(2, 8))
         x = np.column_stack([a, b, a - 3.0 * b, rng.normal(size=8), b])
         with pytest.raises(RankDeficiencyError) as info:
-            thin_qr(x)
+            check_rank(r_factor(x))
         assert info.value.column == 2
 
-    def test_underdetermined_rejected(self):
-        with pytest.raises(DimensionError):
-            thin_qr(np.ones((2, 3)))
+    def test_wide_is_trapezoidal(self):
+        x = np.random.default_rng(42).normal(size=(2, 3))
+        r = r_factor(x)
+        assert r.shape == (2, 3) and r[1, 0] == 0.0
+        assert_allclose(r.T @ r, x.T @ x, atol=1e-12)
 
 
 class TestIsConstant:

@@ -17,7 +17,6 @@ from .enet import (
     fit_gaussian_path,
     fit_mgaussian_path,
     kkt_check,
-    objective,
 )
 from .inference import (
     MlmFit,
@@ -49,7 +48,6 @@ __all__ = [
     "load_csv",
     "make_folds",
     "manova_table",
-    "objective",
     "pearson",
     "reg_incomplete_beta",
     "select_variables",

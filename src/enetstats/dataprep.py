@@ -1,9 +1,11 @@
 """CSV ingestion, variable-subset selection, and z-score standardization.
 
-The parser returns each table as one N x p float64 matrix with NaN for a
-missing cell, which is unambiguous because every parsed cell must be
-finite. Selecting a group is column indexing, and the missing-value check
-is one ``np.isnan`` scan.
+A table is one comma-separated UTF-8 file, read by path, with "NA" or an
+empty cell as its missing value; a leading byte-order mark is skipped, in
+the table and in the subset configuration alike. The parser returns the
+table as one N x p float64 matrix with NaN for a missing cell, which is
+unambiguous because every parsed cell must be finite. Selecting a group
+is column indexing, and the missing-value check is one ``np.isnan`` scan.
 
 Column scaling lives here and only here: every downstream solver consumes
 the standardized matrices exactly as produced (no internal rescaling), so
@@ -26,7 +28,6 @@ internal spaces.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import warnings
 from array import array
@@ -52,7 +53,7 @@ __all__ = [
     "standardize",
 ]
 
-DEFAULT_MISSING_TOKENS = ("NA", "")
+_MISSING_TOKENS = ("NA", "")
 
 ROLE_PREDICTOR = "predictor"
 ROLE_RESPONSE = "response"
@@ -178,9 +179,9 @@ class SubsetConfig:
 
     @classmethod
     def load(cls, path: str | Path) -> "SubsetConfig":
-        # surrogateescape carries a byte that is not UTF-8 into its line,
-        # so the error names that line
-        return cls.from_text(Path(path).read_text(encoding="utf-8", errors="surrogateescape"))
+        # utf-8-sig drops a leading byte-order mark; surrogateescape carries
+        # a byte that is not UTF-8 into its line, so the error names that line
+        return cls.from_text(Path(path).read_text(encoding="utf-8-sig", errors="surrogateescape"))
 
     def group_with_role(self, role: str) -> str:
         matches = [g for g, r in self.roles.items() if r == role]
@@ -228,9 +229,9 @@ def _is_utf8(text: str) -> bool:
     return True
 
 
-def _parse_cell(text: str, missing_tokens: tuple[str, ...]) -> float:
+def _parse_cell(text: str) -> float:
     cell = text.strip()
-    if cell in missing_tokens:
+    if cell in _MISSING_TOKENS:
         return math.nan
     try:
         value = float(cell)
@@ -260,22 +261,6 @@ def _records(reader):
             i += 1
 
 
-def _parses_as_float(token: str) -> bool:
-    try:
-        float(token)
-    except ValueError:
-        return False
-    return True
-
-
-def _rewind_point(stream):
-    """Where ``stream`` can be rewound to, or None when it cannot be."""
-    try:
-        return stream.tell() if stream.seekable() else None
-    except OSError:  # a text file iterated with next() cannot tell
-        return None
-
-
 def _header(records) -> list[str]:
     """The column names from the first of ``records``, checked."""
     _, header = next(records, (0, None))
@@ -294,21 +279,19 @@ def _header(records) -> list[str]:
     return names
 
 
-def _single_lines(stream):
-    """``stream``'s lines, with a ValueError at one the csv module could
-    reject whatever its cells hold: one longer than its field-size limit,
-    or one with a line break before its end (a text stream that splits
-    lines at "\n" only keeps a lone "\r", where the C reader would split)."""
+def _bounded_lines(handle):
+    """``handle``'s lines, with a ValueError at one longer than the csv
+    module's field-size limit, which that module rejects whatever its
+    cells hold."""
     limit = csv.field_size_limit()
-    for line in stream:
-        body = line.rstrip("\r\n")
-        if len(body) > limit or "\r" in body or "\n" in body:
-            raise ValueError("line is not a single record of bounded fields")
+    for line in handle:
+        if len(line.rstrip("\r\n")) > limit:
+            raise ValueError("line is longer than the field-size limit")
         yield line
 
 
-def _c_values(stream, delimiter: str, width: int) -> np.ndarray | None:
-    """The rest of ``stream`` read by numpy's C ``loadtxt``, or None unless
+def _c_values(handle, width: int) -> np.ndarray | None:
+    """The rest of ``handle`` read by numpy's C ``loadtxt``, or None unless
     that gives at least one row of ``width`` finite numbers.
 
     ``loadtxt`` is given no quote character, so a quote fails its parse
@@ -319,7 +302,7 @@ def _c_values(stream, delimiter: str, width: int) -> np.ndarray | None:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             values = np.loadtxt(
-                _single_lines(stream), delimiter=delimiter, comments=None, ndmin=2, dtype=float
+                _bounded_lines(handle), delimiter=",", comments=None, ndmin=2, dtype=float
             )
     except ValueError:
         return None
@@ -331,74 +314,48 @@ def _c_values(stream, delimiter: str, width: int) -> np.ndarray | None:
     return values
 
 
-def load_csv(
-    source,
-    delimiter: str = ",",
-    missing_tokens: tuple[str, ...] = DEFAULT_MISSING_TOKENS,
-) -> RawTable:
-    """Read a delimited table (RFC-4180-style quoting) into a RawTable.
+def load_csv(path: str | Path) -> RawTable:
+    """Read the comma-separated table at ``path`` (RFC-4180-style quoting)
+    into a RawTable.
 
-    ``source`` may be a path, bytes, or an open text/byte stream; paths,
-    bytes and byte streams are decoded as UTF-8 with any line ending. The
-    first record is the header. Cells matching a missing token become NaN;
-    all other cells must parse as finite decimal numbers (``nan``, ``inf``
-    and overflowing literals are rejected). Errors name the offending data
-    row (1-based) and column, also for a byte that is not valid UTF-8.
-    ``delimiter`` is one character other than a quote, CR or LF. A byte
-    stream is left open.
+    The file is decoded as UTF-8, after an optional byte-order mark, with
+    any line ending. The first record is the header. A cell that is "NA"
+    or empty becomes NaN; every other cell must parse as a finite decimal
+    number (``nan``, ``inf`` and overflowing literals are rejected).
+    Errors name the offending data row (1-based) and column, also for a
+    byte that is not valid UTF-8.
 
-    The header is always read by the csv module. When the source can be
-    rewound and ``float()`` rejects every missing token, the rows are
-    first read by numpy's C ``loadtxt``, streamed from the open source;
-    its matrix is kept only when every row holds one finite number per
-    column. A quoted cell, a missing or unparseable cell, a NaN or inf, a
-    ragged row or an overlong line makes it give up, and the source is
-    read again from the start by the Python parser, the reference: every
-    error, every NaN for a missing cell, and every row and column name in
-    a message come from it. Bytes and paths can be rewound; a stream that
-    cannot is read by the Python parser alone.
+    The header is always read by the csv module and the rows first by
+    numpy's C ``loadtxt``, streamed from the open file; its matrix is kept
+    only when every row holds one finite number per column. A quoted cell,
+    a missing or unparseable cell, a NaN or inf, a ragged row or an
+    overlong line makes it give up, and the file is read again from the
+    start by the Python parser, the reference: every error, every NaN for
+    a missing cell, and every row and column name in a message come from
+    it.
     """
-    if not (isinstance(delimiter, str) and len(delimiter) == 1) or delimiter in '"\r\n':
-        raise ValueError(
-            f"delimiter must be one character other than '\"', '\\r' and '\\n', "
-            f"got {delimiter!r}"
-        )
     # surrogateescape carries a bad byte into the cell that holds it, so the
     # error names that cell; a strict decoder fails while reading ahead, on
     # a chunk that may start rows earlier
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", errors="surrogateescape", newline="") as handle:
-            return load_csv(handle, delimiter=delimiter, missing_tokens=missing_tokens)
-    if isinstance(source, (bytes, bytearray)):
-        source = io.StringIO(source.decode("utf-8", "surrogateescape"), newline="")
-    elif hasattr(source, "read") and isinstance(source.read(0), bytes):
-        text = io.TextIOWrapper(source, encoding="utf-8", errors="surrogateescape", newline="")
-        try:
-            return load_csv(text, delimiter=delimiter, missing_tokens=missing_tokens)
-        finally:
-            text.detach()  # a collected wrapper would close the caller's stream
-
-    start = None if any(map(_parses_as_float, missing_tokens)) else _rewind_point(source)
-    if start is not None:
-        names = _header(_records(csv.reader(source, delimiter=delimiter)))
-        values = _c_values(source, delimiter, len(names))
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape", newline="") as handle:
+        names = _header(_records(csv.reader(handle)))
+        values = _c_values(handle, len(names))
         if values is not None:
             return RawTable(names=names, values=values)
-        source.seek(start)
-
-    records = _records(csv.reader(source, delimiter=delimiter))
-    names = _header(records)
-    values = array("d")  # the cells row by row, 8 bytes each
-    for i, record in records:
-        if len(record) != len(names):
-            raise CsvFormatError(
-                f"row {i} has {len(record)} cells, expected {len(names)}"
-            )
-        for name, cell in zip(names, record):
-            try:
-                values.append(_parse_cell(cell, missing_tokens))
-            except CsvFormatError as exc:
-                raise CsvFormatError(f"row {i}, column {name!r}: {exc}") from None
+        handle.seek(0)
+        records = _records(csv.reader(handle))
+        names = _header(records)
+        values = array("d")  # the cells row by row, 8 bytes each
+        for i, record in records:
+            if len(record) != len(names):
+                raise CsvFormatError(
+                    f"row {i} has {len(record)} cells, expected {len(names)}"
+                )
+            for name, cell in zip(names, record):
+                try:
+                    values.append(_parse_cell(cell))
+                except CsvFormatError as exc:
+                    raise CsvFormatError(f"row {i}, column {name!r}: {exc}") from None
     if not values:
         raise CsvFormatError("no data rows after the header")
     return RawTable(names=names, values=np.frombuffer(values).reshape(-1, len(names)))

@@ -84,7 +84,6 @@ __all__ = [
     "EnetConfig",
     "EnetPath",
     "KktReport",
-    "objective",
     "default_lambda_grid",
     "fit_gaussian_path",
     "fit_mgaussian_path",
@@ -173,24 +172,6 @@ class KktReport:
 
     max_violation: float
     violations: list[int]
-
-
-def objective(x, y, b, b0, lam: float, alpha: float) -> float:
-    """Penalized least-squares objective at a candidate solution."""
-    x = as_matrix(x, "x")
-    y = as_matrix(y, "y")
-    b = as_matrix(b, "b")
-    b0 = np.atleast_1d(np.asarray(b0, dtype=float))
-    n, p = x.shape
-    k = y.shape[1]
-    if y.shape[0] != n or b.shape != (p, k) or b0.shape != (k,):
-        raise ValueError(
-            f"shapes do not conform: x {x.shape}, y {y.shape}, b {b.shape}, b0 {b0.shape}"
-        )
-    resid = y - b0 - x @ b
-    norms = np.sqrt((b * b).sum(axis=1))
-    penalty = (1.0 - alpha) / 2.0 * float((norms * norms).sum()) + alpha * float(norms.sum())
-    return float((resid * resid).sum()) / (2.0 * n) + lam * penalty
 
 
 def default_lambda_grid(x, y, config: EnetConfig | None = None) -> np.ndarray:

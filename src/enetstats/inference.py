@@ -222,14 +222,14 @@ def manova_table(fit: MlmFit) -> list[ManovaRow]:
             f"not enough error degrees of freedom for {k} responses "
             f"(df_error={fit.df_error})"
         )
-    r_e = fit.r[p + 1 :, p + 1 :]
     try:
-        check_rank(r_e)
+        check_rank(fit.r)  # fit_mlm has passed the design columns
     except RankDeficiencyError as exc:
         raise PerfectFitError(
-            f"response {fit.response_names[exc.column]!r} leaves no residual "
-            "variation beyond the preceding responses"
+            f"response {fit.response_names[exc.column - p - 1]!r} leaves no residual "
+            "variation beyond the predictors and the preceding responses"
         ) from None
+    r_e = fit.r[p + 1 :, p + 1 :]
     z = np.linalg.solve(r_e.T, fit.coef[1:].T)
     q = (z * z).sum(axis=0) / np.diag(fit.xtx_inv)[1:]
     rows: list[ManovaRow] = []

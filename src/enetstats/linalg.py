@@ -9,8 +9,9 @@ layers build their diagnostics on:
   its largest and smallest entries are equal. A centered sum of squares
   need not come out 0 for such a column when its mean is inexact;
 * one Q-free QR (:func:`r_factor`), whose R holds every regression
-  statistic, and one pivot rule for its blocks (:func:`check_rank`), so
-  collinearity surfaces as a rank failure naming the dependent column.
+  statistic, and one pivot rule for it (:func:`check_rank`), which judges
+  each pivot against its own column's norm, so collinearity surfaces as a
+  rank failure naming the dependent column whatever the columns' scales.
 
 Problems in this package stay small (~100 columns at most), so everything
 is dense and unblocked.
@@ -79,13 +80,16 @@ def r_factor(x) -> np.ndarray:
 
 def check_rank(r: np.ndarray) -> None:
     """Raise :class:`RankDeficiencyError` carrying the first column of the
-    R factor ``r`` whose pivot is at most 1e-12 times the largest one: that
-    column is numerically a combination of the columns before it.
+    square R factor ``r`` whose pivot is at most 1e-12 times that column's
+    own norm: that column is numerically a combination of the columns
+    before it. The rule does not change when a column is rescaled.
 
     Left out of ``__all__`` for the reason :func:`is_constant` is.
     """
-    diag = np.abs(np.diag(r))
-    bad = np.flatnonzero(diag <= _RANK_TOL * float(diag.max(initial=0.0)))
+    # R is upper triangular, so column j's norm is ||R[:j+1, j]||, the
+    # norm of the column it factors
+    pivots = np.abs(np.diag(r))
+    bad = np.flatnonzero(pivots <= _RANK_TOL * np.linalg.norm(r, axis=0))
     if bad.size:
         j = int(bad[0])
         raise RankDeficiencyError(

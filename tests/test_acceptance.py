@@ -20,7 +20,6 @@ from enetstats.enet import (
     fit_gaussian_path,
     fit_mgaussian_path,
     kkt_check,
-    objective,
 )
 from enetstats.inference import (
     adjusted_r2,
@@ -31,7 +30,14 @@ from enetstats.inference import (
     vif,
 )
 
-from oracles import pillai_explicit, prox_grad_reference, r2_from_f, soft_threshold, wilks_f_single_df
+from oracles import (
+    enet_objective_direct,
+    pillai_explicit,
+    prox_grad_reference,
+    r2_from_f,
+    soft_threshold,
+    wilks_f_single_df,
+)
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 DEMO_CSV = DATA / "demo_lifestyle.csv"
@@ -141,8 +147,9 @@ def test_criterion_04_brute_force_objective_equivalence():
         b_ref = None
         for i, lam in enumerate(path.lambdas):
             b_ref, b0_ref = prox_grad_reference(x, y, float(lam), 0.5, b_init=b_ref)
-            ours = objective(x, y, path.coefs[i], path.intercepts[i], float(lam), 0.5)
-            ref = objective(x, y, b_ref, b0_ref, float(lam), 0.5)
+            lam = float(lam)
+            ours = enet_objective_direct(x, y, path.coefs[i], path.intercepts[i], lam, 0.5)
+            ref = enet_objective_direct(x, y, b_ref, b0_ref, lam, 0.5)
             assert abs(ours - ref) <= 1e-4, (seed, i)
     _report("criterion 4: 20-instance proximal-gradient objective match within 1e-4")
 

@@ -158,6 +158,18 @@ class TestPrep:
         assert "line 2: 'g.column = a\\udcff' is not valid UTF-8" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_byte_order_marks_are_skipped(self, tmp_path):
+        # a spreadsheet's "CSV UTF-8" export starts with a byte-order mark
+        bom = b"\xef\xbb\xbf"
+        csv = tmp_path / "excel.csv"
+        csv.write_bytes(bom + b"a,b\r\n1,2\r\n2,5\r\n4,6\r\n")
+        cfg = tmp_path / "excel.cfg"
+        cfg.write_bytes(bom + b"g.role = predictor\r\ng.column = a\r\ng.column = b\r\n")
+        out = tmp_path / "o"
+        assert run("prep", "--input", csv, "--subsets", cfg, "--out", out) == 0
+        header, rows = read_tsv(out / "g.tsv")
+        assert header == ["a", "b"] and len(rows) == 3
+
     def test_overlong_quoted_cell_exits_2_before_out(self, tmp_path, capsys):
         # the csv module refuses fields above 131,072 characters
         csv = tmp_path / "long.csv"

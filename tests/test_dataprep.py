@@ -1,10 +1,11 @@
+import contextlib
 import csv
-import gc
 import io
 import math
-import re
+import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from enetstats import dataprep
 from enetstats.dataprep import (
     ConfigError,
     ConstantColumnError,
@@ -29,10 +31,17 @@ from enetstats.dataprep import (
 
 
 DEMO_CSV = Path(__file__).resolve().parent.parent / "data" / "demo_lifestyle.csv"
+BOM = b"\xef\xbb\xbf"
 
 
-def table(text, **kwargs):
-    return load_csv(io.StringIO(text), **kwargs)
+def table(text):
+    """load_csv on a file that holds ``text`` (a str, UTF-8 encoded, or
+    bytes) exactly."""
+    data = text if isinstance(text, bytes) else text.encode("utf-8")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        path.write_bytes(data)
+        return load_csv(path)
 
 
 class TestLoadCsv:
@@ -46,10 +55,6 @@ class TestLoadCsv:
     def test_missing_token(self):
         t = table("a,b\nNA,2\n")
         assert np.isnan(t.values[0, 0]) and t.values[0, 1] == 2.0
-
-    def test_custom_missing_token(self):
-        t = table("a\n?\n", missing_tokens=("?",))
-        assert np.isnan(t.values[0, 0])
 
     def test_ragged_row(self):
         with pytest.raises(CsvFormatError, match="row 1"):
@@ -82,10 +87,6 @@ class TestLoadCsv:
         t = table('"a,b",c\n1,2\n')
         assert t.names == ["a,b", "c"]
 
-    def test_alternate_delimiter(self):
-        t = table("a;b\n1;2\n", delimiter=";")
-        assert t.values.tolist() == [[1.0, 2.0]]
-
     def test_empty_input(self):
         with pytest.raises(CsvFormatError):
             table("")
@@ -101,79 +102,83 @@ class TestLoadCsv:
         f.write_text("a\n1\n2\n", encoding="utf-8")
         assert load_csv(f).n_rows == 2
 
-    def test_bytes_with_cr_line_endings(self, tmp_path):
-        data = b"a,b\r1,2\r3,4\r"
-        f = tmp_path / "cr.csv"
-        f.write_bytes(data)
-        assert load_csv(data).values.tolist() == load_csv(f).values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    def test_bytes_with_cr_line_endings(self):
+        assert table(b"a,b\r1,2\r3,4\r").values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
-    @pytest.mark.parametrize("kind", ["path", "bytes", "stream"])
+    @pytest.mark.parametrize("kind", ["path", "str"])
     def test_non_utf8_byte_in_cell_names_row_and_column(self, tmp_path, kind):
         # the bad byte sits past the first 8 KiB, so a strict decoder reading
         # in chunks would fail rows before the one that holds it
         data = b"a,b\n" + b"1.5,2.5\n" * 2000 + b"3,4\xff5\n" + b"6,7\n"
         assert data.index(b"\xff") > 8192
         with pytest.raises(CsvFormatError, match=r"^row 2001, column 'b': .*not valid UTF-8"):
-            load_csv(self._source(tmp_path, data, kind))
+            load_csv(self._path(tmp_path, data, kind))
 
-    @pytest.mark.parametrize("kind", ["path", "bytes", "stream"])
+    @pytest.mark.parametrize("kind", ["path", "str"])
     def test_non_utf8_byte_in_header_names_column(self, tmp_path, kind):
         data = b"a,b\xff\n1,2\n"
         with pytest.raises(CsvFormatError, match=r"^header row, column 2: .*not valid UTF-8"):
-            load_csv(self._source(tmp_path, data, kind))
+            load_csv(self._path(tmp_path, data, kind))
 
-    @pytest.mark.parametrize("delimiter", [";;", "", '"', "\r", "\n", None])
-    def test_bad_delimiter_rejected_before_reading(self, tmp_path, delimiter):
-        # the file does not exist, so a parser that opened it would raise
-        # FileNotFoundError, which is not a ValueError
-        with pytest.raises(ValueError, match=f"^delimiter .*, got {re.escape(repr(delimiter))}$"):
-            load_csv(tmp_path / "absent.csv", delimiter=delimiter)
+    @pytest.mark.parametrize(
+        "data, reader",
+        [(b"a,b\r\n1,2\r\n3,4\r\n", "c"), (b"a,b\r\n1,NA\r\n3,4\r\n", "python")],
+        ids=["c_reader", "python_parser"],
+    )
+    def test_byte_order_mark_is_not_part_of_the_first_name(self, monkeypatch, data, reader):
+        # a spreadsheet's "CSV UTF-8" export starts with one; the Python
+        # parser rereads the file from its start, mark included
+        c_results = []
+        c_values = dataprep._c_values
+
+        def spy(*args):
+            c_results.append(c_values(*args))
+            return c_results[-1]
+
+        monkeypatch.setattr(dataprep, "_c_values", spy)
+        t = table(BOM + data)
+        assert t.names == ["a", "b"]
+        assert (c_results[0] is not None) == (reader == "c")
+        assert np.isnan(t.values).any() == (reader == "python")
 
     @pytest.mark.parametrize(
         "text, message",
         [
-            ("a\n1\r2\n", r"^row 1: new-line character seen in unquoted field"),
             ("a\n1\n0." + "0" * 200_000 + "1\n", r"^row 2: field larger than field limit"),
             ('a\n"1' + "\n" * 200_000 + '"\n', r"^row 1: field larger than field limit"),
         ],
-        ids=["lone_cr_in_line", "overlong_number", "overlong_quoted_number"],
+        ids=["overlong_number", "overlong_quoted_number"],
     )
     def test_csv_module_errors_survive_the_c_reader(self, text, message):
-        # numpy's reader would take all three: it splits lines at a lone CR,
-        # and it has no field-size limit, also not for a quoted cell spread
-        # over short lines
+        # numpy's reader would take both: it has no field-size limit, also
+        # not for a quoted cell spread over short lines
         with pytest.raises(CsvFormatError, match=message):
             table(text)
 
     @staticmethod
-    def _source(tmp_path, data, kind):
-        if kind == "bytes":
-            return data
-        if kind == "stream":
-            return io.BytesIO(data)
+    def _path(tmp_path, data, kind):
         path = tmp_path / "bad.csv"
         path.write_bytes(data)
-        return path
+        return str(path) if kind == "str" else path
 
 
 @st.composite
 def written_tables(draw):
-    """(delimiter, names, rows, text): a table written by ``csv.writer``
-    with names holding the delimiter, quotes and spaces, ``repr``-written
-    finite floats, and missing cells (None) written as "NA" or ""."""
-    delimiter = draw(st.sampled_from([",", ";", "\t"]))
-    name = st.text(alphabet=f"ab \"'\n{delimiter}", min_size=1, max_size=6).map(str.strip)
+    """(names, rows, text): a table written by ``csv.writer`` with names
+    holding commas, quotes and spaces, ``repr``-written finite floats, and
+    missing cells (None) written as "NA" or ""."""
+    name = st.text(alphabet="ab \"'\n,", min_size=1, max_size=6).map(str.strip)
     names = draw(st.lists(name.filter(bool), min_size=1, max_size=5, unique=True))
     cell = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(["NA", ""]))
     written = draw(
         st.lists(st.lists(cell, min_size=len(names), max_size=len(names)), min_size=1, max_size=8)
     )
     buf = io.StringIO()
-    writer = csv.writer(buf, delimiter=delimiter)
+    writer = csv.writer(buf)
     writer.writerow(names)
     writer.writerows([repr(c) if isinstance(c, float) else c for c in row] for row in written)
     rows = [[c if isinstance(c, float) else None for c in row] for row in written]
-    return delimiter, names, rows, buf.getvalue()
+    return names, rows, buf.getvalue()
 
 
 @st.composite
@@ -209,7 +214,7 @@ class TestParserProperties:
     @example("a\r1")
     def test_any_text_loads_or_raises_data_error(self, text):
         try:
-            t = load_csv(io.StringIO(text))
+            t = table(text)
         except DataError:
             return
         assert isinstance(t, RawTable) and t.n_rows >= 1
@@ -226,8 +231,8 @@ class TestParserProperties:
     @settings(max_examples=200)
     @given(written_tables())
     def test_csv_writer_round_trip(self, case):
-        delimiter, names, rows, text = case
-        t = load_csv(text.encode("utf-8"), delimiter=delimiter)
+        names, rows, text = case
+        t = table(text)
         assert t.names == names
         assert t.values.shape == (len(rows), len(names))
         # float.hex is exact, so equal hex strings are bit-identical values;
@@ -236,30 +241,26 @@ class TestParserProperties:
         assert hexed == [[None if c is None else float(repr(c)).hex() for c in row] for row in rows]
 
 
-class _Unseekable(io.BytesIO):
-    """Bytes behind a stream that cannot be rewound, which load_csv reads
-    with the Python parser alone."""
-
-    def seekable(self):
-        return False
-
-
-def _outcome(source, delimiter=","):
+def _outcome(path, c_reader=True):
     """The names, shape and matrix bytes (NaNs included, bit for bit) that
-    load_csv reads from ``source``, or the type and message it raises."""
-    try:
-        t = load_csv(source, delimiter=delimiter)
-    except Exception as exc:
-        return type(exc), str(exc)
+    load_csv reads from ``path``, or the type and message it raises; with
+    ``c_reader`` false the C reader gives up at once, so the Python parser
+    reads the file alone."""
+    c_off = mock.patch.object(dataprep, "_c_values", lambda *args: None)
+    with contextlib.nullcontext() if c_reader else c_off:
+        try:
+            t = load_csv(path)
+        except Exception as exc:
+            return type(exc), str(exc)
     return t.names, t.values.shape, t.values.tobytes()
 
 
 @st.composite
-def delimited_bytes(draw):
-    """(delimiter, data): a header and rows of numbers both readers take,
-    or, in about half the examples, with the cells, lines and bytes where
-    numpy's C reader and the csv module could disagree."""
-    delimiter = draw(st.sampled_from([",", ";", "\t", " "]))
+def csv_bytes(draw):
+    """(clean, data): a header and one or more rows of numbers both readers
+    take, or, in about half the examples, with the cells, lines and bytes
+    where numpy's C reader and the csv module could disagree; either may
+    start with a byte-order mark."""
     width = draw(st.integers(1, 3))
     number = st.floats(allow_nan=False, allow_infinity=False).map(repr)
     clean = draw(st.booleans())
@@ -267,39 +268,42 @@ def delimited_bytes(draw):
         [
             "1_0", "\uff11", " 7 ", "\u20037\u2003", "\x0c7\t", "0x1p3", "0x10",
             "nan", "-inf", "1e999", "-0", "5e-324", "NA", "", "x",
-            '"4"', f'"1{delimiter}5"', '"2\n"', '"3\r\n5"', '"6""7"', '"8"9', ' "1"',
+            '"4"', '"1,5"', '"2\n"', '"3\r\n5"', '"6""7"', '"8"9', ' "1"',
         ]
     )
     cell = number if clean else st.one_of(number, odd)
-    row = st.lists(cell, min_size=width, max_size=width).map(delimiter.join)
+    row = st.lists(cell, min_size=width, max_size=width).map(",".join)
     line = row if clean else st.one_of(
         row,
-        row.map(lambda r: r + delimiter),  # a trailing delimiter
-        st.lists(cell, max_size=width + 1).map(delimiter.join),  # ragged
-        st.sampled_from(["", " ", "\t", delimiter]),  # blank or whitespace only
+        row.map(lambda r: r + ","),  # a trailing delimiter
+        st.lists(cell, max_size=width + 1).map(",".join),  # ragged
+        st.sampled_from(["", " ", "\t", ","]),  # blank or whitespace only
     )
-    header = delimiter.join(f"c{j}" for j in range(width))
+    header = ",".join(f"c{j}" for j in range(width))
     ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
-    lines = [header] + draw(st.lists(line, max_size=6))
+    lines = [header] + draw(st.lists(line, min_size=1 if clean else 0, max_size=6))
     data = (ending.join(lines) + draw(st.sampled_from(["", ending]))).encode("utf-8")
     if not clean and draw(st.booleans()):
         at = draw(st.integers(0, len(data)))
         data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xe2\x82"])) + data[at:]
-    return delimiter, data
+    return clean, draw(st.sampled_from([b"", BOM])) + data
 
 
 class TestIngestPaths:
     """load_csv's C fast path against the Python parser, its reference."""
 
     @settings(max_examples=400)
-    @given(case=delimited_bytes())
-    @example(case=(",", b"a\n1\n \n2\n"))  # a whitespace-only line is a missing cell
-    @example(case=(" ", b"a b\n 1 2\n"))  # a leading delimiter is a third cell
+    @given(case=csv_bytes())
+    @example(case=(False, b"a\n1\n \n2\n"))  # a whitespace-only line is a missing cell
+    @example(case=(False, b"a,b\n,1,2\n"))  # a leading delimiter is a third cell
     def test_c_reader_agrees_with_python_parser(self, tmp_path_factory, case):
-        delimiter, data = case
+        clean, data = case
         path = tmp_path_factory.getbasetemp() / "differential.csv"
         path.write_bytes(data)
-        assert _outcome(path, delimiter) == _outcome(_Unseekable(data), delimiter)
+        got = _outcome(path)
+        assert got == _outcome(path, c_reader=False)
+        if clean:
+            assert isinstance(got[0], list), got
 
     def test_clean_file_takes_the_c_reader(self, monkeypatch):
         parsed = []
@@ -314,39 +318,7 @@ class TestIngestPaths:
         assert len(parsed) == 1 and t.values is parsed[0]
         assert t.values.shape == (86, 11)
         monkeypatch.undo()
-        assert _outcome(DEMO_CSV) == _outcome(_Unseekable(DEMO_CSV.read_bytes()))
-
-    @pytest.mark.parametrize("stream", [io.BytesIO, _Unseekable])
-    def test_byte_stream_is_left_open(self, stream):
-        # a seekable stream takes the C reader, an unseekable one the
-        # Python parser; either way the caller's stream stays open
-        good = stream(b"a,b\n1,2\n")
-        assert load_csv(good).values.tolist() == [[1.0, 2.0]]
-        bad = stream(b"a,b\n1,x\n")
-        with pytest.raises(CsvFormatError):
-            load_csv(bad)
-        gc.collect()
-        assert not good.closed and not bad.closed
-
-    def test_iterated_text_file_reads_on_from_its_position(self, tmp_path):
-        # a text file that next() has advanced cannot tell() where it is
-        path = tmp_path / "preamble.csv"
-        path.write_bytes(b"# preamble\na,b\n1,2\n")
-        with open(path, encoding="utf-8", newline="") as handle:
-            next(handle)
-            t = load_csv(handle)
-        assert t.names == ["a", "b"] and t.values.tolist() == [[1.0, 2.0]]
-
-    def test_missing_token_that_parses_as_a_number(self, tmp_path, monkeypatch):
-        def no_loadtxt(*args, **kwargs):
-            raise AssertionError("float() takes the missing token, so the C reader must not run")
-
-        monkeypatch.setattr(np, "loadtxt", no_loadtxt)
-        path = tmp_path / "sentinel.csv"
-        path.write_bytes(b"a,b\n1,-999\n-999.0, -999 \n")
-        t = load_csv(path, missing_tokens=("-999",))
-        assert np.isnan(t.values).tolist() == [[False, True], [False, True]]
-        assert t.values[:, 0].tolist() == [1.0, -999.0]
+        assert _outcome(DEMO_CSV) == _outcome(DEMO_CSV, c_reader=False)
 
 
 class TestSubsetConfig:
@@ -390,6 +362,12 @@ class TestSubsetConfig:
         path.write_bytes(b"g.column = a\ng.column = b\xff\n")
         with pytest.raises(ConfigError, match=r"^line 2: .*not valid UTF-8"):
             SubsetConfig.load(path)
+
+    def test_byte_order_mark_is_not_part_of_the_first_line(self, tmp_path):
+        path = tmp_path / "excel.cfg"
+        path.write_bytes(BOM + b"g.role = predictor\ng.column = a\n")
+        cfg = SubsetConfig.load(path)
+        assert cfg.groups == {"g": ["a"]} and cfg.roles == {"g": "predictor"}
 
     def test_ambiguous_role_lookup(self):
         cfg = SubsetConfig.from_text("g.column = a\n")

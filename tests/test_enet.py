@@ -17,7 +17,6 @@ from enetstats.enet import (
     fit_gaussian_path,
     fit_mgaussian_path,
     kkt_check,
-    objective,
 )
 
 from oracles import enet_objective_direct, group_soft_threshold, prox_grad_reference, soft_threshold
@@ -76,41 +75,6 @@ class TestGroupSoftThreshold:
                 soft_threshold(z, g),
                 abs_tol=1e-15,
             )
-
-
-class TestObjective:
-    def test_zero_coefficients(self):
-        rng = np.random.default_rng(1)
-        x = rng.normal(size=(6, 3))
-        y = rng.normal(size=(6, 2))
-        b0 = y.mean(axis=0)
-        got = objective(x, y, np.zeros((3, 2)), b0, 0.4, 0.5)
-        yc = y - b0
-        assert math.isclose(got, float((yc * yc).sum()) / 12.0, rel_tol=1e-12)
-
-    def test_lambda_zero_at_ols(self):
-        rng = np.random.default_rng(2)
-        x = rng.normal(size=(10, 3))
-        y = rng.normal(size=(10, 1))
-        design = np.column_stack([np.ones(10), x])
-        coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-        rss = float(((y - design @ coef) ** 2).sum())
-        got = objective(x, y, coef[1:], coef[0], 0.0, 0.5)
-        assert math.isclose(got, rss / 20.0, rel_tol=1e-12)
-
-    def test_matches_direct_summation(self):
-        rng = np.random.default_rng(3)
-        x = rng.normal(size=(4, 2))
-        y = rng.normal(size=(4, 2))
-        b = rng.normal(size=(2, 2))
-        b0 = rng.normal(size=2)
-        got = objective(x, y, b, b0, 0.7, 0.3)
-        want = enet_objective_direct(x, y, b, b0, 0.7, 0.3)
-        assert math.isclose(got, want, rel_tol=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            objective(np.ones((4, 2)), np.ones((4, 1)), np.ones((3, 1)), [0.0], 0.1, 0.5)
 
 
 def row_norm_max(x, y):
@@ -482,12 +446,13 @@ class TestPathInvariants:
         cov = xc.T @ yc / 25
         grid = default_lambda_grid(x, y, EnetConfig(alpha=0.5, nlambda=15))
         for lam in grid[[3, 8, 14]]:
-            values = [objective(x, y, np.zeros((6, 2)), y.mean(axis=0), float(lam), 0.5)]
+            lam = float(lam)
+            values = [enet_objective_direct(x, y, np.zeros((6, 2)), y.mean(axis=0), lam, 0.5)]
             for passes in range(1, 13):
                 b = np.zeros((6, 2))
-                _descend(gram, cov, b, float(lam), EnetConfig(alpha=0.5, max_iter=passes))
+                _descend(gram, cov, b, lam, EnetConfig(alpha=0.5, max_iter=passes))
                 b0 = y.mean(axis=0) - x.mean(axis=0) @ b
-                values.append(objective(x, y, b, b0, float(lam), 0.5))
+                values.append(enet_objective_direct(x, y, b, b0, lam, 0.5))
             assert values[-1] < values[0]
             for before, after in zip(values, values[1:]):
                 assert after <= before + 1e-12 * max(1.0, abs(before))
@@ -548,8 +513,9 @@ class TestPathInvariants:
             b_ref, b0_ref = prox_grad_reference(
                 x, y, float(lam), 0.5, b_init=b_ref
             )
-            ours = objective(x, y, path.coefs[i], path.intercepts[i], float(lam), 0.5)
-            ref = objective(x, y, b_ref, b0_ref, float(lam), 0.5)
+            lam = float(lam)
+            ours = enet_objective_direct(x, y, path.coefs[i], path.intercepts[i], lam, 0.5)
+            ref = enet_objective_direct(x, y, b_ref, b0_ref, lam, 0.5)
             assert abs(ours - ref) <= 1e-4
 
     def test_deterministic_refit(self):
@@ -691,8 +657,9 @@ class TestNewtonStep:
         b_ref = None
         for i, lam in enumerate(path.lambdas):
             b_ref, b0_ref = prox_grad_reference(x, y, float(lam), 1.0, tol=1e-10, b_init=b_ref)
-            ours = objective(x, y, path.coefs[i], path.intercepts[i], float(lam), 1.0)
-            ref = objective(x, y, b_ref, b0_ref, float(lam), 1.0)
+            lam = float(lam)
+            ours = enet_objective_direct(x, y, path.coefs[i], path.intercepts[i], lam, 1.0)
+            ref = enet_objective_direct(x, y, b_ref, b0_ref, lam, 1.0)
             assert abs(ours - ref) <= 1e-10, i
             fitted = x @ path.coefs[i] + path.intercepts[i]
             assert np.max(np.abs(fitted - (x @ b_ref + b0_ref))) <= 1e-6, i

@@ -97,6 +97,19 @@ class TestFitMlm:
         with pytest.raises(ValueError):
             fit_mlm(np.ones((3, 3)), np.ones((3, 1)))
 
+    def test_columns_of_very_different_scale(self):
+        # each pivot is judged against its own column, so a column 1e14
+        # times larger than the intercept is no reason to call either
+        # collinear, and the tests are those of the unscaled design
+        rng = np.random.default_rng(50)
+        x = rng.normal(size=(20, 2))
+        y = x @ rng.normal(size=(2, 2)) + rng.normal(size=(20, 2))
+        scaled = manova_table(fit_mlm(x * [1e14, 1.0], y))
+        for got, want in zip(scaled, manova_table(fit_mlm(x, y))):
+            assert math.isclose(got.pillai, want.pillai, rel_tol=1e-9)
+            assert math.isclose(got.approx_f, want.approx_f, rel_tol=1e-9)
+            assert math.isclose(got.p_value, want.p_value, rel_tol=1e-9)
+
 
 class TestManovaTable:
     def test_zero_coefficient_orthogonal_design(self):

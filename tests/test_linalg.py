@@ -22,6 +22,14 @@ class TestRFactor:
             check_rank(r_factor(x))
         assert info.value.column == 2
 
+    def test_pivot_rule_is_scale_invariant(self):
+        rng = np.random.default_rng(43)
+        a, b = rng.normal(size=(2, 8))
+        check_rank(r_factor(np.column_stack([np.ones(8), 1e14 * a, 1e-14 * b])))
+        with pytest.raises(RankDeficiencyError) as info:
+            check_rank(r_factor(np.column_stack([1e14 * a, 1e-14 * b, 1e-14 * a])))
+        assert info.value.column == 2
+
     def test_wide_is_trapezoidal(self):
         x = np.random.default_rng(42).normal(size=(2, 3))
         r = r_factor(x)

@@ -10,7 +10,7 @@ from .dataprep import (
     select_variables,
     standardize,
 )
-from .dist import TailProbability, f_sf, reg_incomplete_beta, t_sf
+from .dist import TailProbability, f_sf, t_sf
 from .enet import (
     EnetConfig,
     EnetPath,
@@ -49,7 +49,6 @@ __all__ = [
     "make_folds",
     "manova_table",
     "pearson",
-    "reg_incomplete_beta",
     "select_variables",
     "standardize",
     "t_sf",

@@ -109,7 +109,7 @@ def make_folds(n: int, k: int, seed: int) -> FoldAssignment:
     return FoldAssignment(assignment=assignment, k=k, seed=seed)
 
 
-def cross_validate(x, y, config: EnetConfig | None = None, folds: FoldAssignment | None = None) -> CvResult:
+def cross_validate(x, y, config: EnetConfig, folds: FoldAssignment) -> CvResult:
     """K-fold CV error curve with lambda.min / lambda.1se selection.
 
     The per-fold held-out error is the mean over held-out observations of
@@ -118,12 +118,9 @@ def cross_validate(x, y, config: EnetConfig | None = None, folds: FoldAssignment
     ``lambda_1se`` is the largest lambda whose mean error stays within one
     standard error of that minimum.
     """
-    cfg = config if config is not None else EnetConfig()
     x = as_matrix(x, "x")
     y = as_matrix(y, "y")
     n = x.shape[0]
-    if folds is None:
-        raise ValueError("cross_validate requires a FoldAssignment")
     if folds.assignment.shape != (n,):
         raise ValueError(
             f"fold assignment covers {folds.assignment.shape[0]} observations, data has {n}"
@@ -137,13 +134,13 @@ def cross_validate(x, y, config: EnetConfig | None = None, folds: FoldAssignment
     if empty.size:
         raise CvError(f"fold {int(empty[0])} holds no observations", fold=int(empty[0]))
 
-    lambdas = default_lambda_grid(x, y, cfg)
+    lambdas = default_lambda_grid(x, y, config)
     fold_errors = np.empty((folds.k, lambdas.size))
 
     for f in range(folds.k):
         train = folds.assignment != f
         try:
-            path = fit_mgaussian_path(x[train], y[train], cfg, lambdas=lambdas)
+            path = fit_mgaussian_path(x[train], y[train], config, lambdas=lambdas)
         except ValueError as exc:  # the fitter's rejection of degenerate data
             raise CvError(f"fold {f}: training slice: {exc}", fold=f) from None
         x_held = x[~train]

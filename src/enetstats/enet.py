@@ -15,9 +15,8 @@ elastic net. The loss carries the 1/(2N) scaling so lambda values are
 comparable across sample sizes.
 
 The solver assumes the columns of ``x`` arrive standardized (dataprep owns
-scaling) and never rescales; with ``fit_intercept`` the intercept is
-profiled out exactly by centering working copies, and recovered as
-``mean(y) - mean(x) @ b``.
+scaling) and never rescales; the intercept is always profiled out exactly
+by centering working copies, and recovered as ``mean(y) - mean(x) @ b``.
 
 One function prepares every fit: it rejects a constant predictor (by its
 spread, max == min) and constant responses before any lambda is tried,
@@ -123,7 +122,6 @@ class EnetConfig:
     lambda_min_ratio: float | None = None
     tol: float = 1e-7
     max_iter: int = 100_000
-    fit_intercept: bool = True
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
@@ -174,20 +172,19 @@ class KktReport:
     violations: list[int]
 
 
-def default_lambda_grid(x, y, config: EnetConfig | None = None) -> np.ndarray:
+def default_lambda_grid(x, y, config: EnetConfig) -> np.ndarray:
     """The grid the path fitters build when no explicit one is supplied.
 
     ``nlambda`` values spaced geometrically from lambda_max down to
     lambda_max * lambda_min_ratio, where lambda_max = max_j ||C_j||_2 / alpha
-    for C = X'Y/N formed from the working copies the fit uses (centered
-    when ``fit_intercept``) is the smallest lambda at which the all-zero
-    solution is stationary (Friedman, Hastie & Tibshirani 2010, section
-    2.5). Pure ridge has no finite path start, so alpha must be positive.
+    for C = X'Y/N formed from the centered working copies the fit uses is
+    the smallest lambda at which the all-zero solution is stationary
+    (Friedman, Hastie & Tibshirani 2010, section 2.5). Pure ridge has no
+    finite path start, so alpha must be positive.
     """
-    cfg = config if config is not None else EnetConfig()
-    xw, yw, _, _ = _working_copies(x, as_matrix(y, "y"), cfg)
+    xw, yw, _, _ = _working_copies(x, as_matrix(y, "y"))
     n = xw.shape[0]
-    return _lambda_grid(xw.T @ yw / n, n, cfg)
+    return _lambda_grid(xw.T @ yw / n, n, config)
 
 
 def fit_gaussian_path(x, y, config: EnetConfig | None = None, lambdas=None) -> EnetPath:
@@ -198,7 +195,7 @@ def fit_gaussian_path(x, y, config: EnetConfig | None = None, lambdas=None) -> E
     x : (N, p) array
         Standardized design; the solver does not rescale.
     y : (N,) or (N, 1) array
-        Response. Centered internally when ``fit_intercept`` is set.
+        Response. Centered internally; the intercept is always fitted.
     config : EnetConfig, optional
     lambdas : sequence of float, optional
         Explicit strictly decreasing grid; required for alpha = 0.
@@ -226,13 +223,13 @@ def fit_mgaussian_path(x, y, config: EnetConfig | None = None, lambdas=None) -> 
     return _fit_path(x, y, cfg, lambdas)
 
 
-def kkt_check(x, y, b, b0, lam: float, alpha: float, tol: float = KKT_TOL) -> KktReport:
+def kkt_check(x, y, b, b0, lam: float, alpha: float) -> KktReport:
     """Stationarity certificate for a candidate solution.
 
-    Zero rows need ||(1/N) x_j'(y - yhat)||_2 <= lam * alpha + tol; nonzero
-    rows need the full subgradient residual below tol. The residuals are
-    the ones the solver stops on. Diagnostic only: violations are
-    reported, never raised.
+    Zero rows need ||(1/N) x_j'(y - yhat)||_2 <= lam * alpha + KKT_TOL;
+    nonzero rows need the full subgradient residual below KKT_TOL. The
+    residuals are the ones the solver stops on. Diagnostic only:
+    violations are reported, never raised.
     """
     x = as_matrix(x, "x")
     y = as_matrix(y, "y")
@@ -242,7 +239,7 @@ def kkt_check(x, y, b, b0, lam: float, alpha: float, tol: float = KKT_TOL) -> Kk
     residuals = _stationarity(grad, b, lam, alpha)
     return KktReport(
         max_violation=float(residuals.max(initial=0.0)),
-        violations=np.flatnonzero(residuals > tol).tolist(),
+        violations=np.flatnonzero(residuals > KKT_TOL).tolist(),
     )
 
 
@@ -266,14 +263,14 @@ def _stationarity(grad: np.ndarray, b: np.ndarray, lam: float, alpha: float) -> 
     return np.where(zero, inactive, np.sqrt(np.einsum("jk,jk->j", miss, miss)))
 
 
-def _working_copies(x, y: np.ndarray, cfg: EnetConfig):
-    """Reject data no fit can use and return the working copies ``xw`` and
-    ``yw`` (centered when ``cfg.fit_intercept``) with the offsets removed.
+def _working_copies(x, y: np.ndarray):
+    """Reject data no fit can use and return the centered working copies
+    ``xw`` and ``yw`` with the offsets, the column means, removed.
 
     Constancy is judged by :func:`~enetstats.linalg.is_constant`.
     """
     x = as_matrix(x, "x")
-    n, p = x.shape
+    n = x.shape[0]
     if y.shape[0] != n:
         raise ValueError(f"x has {n} rows but y has {y.shape[0]}")
     flat = np.flatnonzero(is_constant(x))
@@ -281,12 +278,8 @@ def _working_copies(x, y: np.ndarray, cfg: EnetConfig):
         raise ValueError(f"predictor column {int(flat[0])} is constant")
     if np.all(is_constant(y)):
         raise ValueError("responses are constant; deviance ratio is undefined")
-    if cfg.fit_intercept:
-        x_off = x.mean(axis=0)
-        y_off = y.mean(axis=0)
-    else:
-        x_off = np.zeros(p)
-        y_off = np.zeros(y.shape[1])
+    x_off = x.mean(axis=0)
+    y_off = y.mean(axis=0)
     return x - x_off, y - y_off, x_off, y_off
 
 
@@ -309,7 +302,7 @@ def _lambda_grid(cov: np.ndarray, n: int, cfg: EnetConfig) -> np.ndarray:
 
 
 def _fit_path(x, y: np.ndarray, cfg: EnetConfig, lambdas) -> EnetPath:
-    xw, yw, x_off, y_off = _working_copies(x, y, cfg)
+    xw, yw, x_off, y_off = _working_copies(x, y)
     n, p = xw.shape
     k = yw.shape[1]
     gram = xw.T @ xw / n
@@ -347,13 +340,13 @@ def _fit_path(x, y: np.ndarray, cfg: EnetConfig, lambdas) -> EnetPath:
 
     # RSS / N = y'y / N - 2 <C, B> + <B, G B>, for every lambda at once
     fit = np.einsum("ljk,ljk->l", coefs, 2.0 * cov - gram @ coefs)
-    rss = float((yw * yw).sum()) - n * fit
-    centered = y - y.mean(axis=0)
+    tss = float((yw * yw).sum())
+    rss = tss - n * fit
     return EnetPath(
         lambdas=lams,
         coefs=coefs,
         intercepts=y_off - x_off @ coefs,
-        dev_ratio=1.0 - rss / float((centered * centered).sum()),
+        dev_ratio=1.0 - rss / tss,
         nonzero=np.count_nonzero(coefs.any(axis=2), axis=1),
         n_passes=n_passes,
         kkt_max=kkt_max,

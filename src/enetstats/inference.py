@@ -179,13 +179,12 @@ def fit_mlm(x, y, predictor_names=None, response_names=None) -> MlmFit:
     try:
         check_rank(r[:m, :m])
     except RankDeficiencyError as exc:
-        if exc.column > 0:
-            name = predictor_names[exc.column - 1]
-            raise RankDeficiencyError(
-                f"predictor {name!r} is collinear with the preceding columns",
-                column=exc.column,
-            ) from exc
-        raise
+        # the ones column's pivot is its own norm, so it is never flagged
+        name = predictor_names[exc.column - 1]
+        raise RankDeficiencyError(
+            f"predictor {name!r} is collinear with the preceding columns",
+            column=exc.column,
+        ) from exc
     r_inv = np.linalg.inv(r[:m, :m])
     coef = r_inv @ r[:m, m:]
     fitted = augmented[:, :m] @ coef

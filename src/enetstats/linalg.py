@@ -43,7 +43,7 @@ class RankDeficiencyError(ValueError):
         self.column = column
 
 
-def as_matrix(a, name: str = "matrix") -> np.ndarray:
+def as_matrix(a, name: str) -> np.ndarray:
     """Coerce ``a`` to a validated 2-D float array.
 
     1-D input becomes a single column. Rejects input without rows and any

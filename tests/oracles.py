@@ -99,7 +99,7 @@ def r2_from_f(f: float, df1: int, df2: int) -> float:
     return ratio / (1.0 + ratio)
 
 
-def prox_grad_reference(x, y, lam, alpha, fit_intercept=True, tol=1e-10, max_iter=500_000, b_init=None):
+def prox_grad_reference(x, y, lam, alpha, tol=1e-10, max_iter=500_000, b_init=None):
     """Proximal-gradient minimizer of the grouped elastic-net objective.
 
     The ridge part stays in the smooth term; the prox is a row-wise
@@ -111,12 +111,8 @@ def prox_grad_reference(x, y, lam, alpha, fit_intercept=True, tol=1e-10, max_ite
         y = y.reshape(-1, 1)
     n, p = x.shape
     k = y.shape[1]
-    if fit_intercept:
-        x_off = x.mean(axis=0)
-        y_off = y.mean(axis=0)
-    else:
-        x_off = np.zeros(p)
-        y_off = np.zeros(k)
+    x_off = x.mean(axis=0)
+    y_off = y.mean(axis=0)
     xc = x - x_off
     yc = y - y_off
     step = 1.0 / (

@@ -119,13 +119,14 @@ def test_criterion_03_solver_correctness_sweep():
     for seed in range(20):
         rng3 = np.random.default_rng(2000 + seed)
         n, p = 36, 6
-        q, _ = np.linalg.qr(rng3.normal(size=(n, p)))
+        z = rng3.normal(size=(n, p))
+        # columns orthogonal to the ones column: the profiled intercept
+        # leaves x'y as it is
+        q, _ = np.linalg.qr(z - z.mean(axis=0))
         x = q * math.sqrt(n)
         y = rng3.normal(size=n)
         lam = float(rng3.uniform(0.02, 0.5))
-        got = fit_gaussian_path(
-            x, y, EnetConfig(alpha=1.0, fit_intercept=False, tol=1e-12), lambdas=[lam]
-        )
+        got = fit_gaussian_path(x, y, EnetConfig(alpha=1.0, tol=1e-12), lambdas=[lam])
         want = [soft_threshold(float(x[:, j] @ y) / n, lam) for j in range(p)]
         assert np.max(np.abs(got.coefs[0][:, 0] - np.array(want))) <= 1e-8
 

@@ -2,6 +2,8 @@ import errno
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -195,6 +197,40 @@ class TestPrep:
             "--out", tmp_path / "o",
         )
         assert code == 2
+
+
+class TestModuleEntryPoint:
+    """``python -m enetstats`` is ``main`` with the process's exit code."""
+
+    @staticmethod
+    def run_module(*argv):
+        src = str(Path(enetstats.cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-m", "enetstats", *map(str, argv)],
+            env=env, capture_output=True, check=False,
+        )
+
+    def test_prep_matches_main(self, tmp_path, capsys):
+        flags = ["--input", DEMO_CSV, "--subsets", DEMO_CFG, "--out"]
+        child = self.run_module("prep", *flags, tmp_path / "module")
+        assert child.returncode == 0, child.stderr
+        assert run("prep", *flags, tmp_path / "main") == 0
+        assert child.stdout == capsys.readouterr().out.encode("utf-8")
+        names = sorted(p.name for p in (tmp_path / "main").iterdir())
+        assert sorted(p.name for p in (tmp_path / "module").iterdir()) == names
+        for name in names:
+            assert (tmp_path / "module" / name).read_bytes() == (tmp_path / "main" / name).read_bytes()
+
+    def test_bad_flag_exits_2(self, tmp_path):
+        out = tmp_path / "out"
+        child = self.run_module(
+            "prep", "--input", DEMO_CSV, "--subsets", DEMO_CFG, "--out", out, "--alpha", "1.5"
+        )
+        assert child.returncode == 2
+        assert b"--alpha" in child.stderr
+        assert not out.exists()
 
 
 class TestEnet:

@@ -374,6 +374,14 @@ class TestSubsetConfig:
         with pytest.raises(ConfigError):
             cfg.group_with_role("response")
 
+    def test_direct_construction_rejects_a_repeated_column(self):
+        with pytest.raises(ConfigError, match="^group 'g' lists a column twice$"):
+            SubsetConfig(groups={"g": ["a", "b", "a"]})
+
+    def test_direct_construction_rejects_a_bad_role(self):
+        with pytest.raises(ConfigError, match="^invalid role 'banana' for group 'g'$"):
+            SubsetConfig(groups={"g": ["a"]}, roles={"g": "banana"})
+
 
 class TestSelectVariables:
     def setup_method(self):
@@ -495,6 +503,15 @@ class TestStandardizedMatrix:
         with pytest.raises(DataError, match="strictly positive"):
             StandardizedMatrix(matrix=z, means=[0.0], sds=[np.nan], names=["a"])
 
+    def test_one_dimensional_matrix_rejected(self):
+        with pytest.raises(DataError, match="^standardized matrix must be 2-D$"):
+            StandardizedMatrix(matrix=[-1.0, 1.0], means=[0.0], sds=[1.0], names=["a"])
+
+    def test_mismatched_means_rejected(self):
+        z = np.array([[-1.0], [1.0]]) / np.sqrt(2.0)
+        with pytest.raises(DataError, match="^means/sds/names must all match the column count$"):
+            StandardizedMatrix(matrix=z, means=[0.0, 0.0], sds=[1.0], names=["a"])
+
 
 class TestRawTable:
     def test_rejects_duplicate_names(self):
@@ -504,3 +521,11 @@ class TestRawTable:
     def test_rejects_ragged(self):
         with pytest.raises(Exception, match="cells"):
             RawTable(names=["a", "b"], values=[[1.0]])
+
+    def test_rejects_no_names(self):
+        with pytest.raises(DataError, match="^table must have at least one column$"):
+            RawTable(names=[], values=np.empty((1, 0)))
+
+    def test_rejects_an_empty_name(self):
+        with pytest.raises(DataError, match="^column names must be nonempty$"):
+            RawTable(names=["a", ""], values=[[1.0, 2.0]])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from enetstats.dist import TailProbability, f_sf, reg_incomplete_beta, t_sf
+from enetstats.dist import TailProbability, _reg_incomplete_beta, f_sf, t_sf
 
 mpmath.mp.dps = 40
 
@@ -19,6 +19,12 @@ def beta_quadrature(a, b, x):
 
     value, _ = integrate.quad(density, 0.0, x, epsabs=1e-13, epsrel=1e-13)
     return value
+
+
+def reg_incomplete_beta(a, b, x):
+    """I_x(a, b) through the evaluator the tails call, with 1 - x formed
+    here."""
+    return _reg_incomplete_beta(a, b, x, 1.0 - x)
 
 
 class TestRegIncompleteBeta:
@@ -54,16 +60,6 @@ class TestRegIncompleteBeta:
             x = float(rng.uniform(0.0, 1.0))
             want = float(mpmath.betainc(a, b, 0, x, regularized=True))
             assert abs(reg_incomplete_beta(a, b, x) - want) <= 1e-13
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            reg_incomplete_beta(0.0, 1.0, 0.5)
-        with pytest.raises(ValueError):
-            reg_incomplete_beta(1.0, 1.0, 1.5)
-
-    def test_nan_x_rejected(self):
-        with pytest.raises(ValueError, match="x must lie in"):
-            reg_incomplete_beta(2.0, 3.0, math.nan)
 
 
 class TestFSf:
@@ -110,6 +106,9 @@ class TestFSf:
         with pytest.raises(ValueError, match="finite"):
             f_sf(1.0, 2, math.inf)
 
+    def test_infinite_statistic_is_an_exact_zero(self):
+        assert f_sf(math.inf, 3, 20) == TailProbability(0.0, False)
+
     def test_underflow_clamps_with_flag(self):
         tail = f_sf(1e6, 20, 1000)
         assert tail.value == 0.0
@@ -144,6 +143,10 @@ class TestTSf:
 
     def test_symmetric_in_sign(self):
         assert t_sf(2.5, 7).value == t_sf(-2.5, 7).value
+
+    def test_infinite_statistic_is_an_exact_zero(self):
+        for t in (math.inf, -math.inf):
+            assert t_sf(t, 9) == TailProbability(0.0, False)
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -200,3 +203,45 @@ class TestLargeDf:
         for df, t in ((10**6, 8.0), (10**5, 12.0), (19955, 30.0)):
             want = self._t_reference(t, df)
             assert math.isclose(t_sf(t, df).value, want, rel_tol=1e-11), (df, t)
+
+
+class TestRelativeTailAccuracy:
+    """Both tails within 1e-12 relative of mpmath for df from 1 to 1e5
+    (F's numerator df up to 100) and tails down to 1e-298."""
+
+    @staticmethod
+    def _reference(a, b, u, v):
+        # I_x(a, b) at x = u / (u + v), summed by mpmath on the side of the
+        # mean where its series converges
+        x, y = u / (u + v), v / (u + v)
+        if x < a / (a + b):
+            return mpmath.betainc(a, b, 0, x, regularized=True)
+        return 1 - mpmath.betainc(b, a, 0, y, regularized=True)
+
+    def test_seeded_points_against_mpmath(self):
+        rng = np.random.default_rng(5)
+        tails = []
+        for _ in range(140):
+            # a tail of about exp(log_p) sits near x = exp(2 log_p / a);
+            # points whose statistic overflows a double are not reachable
+            log_p = rng.uniform(math.log(1e-298), 0.0)
+            df, d1, d2 = (int(round(10 ** rng.uniform(0.0, hi))) for hi in (5.0, 2.0, 5.0))
+            x_t, x_f = math.exp(2.0 * log_p / df), math.exp(2.0 * log_p / d2)
+            points = []
+            if x_t > 0.0:
+                t = math.copysign(math.sqrt(df * (1.0 - x_t) / x_t), rng.uniform(-1.0, 1.0))
+                if math.isfinite(t):
+                    want = self._reference(mpmath.mpf(df) / 2, mpmath.mpf(1) / 2, df, mpmath.mpf(t) ** 2)
+                    points.append((t_sf(t, df).value, want, (t, df)))
+            if x_f > 0.0:
+                f = d2 * (1.0 - x_f) / (d1 * x_f)
+                if math.isfinite(f):
+                    want = self._reference(mpmath.mpf(d2) / 2, mpmath.mpf(d1) / 2, d2, d1 * mpmath.mpf(f))
+                    points.append((f_sf(f, d1, d2).value, want, (f, d1, d2)))
+            for got, want, args in points:
+                if want >= 1e-298:
+                    err = float(abs(got - want) / want)
+                    assert err <= 1e-12, (args, err)
+                    tails.append(float(want))
+        assert len(tails) >= 250
+        assert min(tails) < 1e-250

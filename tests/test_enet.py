@@ -185,13 +185,16 @@ class TestGaussianPath:
         assert_allclose(path.coefs[0][:, 0], want, atol=1e-6)
 
     def test_orthonormal_design_soft_threshold(self):
+        # the columns of x are orthogonal to the ones column, so profiling
+        # out the intercept leaves x'y as it is
         rng = np.random.default_rng(8)
         n, p = 32, 5
-        q, _ = np.linalg.qr(rng.normal(size=(n, p)))
+        z = rng.normal(size=(n, p))
+        q, _ = np.linalg.qr(z - z.mean(axis=0))
         x = q * math.sqrt(n)
         y = rng.normal(size=n)
         lam = 0.15
-        cfg = EnetConfig(alpha=1.0, fit_intercept=False, tol=1e-12)
+        cfg = EnetConfig(alpha=1.0, tol=1e-12)
         path = fit_gaussian_path(x, y, cfg, lambdas=[lam])
         want = [soft_threshold(float(x[:, j] @ y) / n, lam) for j in range(p)]
         assert_allclose(path.coefs[0][:, 0], want, atol=1e-8)
@@ -204,6 +207,10 @@ class TestGaussianPath:
         path = fit_gaussian_path(x, y, EnetConfig(alpha=0.5, nlambda=20))
         assert path.coefs.shape == (20, 1, 1)
         assert path.dev_ratio[-1] > 0.9
+
+    def test_row_count_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="^x has 8 rows but y has 7$"):
+            fit_gaussian_path(np.arange(16.0).reshape(8, 2), np.arange(7.0))
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
@@ -237,10 +244,16 @@ class TestGaussianPath:
 
     def test_tol_looser_than_certificate_rejected(self):
         # tol is the certificate the solver stops on, so it may not be
-        # looser than the level every solution must pass
+        # looser than the level every solution must pass, 1e-6
         EnetConfig(tol=1e-6)
-        with pytest.raises(ValueError, match="tol"):
-            EnetConfig(tol=1e-5)
+        for tol in (np.nextafter(1e-6, 1.0), 1e-5):
+            with pytest.raises(ValueError, match="^tol must lie in"):
+                EnetConfig(tol=tol)
+
+    def test_lambda_min_ratio_below_one(self):
+        EnetConfig(lambda_min_ratio=np.nextafter(1.0, 0.0))
+        with pytest.raises(ValueError, match=r"^lambda_min_ratio must lie in \(0, 1\), got 1.0$"):
+            EnetConfig(lambda_min_ratio=1.0)
 
     def test_max_iter_below_one_rejected(self):
         EnetConfig(max_iter=1)
@@ -414,21 +427,16 @@ class TestDevianceExplained:
         )
         yc = y - y.mean(axis=0)
         tss = float((yc * yc).sum())
-        # TSS stays about the column means when no intercept is fitted
-        for intercept in (True, False):
-            cfg = EnetConfig(alpha=0.5, nlambda=12, fit_intercept=intercept)
-            path = fit_mgaussian_path(x, y, cfg)
-            for i in range(path.n_lambdas):
-                resid = y - (x @ path.coefs[i] + path.intercepts[i])
-                want = 1.0 - float((resid * resid).sum()) / tss
-                assert math.isclose(float(path.dev_ratio[i]), want, abs_tol=1e-12)
+        path = fit_mgaussian_path(x, y, EnetConfig(alpha=0.5, nlambda=12))
+        for i in range(path.n_lambdas):
+            resid = y - (x @ path.coefs[i] + path.intercepts[i])
+            want = 1.0 - float((resid * resid).sum()) / tss
+            assert math.isclose(float(path.dev_ratio[i]), want, abs_tol=1e-12)
 
     def test_constant_response_rejected(self):
         x = standardized(np.random.default_rng(23), 10, 2)
-        for intercept in (True, False):
-            cfg = EnetConfig(alpha=0.5, fit_intercept=intercept)
-            with pytest.raises(ValueError, match="constant"):
-                fit_gaussian_path(x, np.full(10, 0.1), cfg, lambdas=[0.1])
+        with pytest.raises(ValueError, match="constant"):
+            fit_gaussian_path(x, np.full(10, 0.1), EnetConfig(alpha=0.5), lambdas=[0.1])
 
 
 class TestPathInvariants:
@@ -722,6 +730,10 @@ class TestDefaultLambdaGrid:
         yw = rng.normal(size=6).reshape(-1, 1)
         grid_w = default_lambda_grid(x_wide, yw, EnetConfig(alpha=0.5))
         assert math.isclose(float(grid_w[-1] / grid_w[0]), 1e-2, rel_tol=1e-9)
+        # N == p is not tall
+        x_square = standardized(rng, 6, 6)
+        grid_s = default_lambda_grid(x_square, yw, EnetConfig(alpha=0.5))
+        assert math.isclose(float(grid_s[-1] / grid_s[0]), 1e-2, rel_tol=1e-9)
 
 
 @st.composite

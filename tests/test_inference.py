@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy import stats
 
 from enetstats.inference import (
     CollinearityError,
     PerfectFitError,
     adjusted_r2,
-    f_from_r2,
     fit_mlm,
     manova_table,
     pearson,
@@ -97,6 +97,18 @@ class TestFitMlm:
         with pytest.raises(ValueError):
             fit_mlm(np.ones((3, 3)), np.ones((3, 1)))
 
+    def test_row_count_mismatch(self):
+        with pytest.raises(ValueError, match="^x has 6 rows but y has 5$"):
+            fit_mlm(np.ones((6, 1)), np.ones((5, 1)))
+
+    @pytest.mark.parametrize(
+        "names", [{"predictor_names": ["a"]}, {"response_names": ["u", "v", "w"]}]
+    )
+    def test_name_lists_of_the_wrong_length(self, names):
+        rng = np.random.default_rng(6)
+        with pytest.raises(ValueError, match="^name lists must match the matrix shapes$"):
+            fit_mlm(rng.normal(size=(10, 2)), rng.normal(size=(10, 2)), **names)
+
     def test_columns_of_very_different_scale(self):
         # each pivot is judged against its own column, so a column 1e14
         # times larger than the intercept is no reason to call either
@@ -177,6 +189,11 @@ class TestManovaTable:
             for row, trow in zip(manova_table(fit), summary.coef_rows[1:]):
                 assert math.isclose(row.approx_f, trow.t**2, rel_tol=1e-10)
                 assert math.isclose(row.p_value, trow.p, rel_tol=1e-9)
+
+    def test_intercept_only_is_error(self):
+        fit = fit_mlm(np.empty((10, 0)), np.random.default_rng(47).normal(size=(10, 2)))
+        with pytest.raises(ValueError, match="^the model has no non-intercept terms to test$"):
+            manova_table(fit)
 
 
 class TestOneFactorization:
@@ -280,16 +297,27 @@ class TestUnivariateSummary:
         assert math.isclose(adjusted_r2(r2, 86, 5), 0.8803, abs_tol=5e-4)
 
     def test_identities_hold_exactly(self):
+        # F, R^2, adjusted R^2 and sigma from their textbook definitions,
+        # over a least-squares fit of each response on [1, X]
         rng = np.random.default_rng(10)
         n, p = 25, 4
         x = rng.normal(size=(n, p))
         y = x @ rng.normal(size=(p, 2)) + rng.normal(size=(n, 2))
         fit = fit_mlm(x, y)
+        design = np.column_stack([np.ones(n), x])
         for k in range(2):
             s = univariate_summary(fit, k)
-            assert s.f_stat == f_from_r2(s.r2, p, n - p - 1)
-            assert s.r2_adj == adjusted_r2(s.r2, n, p)
-            assert s.df1 == p and s.df2 == n - p - 1
+            coef = np.linalg.lstsq(design, y[:, k], rcond=None)[0]
+            resid = y[:, k] - design @ coef
+            rss = float(resid @ resid)
+            yc = y[:, k] - y[:, k].mean()
+            tss = float(yc @ yc)
+            df2 = n - p - 1
+            assert math.isclose(s.f_stat, ((tss - rss) / p) / (rss / df2), rel_tol=1e-9)
+            assert math.isclose(s.r2, 1.0 - rss / tss, rel_tol=1e-9)
+            assert math.isclose(s.r2_adj, 1.0 - (rss / df2) / (tss / (n - 1)), rel_tol=1e-9)
+            assert math.isclose(s.sigma, math.sqrt(rss / df2), rel_tol=1e-9)
+            assert s.df1 == p and s.df2 == df2
 
     def test_std_errors_and_t(self):
         rng = np.random.default_rng(11)
@@ -445,6 +473,20 @@ class TestPearson:
     def test_too_short(self):
         with pytest.raises(ValueError):
             pearson(np.ones(2), np.ones(2))
+
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError, match="^length mismatch: 4 vs 5$"):
+            pearson(np.arange(4.0), np.arange(5.0))
+
+    @pytest.mark.parametrize("n", [5, 10, 40])
+    def test_matches_scipy(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.normal(size=n)
+        b = 0.6 * a + rng.normal(size=n)
+        want = stats.pearsonr(a, b)
+        out = pearson(a, b)
+        assert math.isclose(out.r, want.statistic, rel_tol=1e-12)
+        assert math.isclose(out.p, want.pvalue, rel_tol=1e-9)
 
 
 class TestResidualDiagnostics:

@@ -2,7 +2,24 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from enetstats.linalg import RankDeficiencyError, check_rank, is_constant, r_factor
+from enetstats.linalg import (
+    DimensionError,
+    RankDeficiencyError,
+    as_matrix,
+    check_rank,
+    is_constant,
+    r_factor,
+)
+
+
+class TestAsMatrix:
+    def test_three_dimensional_input_rejected(self):
+        with pytest.raises(DimensionError, match=r"^x must be 2-D, got shape \(2, 2, 2\)$"):
+            as_matrix(np.zeros((2, 2, 2)), "x")
+
+    def test_zero_rows_rejected(self):
+        with pytest.raises(DimensionError, match="^y must have at least one row$"):
+            as_matrix(np.empty((0, 3)), "y")
 
 
 class TestRFactor:

@@ -47,12 +47,14 @@ from the current g (b_j = 0, so the update is S(g_j, lambda * alpha) /
 nonzero rows, where the objective is smooth: the working-set admission of
 newGLMNET (Yuan, Ho & Lin 2012, JMLR 13) and Celer (Massias, Gramfort &
 Salmon 2018). The certificate damps the step, so it exists on a singular
-support, and keeps it only if it falls below its value before the
+support, and keeps it only if it falls below its value mu before the
 admission; a row the step carries past zero is set to zero, and if the
 certificate rejects that the step stops at the first crossing instead.
-Only when neither is kept do the admitted rows go back to zero and the
-pass is a cyclic sweep of the row update over the same rows, the fallback
-near-copy designs still need. On correlated designs this takes the passes
+A rejected step is retried with more damping, then with only the worst
+violator admitted; if every try fails, the pass keeps that violator at
+its row update or, with none, zeroes the smallest nonzero row (some lasso
+solution has affinely independent active columns; Tibshirani 2013, EJS
+7). No per-row loop remains. On correlated designs this takes the passes
 per lambda from tens to a few.
 
 The path is a predictor-corrector (Park & Hastie 2007, JRSS-B 69(4)).
@@ -64,14 +66,12 @@ factorization or certificate. The next lambda then starts from
 b_A + (1 - lambda / lambda_prev) d, a row the move carries past zero set to
 zero, and the passes there only correct that prediction: a lambda whose
 predicted start meets the certificate takes no pass at all. The tangent of
-a step that admitted rows covers them too; only a cyclic sweep, run after a
-rejected step, makes it stale, and the next lambda then starts from the
-plain warm start.
+a step that admitted rows covers them too, and a row zeroed since stays
+zero in the prediction.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,11 +95,11 @@ KKT_TOL = 1e-6
 
 
 class ConvergenceError(RuntimeError):
-    """Coordinate descent hit the pass budget at some lambda."""
+    """The path solver hit the pass budget at some lambda."""
 
     def __init__(self, lambda_index: int, max_iter: int):
         super().__init__(
-            f"coordinate descent did not converge within {max_iter} passes "
+            f"the path solver did not converge within {max_iter} passes "
             f"at lambda index {lambda_index}"
         )
         self.lambda_index = lambda_index
@@ -113,8 +113,8 @@ class EnetConfig:
     ``tol`` bounds the stationarity certificate itself: a solution is
     accepted once every predictor's residual (see :func:`kkt_check`) is at
     most ``tol``, so it may not exceed ``KKT_TOL``. ``max_iter`` caps the
-    corrector passes per lambda, cyclic sweeps and Newton steps alike; the
-    predicted start is not a pass.
+    corrector passes per lambda, each one Newton step with its retries or
+    one support change; the predicted start is not a pass.
     """
 
     alpha: float = 0.5
@@ -146,9 +146,9 @@ class EnetPath:
     is the fraction of deviance explained, 1 - RSS / TSS with TSS taken
     about the column means of y; ``nonzero`` counts predictors whose whole
     coefficient row is nonzero. ``n_passes`` counts the solver's corrector
-    passes at each lambda (Newton steps included), 0 where the predicted
-    start already met the certificate, and ``kkt_max`` is the certificate
-    each solution met, at most ``EnetConfig.tol``.
+    passes at each lambda (see ``EnetConfig.max_iter``), 0 where the
+    predicted start already met the certificate, and ``kkt_max`` is the
+    certificate each solution met, at most ``EnetConfig.tol``.
     """
 
     lambdas: np.ndarray
@@ -365,15 +365,19 @@ def _descend(
     or warm start) and updating it in place.
 
     Each pass admits the zero rows that violate their condition at their
-    row updates and takes one :func:`_newton_step` with them; after a
-    rejected step they go back to zero and the pass is a cyclic sweep.
+    row updates and takes one :func:`_newton_step` with them, accepted
+    when the certificate falls below mu, its value at the pass's start. A
+    rejected step is retried with the damping at 10, 100, ... 1e11 times
+    mu, then the same with only the worst violator admitted. When every
+    try is rejected, the worst violator stays at its row update, or, if
+    no row violates, the smallest nonzero row is zeroed.
 
     Returns the passes made, the final certificate (the largest
     stationarity residual), and the ``(rows, d)`` tangent of the last
     accepted Newton step, admitted rows included: ``tangent`` itself when
-    no pass was needed, None when a cyclic sweep came after that step. The
-    solution is accepted when the certificate is at most ``cfg.tol``, which
-    fails only once ``cfg.max_iter`` passes are spent.
+    no pass was needed. The solution is accepted when the certificate is
+    at most ``cfg.tol``, which fails only once ``cfg.max_iter`` passes are
+    spent.
     """
     gamma = lam * cfg.alpha
     ridge = lam * (1.0 - cfg.alpha)
@@ -387,34 +391,34 @@ def _descend(
         passes += 1
         active = b.any(axis=1)
         # zero rows that satisfy their condition would stay zero; skip them
-        work = active | (residuals > cfg.tol)
-        enter = work & ~active
-        step_grad = grad
-        if enter.any():  # admit the violators at once, each at its row update
-            g = grad[enter]
-            nrm = np.sqrt(np.einsum("jk,jk->j", g, g))
-            b[enter] = g * ((1.0 - gamma / nrm) / (gram.diagonal()[enter] + ridge))[:, None]
-            step_grad = cov - gram @ b
-        rows = np.flatnonzero(work)
-        stepped = _newton_step(gram, cov, b, step_grad, rows, lam, cfg.alpha, kkt)
-        if stepped is not None:
+        enter = np.flatnonzero(~active & (residuals > cfg.tol))
+        admits = [enter, enter[[np.argmax(residuals[enter])]]] if enter.size > 1 else [enter]
+        for admit in admits:  # every violator at once, then the worst alone
+            step_grad = grad
+            if admit.size:  # each at its row update
+                g = grad[admit]
+                nrm = np.sqrt(np.einsum("jk,jk->j", g, g))
+                b[admit] = g * ((1.0 - gamma / nrm) / (gram.diagonal()[admit] + ridge))[:, None]
+                step_grad = cov - gram @ b
+            rows = np.flatnonzero(b.any(axis=1))
+            for damping in (kkt * 10.0**e for e in range(12)):
+                stepped = _newton_step(gram, cov, b, step_grad, rows, lam, cfg.alpha, kkt, damping)
+                if stepped is not None:
+                    break
+            else:
+                if admit.size > 1:  # a lone violator stays if all else fails
+                    b[admit] = 0.0
+                continue
             grad, residuals, d = stepped
             tangent = rows, d
-            continue
-        b[enter] = 0.0
-        tangent = None
-        diag = gram.diagonal().tolist()
-        denom = (gram.diagonal() + ridge).tolist()
-        for j in rows.tolist():
-            bj = b[j]
-            u = grad[j] + diag[j] * bj
-            nrm = math.sqrt(u @ u)
-            new = u * ((1.0 - gamma / nrm) / denom[j]) if nrm > gamma else np.zeros_like(u)
-            # gram is symmetric: its contiguous row j is column j
-            grad -= gram[j][:, None] * (new - bj)
-            bj[:] = new
-        grad = cov - gram @ b
-        residuals = _stationarity(grad, b, lam, cfg.alpha)
+            break
+        else:  # every step rejected: keep the worst violator at its row
+            # update, or with none reduce the support by its smallest row
+            if not enter.size:
+                norms = np.where(active, np.einsum("jk,jk->j", b, b), np.inf)
+                b[np.argmin(norms)] = 0.0
+            grad = cov - gram @ b
+            residuals = _stationarity(grad, b, lam, cfg.alpha)
 
 
 def _newton_step(
@@ -426,6 +430,7 @@ def _newton_step(
     lam: float,
     alpha: float,
     mu: float,
+    damping: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """Damped Newton step on the nonzero ``rows`` of ``b``, in place, from
     the gradient ``grad`` at ``b``; the rows :func:`_descend` has just
@@ -437,13 +442,14 @@ def _newton_step(
     sum_j w_j (e_j e_j' (x) u_j u_j'), where u_j = b_j / ||b_j||,
     w_j = lam * alpha / ||b_j|| and c_j = lam * (1 - alpha) + w_j (the
     shrink factor of :func:`_stationarity`). The step solves with that
-    Hessian plus mu I, mu the certificate before the admission
-    (Levenberg-Marquardt damping; Fan & Yuan 2005, Computing 74), by the
-    Woodbury identity with one m x m inverse and one m x m capacitance
-    solve, m = len(rows), written so that w = 0 (alpha = 0) simply drops
-    the rank term; for K = 1 the terms cancel to G_AA + (lam * (1 - alpha)
-    + mu) I. A row carried past zero (u_j . new_j <= 0) is set to zero, as
-    in the orthant projection of OWL-QN (Andrew & Gao 2007). If the
+    Hessian plus ``damping`` I, ``damping`` being mu, the certificate
+    before the admission, or a multiple of it (Levenberg-Marquardt; Fan &
+    Yuan 2005, Computing 74), by the Woodbury identity with one m x m
+    inverse and one m x m capacitance solve, m = len(rows), written so
+    that w = 0 (alpha = 0) simply drops the rank term; for K = 1 the terms
+    cancel to G_AA + (lam * (1 - alpha) + damping) I. A row carried past
+    zero (u_j . new_j <= 0) is set to zero, as in the orthant projection
+    of OWL-QN (Andrew & Gao 2007). If the
     certificate rejects that, the step is cut at the first crossing
     instead, that row set to zero: along a near-flat direction of G_AA,
     such as a column and its near copy, mu barely damps the step, which
@@ -464,7 +470,7 @@ def _newton_step(
     u = ba / norms[:, None]
     try:
         hess = gram.take(rows, 0)[:, rows]
-        hess.flat[:: rows.size + 1] += shrink + mu
+        hess.flat[:: rows.size + 1] += shrink + damping
         inv = np.linalg.inv(hess)
         z = inv @ rhs
         capacitance = u @ u.T

@@ -222,10 +222,13 @@ def manova_table(fit: MlmFit) -> list[ManovaRow]:
             f"(df_error={fit.df_error})"
         )
     try:
-        check_rank(fit.r)  # fit_mlm has passed the design columns
+        # fit.r[1:, 1:] is the R factor of the centered [X, Y], so each
+        # response's pivot is judged against its centered norm; fit_mlm has
+        # passed the design columns by their uncentered norms, a stricter rule
+        check_rank(fit.r[1:, 1:])
     except RankDeficiencyError as exc:
         raise PerfectFitError(
-            f"response {fit.response_names[exc.column - p - 1]!r} leaves no residual "
+            f"response {fit.response_names[exc.column - p]!r} leaves no residual "
             "variation beyond the predictors and the preceding responses"
         ) from None
     r_e = fit.r[p + 1 :, p + 1 :]

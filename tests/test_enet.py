@@ -19,6 +19,7 @@ from enetstats.enet import (
     kkt_check,
 )
 
+from design_sweep import design
 from oracles import enet_objective_direct, group_soft_threshold, prox_grad_reference, soft_threshold
 
 
@@ -234,7 +235,7 @@ class TestGaussianPath:
     def test_max_iter_reports_lambda_index(self):
         rng = np.random.default_rng(10)
         x = standardized(rng, 30, 6)
-        # strongly correlated columns make single-sweep convergence impossible
+        # strongly correlated columns make two-pass convergence impossible
         x[:, 3] = 0.99 * x[:, 0] + 0.01 * x[:, 3]
         y = x @ rng.normal(size=6) + rng.normal(size=30)
         cfg = EnetConfig(alpha=0.5, tol=1e-14, max_iter=2)
@@ -614,14 +615,45 @@ class TestNewtonStep:
             report = kkt_check(x, y, path.coefs[i], path.intercepts[i], float(lam), 0.5)
             assert report.max_violation <= 1e-6, i
 
-    def test_sweep_fallback_alone_certifies(self, monkeypatch):
-        # the cyclic sweep runs only after a rejected Newton step, which the
-        # benchmark designs no longer reach; with every step rejected it
-        # must certify the demo path on its own
-        monkeypatch.setattr(enet, "_newton_step", lambda *args: None)
+    def test_damping_escalation_alone_certifies(self, monkeypatch):
+        # a rejected step is retried with the damping raised tenfold at a
+        # time; with every step below 1000 x mu rejected, the escalated
+        # steps must certify the demo path on their own
+        newton_step = enet._newton_step
+
+        def escalated_only(*args):
+            *_, mu, damping = args
+            return newton_step(*args) if damping >= 1e3 * mu else None
+
+        monkeypatch.setattr(enet, "_newton_step", escalated_only)
         x, y = demo_groups()
         path = self._certified(x, y, EnetConfig())
         assert path.n_passes.sum() > path.n_lambdas
+
+    @pytest.mark.parametrize("s", [251, 1007, 1203, 1587])
+    def test_near_copy_lasso_designs_certify(self, s):
+        # near copies at alpha = 1 from tools/design_sweep.py that spent
+        # 3000 passes at one lambda when a rejected step fell back to a
+        # cyclic sweep; raising the damping takes them in a few
+        x, y = design(s)
+        path = self._certified(x, y, EnetConfig(alpha=1.0, nlambda=20, max_iter=3000))
+        assert int(path.n_passes.max()) <= 20
+
+    @pytest.mark.parametrize(
+        "s, alpha, most",
+        [(390, 0.5, 10), (313, 1.0, 10), (1115, 1e-3, 10), (1251, 1.0, 300)],
+        ids=["worst-alone", "keep-worst-lasso", "keep-worst-near-ridge", "support-reduction"],
+    )
+    def test_design_sweep_fallbacks(self, s, alpha, most):
+        # designs from tools/design_sweep.py with passes whose first step is
+        # rejected at every damping. In 390 (one factor) the retry with only
+        # the worst violator admitted is accepted; in 313 and 1115 it is
+        # rejected too, and the pass keeps the worst at its row update; in
+        # 1251 (near copy, K = 3) 17 passes have no violator and zero the
+        # smallest active row. Without its rule each design stalls.
+        x, y = design(s)
+        path = self._certified(x, y, EnetConfig(alpha=alpha, nlambda=20, max_iter=3000))
+        assert int(path.n_passes.max()) <= most
 
     @staticmethod
     def _certified(x, y, cfg, lambdas=None):

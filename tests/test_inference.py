@@ -239,6 +239,18 @@ class TestOneFactorization:
         with pytest.raises(PerfectFitError, match="'y2'"):
             manova_table(fit)
 
+    def test_large_mean_tiny_spread_response_agrees_with_univariate(self):
+        # y2 = 1e6 + 1e-7 z: its residual pivot is ~1e-13 of its uncentered
+        # norm but not of its centered norm, which is what its statistics
+        # use; both tables accept it
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(30, 2))
+        y1 = rng.normal(size=30)
+        y2 = 1e6 + 1e-7 * rng.normal(size=30)
+        fit = fit_mlm(x, np.column_stack([y1, y2]))
+        assert len(manova_table(fit)) == 2
+        assert math.isclose(univariate_summary(fit, 1).r2, 0.0351, abs_tol=1e-4)
+
     def test_design_and_residuals_are_factorized_once_each(self, monkeypatch):
         # one QR of [1, X, Y], in numpy's mode "r", which forms no Q
         calls = []
@@ -342,6 +354,20 @@ class TestUnivariateSummary:
         with pytest.raises(PerfectFitError):
             univariate_summary(fit, 0)
 
+    @pytest.mark.parametrize("ratio, exact", [(0.8e-12, True), (1.25e-12, False)])
+    def test_perfect_fit_threshold(self, ratio, exact):
+        # RSS / TSS = ratio to ~1e-10 relative: y is a unit column of the
+        # design plus sqrt(ratio) times a unit vector orthogonal to it
+        rng = np.random.default_rng(15)
+        q, _ = np.linalg.qr(np.column_stack([np.ones(6), rng.normal(size=(6, 3))]))
+        delta = math.sqrt(ratio / (1.0 - ratio))
+        fit = fit_mlm(q[:, 1:3], q[:, 1] + delta * q[:, 3])
+        if exact:
+            with pytest.raises(PerfectFitError):
+                univariate_summary(fit, 0)
+        else:
+            assert math.isclose(1.0 - univariate_summary(fit, 0).r2, ratio, rel_tol=1e-6)
+
     def test_bad_index(self):
         rng = np.random.default_rng(12)
         fit = fit_mlm(rng.normal(size=(10, 2)), rng.normal(size=(10, 1)))
@@ -386,6 +412,20 @@ class TestVif:
         with pytest.raises(CollinearityError, match="^predictor 'a' is an exact linear"):
             vif_of(x, names=["a", "b", "c"])
 
+    @pytest.mark.parametrize("t, collinear", [(0.8e-12, True), (1.25e-12, False)])
+    def test_collinearity_threshold(self, t, collinear):
+        # two orthonormal centered columns mixed so 1 - R_aux^2 = t
+        u = np.array([1.0, -1.0, 1.0, -1.0]) / 2.0
+        w = np.array([1.0, 1.0, -1.0, -1.0]) / 2.0
+        x = np.column_stack([u, math.sqrt(1.0 - t) * u + math.sqrt(t) * w])
+        if collinear:
+            with pytest.raises(CollinearityError, match="^predictor 'x1' is an exact linear"):
+                vif_of(x)
+        else:
+            for e in vif_of(x):
+                assert math.isclose(1.0 - e.r2_aux, t, rel_tol=1e-3)
+                assert math.isclose(e.vif, 1.0 / t, rel_tol=1e-3)
+
     def test_rescaling_other_columns_is_invariant(self):
         rng = np.random.default_rng(14)
         x = rng.normal(size=(20, 3))
@@ -420,6 +460,14 @@ class TestPearson:
         assert out.r == -1.0
         assert out.t == -math.inf
         assert out.p == 0.0
+
+    def test_rounding_past_one_is_clamped(self):
+        # unclamped, r of [0, 0, 1] with itself rounds to 1 + 2^-52
+        for sign in (1.0, -1.0):
+            out = pearson([0.0, 0.0, 1.0], [0.0, 0.0, sign])
+            assert out.r == sign
+            assert out.t == sign * math.inf
+            assert out.p == 0.0
 
     def test_orthogonal_gives_zero(self):
         v = np.array([1.0, -1.0, 1.0, -1.0])

@@ -1,0 +1,92 @@
+#!/usr/bin/env python3
+"""Fit the elastic-net path on a seeded family of small, hard designs.
+
+Design s draws from ``numpy.random.default_rng([7, s])`` its shape, N in
+[6, 30), p in [4, 20) and K in [1, 4), and by ``s % 4`` one of four
+families:
+
+* 0 ``plain`` -- independent normal columns;
+* 1 ``copy`` -- plus an exact copy of column 0;
+* 2 ``factor`` -- one shared factor, 0.9 z + 0.45 e;
+* 3 ``near-copy`` -- plus column 0 with 1e-6 noise added.
+
+Columns are z-scored (ddof = 1) and y = x[:, :2] @ normal + 0.5 normal.
+Each design is fitted at alpha in {1e-3, 0.5, 1} with nlambda 20 and
+max_iter 3000. The script prints the ConvergenceErrors per family, the
+total and the worst single-lambda corrector passes, and the largest
+``kkt_check`` violation over every returned solution; it exits 1 when any
+fit raised or any solution misses the 1e-6 certificate.
+
+Run from the repository root, numpy and the package alone::
+
+    PYTHONPATH=src python tools/design_sweep.py --designs 200
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+
+import numpy as np
+
+from enetstats.enet import KKT_TOL, ConvergenceError, EnetConfig, fit_mgaussian_path, kkt_check
+
+FAMILIES = ("plain", "copy", "factor", "near-copy")
+ALPHAS = (1e-3, 0.5, 1.0)
+
+
+def zscore(x: np.ndarray) -> np.ndarray:
+    return (x - x.mean(axis=0)) / x.std(axis=0, ddof=1)
+
+
+def design(s: int) -> tuple[np.ndarray, np.ndarray]:
+    """Design s of the sweep: its standardized x and its responses y."""
+    rng = np.random.default_rng([7, s])
+    n, p, k = int(rng.integers(6, 30)), int(rng.integers(4, 20)), int(rng.integers(1, 4))
+    family = FAMILIES[s % 4]
+    if family == "factor":
+        x = 0.9 * rng.normal(size=(n, 1)) + 0.45 * rng.normal(size=(n, p))
+    else:
+        x = rng.normal(size=(n, p))
+    if family == "copy":
+        x = np.column_stack([x, x[:, 0]])
+    elif family == "near-copy":
+        x = np.column_stack([x, x[:, 0] + 1e-6 * rng.normal(size=n)])
+    x = zscore(x)
+    y = x[:, :2] @ rng.normal(size=(2, k)) + 0.5 * rng.normal(size=(n, k))
+    return x, y
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--designs", type=int, default=1600, help="designs s = 0 .. DESIGNS-1")
+    args = parser.parse_args(argv)
+
+    failed = dict.fromkeys(FAMILIES, 0)
+    total = worst = 0
+    kkt_worst = 0.0
+    for s in range(args.designs):
+        x, y = design(s)
+        for alpha in ALPHAS:
+            cfg = EnetConfig(alpha=alpha, nlambda=20, max_iter=3000)
+            try:
+                path = fit_mgaussian_path(x, y, cfg)
+            except ConvergenceError as exc:
+                failed[FAMILIES[s % 4]] += 1
+                print(f"ConvergenceError: s={s} alpha={alpha:g}: {exc}")
+                continue
+            total += int(path.n_passes.sum())
+            worst = max(worst, int(path.n_passes.max()))
+            for i, lam in enumerate(path.lambdas):
+                report = kkt_check(x, y, path.coefs[i], path.intercepts[i], float(lam), alpha)
+                kkt_worst = max(kkt_worst, report.max_violation)
+
+    print(f"designs {args.designs}, fits {args.designs * len(ALPHAS)}")
+    print("ConvergenceError per family: " + ", ".join(f"{f} {c}" for f, c in failed.items()))
+    print(f"passes: total {total}, worst lambda {worst}")
+    print(f"largest kkt_check: {kkt_worst:.3g}")
+    return 1 if sum(failed.values()) or kkt_worst > KKT_TOL else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

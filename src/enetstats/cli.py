@@ -119,6 +119,18 @@ class _Groups(dict):
         return sm
 
 
+class _Files(dict):
+    """File name to text; a name that is not a plain file name or that two
+    outputs share is rejected when added, before anything is written."""
+
+    def __setitem__(self, name: str, text: str) -> None:
+        if Path(name).name != name:
+            raise DataError(f"output file name {name!r} is not a plain file name")
+        if name in self:
+            raise DataError(f"two outputs would both be written to {name!r}")
+        super().__setitem__(name, text)
+
+
 class Pipeline:
     """Shared state for the subcommands so `report` never recomputes.
 
@@ -133,7 +145,7 @@ class Pipeline:
         self.subsets = SubsetConfig.load(args.subsets)
         self.predictors = _predictor_flag(args, self.subsets)
         self.standardized = _Groups(self.table, self.subsets)
-        self.files: dict[str, str] = {}
+        self.files = _Files()
         self.stdout = io.StringIO()
 
     # -- shared stages ----------------------------------------------------
@@ -327,14 +339,8 @@ class Pipeline:
         for i in range(k):
             for j in range(i + 1, k):
                 result = pearson(y[:, i], y[:, j])
-                if k == 2:
-                    print(f"pearson r={_g17(result.r)} p={_g17(result.p)}", file=out)
-                else:
-                    print(
-                        f"pearson {fit.response_names[i]}~{fit.response_names[j]} "
-                        f"r={_g17(result.r)} p={_g17(result.p)}",
-                        file=out,
-                    )
+                pair = "" if k == 2 else f"{fit.response_names[i]}~{fit.response_names[j]} "
+                print(f"pearson {pair}r={_g17(result.r)} p={_g17(result.p)}", file=out)
 
     def run_report(self) -> None:
         self.run_prep()
@@ -437,9 +443,6 @@ def _write_files(out: Path, files: dict[str, str]) -> None:
     hidden name beside its target, and then each is moved over its target
     with ``os.replace``.
     """
-    for name in files:  # group and response names become file names
-        if Path(name).name != name:
-            raise DataError(f"output file name {name!r} is not a plain file name")
     # names of this process's own, not mkdtemp/mkstemp, which would leave
     # --out and its files readable by the owner alone
     suffix = f".{os.getpid()}.tmp"

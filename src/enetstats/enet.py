@@ -27,35 +27,34 @@ itself.
 
 One kernel serves every K. It uses the covariance updates of Friedman,
 Hastie & Tibshirani (2010, J. Stat. Softw. 33(1), section 2.2): each fit
-forms G = X'X/N and C = X'Y/N once from the centered data, so a coordinate
-update costs O(pK) whatever N is. The row update is the blockwise
-multiresponse step of Simon, Friedman & Hastie (2013, arXiv:1311.6529)::
+forms G = X'X/N and C = X'Y/N once from the centered data, so no pass
+touches the N observations. The row update, the exact minimizer over one
+row with the others held, is the blockwise multiresponse step of Simon,
+Friedman & Hastie (2013, arXiv:1311.6529)::
 
     b_j <- S(g_j + G_jj b_j, lambda * alpha) / (G_jj + lambda * (1 - alpha))
 
 with gradient g = C - G b and S the group soft threshold (the scalar one
-when K = 1). Each pass recomputes g exactly, so rounding from the running
-updates never accumulates, and reads the stationarity residual of every
-predictor off it (the certificate :func:`kkt_check` applies). The solver
-stops at a lambda as soon as the largest residual is at most
-``EnetConfig.tol``; that certificate is the only stopping rule.
+when K = 1). Each pass recomputes g exactly and reads the stationarity
+residual of every predictor off it (the certificate :func:`kkt_check`
+applies); the solver stops at a lambda as soon as the largest residual
+is at most ``EnetConfig.tol``, its only stopping rule.
 
 Otherwise the pass grows the working set and solves it. Every zero row
 that violates its condition is admitted at once, at its own row update
-from the current g (b_j = 0, so the update is S(g_j, lambda * alpha) /
-(G_jj + lambda * (1 - alpha))), and one Newton step then runs on the
+from the current g (b_j = 0), and one Newton step then runs on the
 nonzero rows, where the objective is smooth: the working-set admission of
 newGLMNET (Yuan, Ho & Lin 2012, JMLR 13) and Celer (Massias, Gramfort &
 Salmon 2018). The certificate damps the step, so it exists on a singular
 support, and keeps it only if it falls below its value mu before the
 admission; a row the step carries past zero is set to zero, and if the
 certificate rejects that the step stops at the first crossing instead.
-A rejected step is retried with more damping, then with only the worst
-violator admitted; if every try fails, the pass keeps that violator at
-its row update or, with none, zeroes the smallest nonzero row (some lasso
-solution has affinely independent active columns; Tibshirani 2013, EJS
-7). No per-row loop remains. On correlated designs this takes the passes
-per lambda from tens to a few.
+A rejected step is retried with more damping; if every try fails, the
+pass instead makes the row update of the row with the largest residual
+(the Gauss-Southwell rule; Tseng & Yun 2009, Math. Program. 117), an
+exact minimization over that row, so such a pass never raises the
+objective. No per-row loop remains; on correlated designs the passes per
+lambda fall from tens to a few.
 
 The path is a predictor-corrector (Park & Hastie 2007, JRSS-B 69(4)).
 Differentiating the stationarity condition on the support in lambda gives
@@ -114,7 +113,7 @@ class EnetConfig:
     accepted once every predictor's residual (see :func:`kkt_check`) is at
     most ``tol``, so it may not exceed ``KKT_TOL``. ``max_iter`` caps the
     corrector passes per lambda, each one Newton step with its retries or
-    one support change; the predicted start is not a pass.
+    one row update; the predicted start is not a pass.
     """
 
     alpha: float = 0.5
@@ -368,9 +367,8 @@ def _descend(
     row updates and takes one :func:`_newton_step` with them, accepted
     when the certificate falls below mu, its value at the pass's start. A
     rejected step is retried with the damping at 10, 100, ... 1e11 times
-    mu, then the same with only the worst violator admitted. When every
-    try is rejected, the worst violator stays at its row update, or, if
-    no row violates, the smallest nonzero row is zeroed.
+    mu. When every try is rejected, the admitted rows go back to zero and
+    the row with the largest residual takes its :func:`_row_update`.
 
     Returns the passes made, the final certificate (the largest
     stationarity residual), and the ``(rows, d)`` tangent of the last
@@ -389,36 +387,35 @@ def _descend(
         if kkt <= cfg.tol or passes == cfg.max_iter:
             return passes, kkt, tangent
         passes += 1
-        active = b.any(axis=1)
         # zero rows that satisfy their condition would stay zero; skip them
-        enter = np.flatnonzero(~active & (residuals > cfg.tol))
-        admits = [enter, enter[[np.argmax(residuals[enter])]]] if enter.size > 1 else [enter]
-        for admit in admits:  # every violator at once, then the worst alone
-            step_grad = grad
-            if admit.size:  # each at its row update
-                g = grad[admit]
-                nrm = np.sqrt(np.einsum("jk,jk->j", g, g))
-                b[admit] = g * ((1.0 - gamma / nrm) / (gram.diagonal()[admit] + ridge))[:, None]
-                step_grad = cov - gram @ b
-            rows = np.flatnonzero(b.any(axis=1))
-            for damping in (kkt * 10.0**e for e in range(12)):
-                stepped = _newton_step(gram, cov, b, step_grad, rows, lam, cfg.alpha, kkt, damping)
-                if stepped is not None:
-                    break
-            else:
-                if admit.size > 1:  # a lone violator stays if all else fails
-                    b[admit] = 0.0
-                continue
-            grad, residuals, d = stepped
-            tangent = rows, d
-            break
-        else:  # every step rejected: keep the worst violator at its row
-            # update, or with none reduce the support by its smallest row
-            if not enter.size:
-                norms = np.where(active, np.einsum("jk,jk->j", b, b), np.inf)
-                b[np.argmin(norms)] = 0.0
+        enter = np.flatnonzero(~b.any(axis=1) & (residuals > cfg.tol))
+        step_grad = grad
+        if enter.size:  # every violator at once, each at its row update
+            _row_update(gram, grad, b, enter, gamma, ridge)
+            step_grad = cov - gram @ b
+        rows = np.flatnonzero(b.any(axis=1))
+        for damping in (kkt * 10.0**e for e in range(12)):
+            stepped = _newton_step(gram, cov, b, step_grad, rows, lam, cfg.alpha, kkt, damping)
+            if stepped is not None:
+                grad, residuals, d = stepped
+                tangent = rows, d
+                break
+        else:  # every step rejected: update the worst row alone instead
+            b[enter] = 0.0
+            _row_update(gram, grad, b, np.argmax(residuals, keepdims=True), gamma, ridge)
             grad = cov - gram @ b
             residuals = _stationarity(grad, b, lam, cfg.alpha)
+
+
+def _row_update(gram, grad, b, rows, gamma: float, ridge: float) -> None:
+    """Exact minimization over each of ``rows`` of ``b`` in place, the
+    others held: b_j <- S(g_j + G_jj b_j, gamma) / (G_jj + ridge) from the
+    gradient ``grad`` at ``b``; a zero argument gives a zero row."""
+    diag = gram.diagonal()[rows]
+    z = grad[rows] + diag[:, None] * b[rows]
+    nrm = np.sqrt(np.einsum("jk,jk->j", z, z))
+    keep = np.maximum(1.0 - gamma / np.where(nrm > 0.0, nrm, np.inf), 0.0)
+    b[rows] = z * (keep / (diag + ridge))[:, None]
 
 
 def _newton_step(

@@ -191,6 +191,16 @@ class TestPrep:
         assert "'a/b.tsv'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_group_named_like_a_scale_sidecar_exits_2_before_out(self, tmp_path, capsys):
+        # group "demographic_scale" would overwrite demographic's sidecar
+        cfg = tmp_path / "clash.cfg"
+        text = DEMO_CFG.read_text(encoding="utf-8").replace("food.", "demographic_scale.")
+        cfg.write_text(text, encoding="utf-8")
+        out = tmp_path / "o"
+        assert run("prep", "--input", DEMO_CSV, "--subsets", cfg, "--out", out) == 2
+        assert "'demographic_scale.tsv'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_input_exits_2(self, tmp_path):
         code = run(
             "prep", "--input", tmp_path / "nope.csv", "--subsets", DEMO_CFG,
@@ -652,6 +662,17 @@ class TestReport:
         assert code == 2
         captured = capsys.readouterr()
         assert captured.err == "error: the selected model keeps no predictors\n"
+        assert captured.out == "" and not out.exists()
+
+    def test_group_named_like_the_cv_curve_exits_2_before_out(self, tmp_path, capsys):
+        # group "cv" would overwrite, or be overwritten by, the CV curve
+        cfg = tmp_path / "clash.cfg"
+        text = DEMO_CFG.read_text(encoding="utf-8").replace("food.", "cv.")
+        cfg.write_text(text, encoding="utf-8")
+        out = tmp_path / "o"
+        assert run("report", "--input", DEMO_CSV, "--subsets", cfg, "--out", out) == 2
+        captured = capsys.readouterr()
+        assert "'cv.tsv'" in captured.err
         assert captured.out == "" and not out.exists()
 
     def test_full_chain(self, tmp_path, capsys):

@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 from enetstats import enet
 from enetstats.dataprep import SubsetConfig, load_csv, select_variables, standardize
 from enetstats.enet import (
+    KKT_TOL,
     ConvergenceError,
     EnetConfig,
     _descend,
@@ -19,7 +20,7 @@ from enetstats.enet import (
     kkt_check,
 )
 
-from design_sweep import design
+from design_sweep import design, zscore
 from oracles import enet_objective_direct, group_soft_threshold, prox_grad_reference, soft_threshold
 
 
@@ -441,9 +442,11 @@ class TestDevianceExplained:
 
 
 class TestPathInvariants:
-    def test_objective_monotone_per_pass(self):
+    @staticmethod
+    def _objective_monotone(most):
         # the kernel updates b in place, so a cold start cut after s passes
-        # leaves the iterate of pass s behind
+        # leaves the iterate of pass s behind; returns the certificate after
+        # ``most`` passes at each lambda
         rng = np.random.default_rng(24)
         x = standardized(rng, 25, 6)
         y = np.column_stack(
@@ -454,17 +457,30 @@ class TestPathInvariants:
         gram = xc.T @ xc / 25
         cov = xc.T @ yc / 25
         grid = default_lambda_grid(x, y, EnetConfig(alpha=0.5, nlambda=15))
+        final = []
         for lam in grid[[3, 8, 14]]:
             lam = float(lam)
             values = [enet_objective_direct(x, y, np.zeros((6, 2)), y.mean(axis=0), lam, 0.5)]
-            for passes in range(1, 13):
+            for passes in range(1, most + 1):
                 b = np.zeros((6, 2))
-                _descend(gram, cov, b, lam, EnetConfig(alpha=0.5, max_iter=passes))
+                _, kkt, _ = _descend(gram, cov, b, lam, EnetConfig(alpha=0.5, max_iter=passes))
                 b0 = y.mean(axis=0) - x.mean(axis=0) @ b
                 values.append(enet_objective_direct(x, y, b, b0, lam, 0.5))
             assert values[-1] < values[0]
             for before, after in zip(values, values[1:]):
                 assert after <= before + 1e-12 * max(1.0, abs(before))
+            final.append(kkt)
+        return final
+
+    def test_objective_monotone_per_pass(self):
+        self._objective_monotone(12)
+
+    def test_objective_monotone_per_row_update(self, monkeypatch):
+        # with every Newton step rejected each pass is one exact update of
+        # the row with the largest stationarity residual, so the objective
+        # never rises and the certificate still falls to the tolerance
+        monkeypatch.setattr(enet, "_newton_step", lambda *args: None)
+        assert max(self._objective_monotone(60)) <= KKT_TOL
 
     def test_kkt_along_path(self):
         rng = np.random.default_rng(25)
@@ -630,6 +646,13 @@ class TestNewtonStep:
         path = self._certified(x, y, EnetConfig())
         assert path.n_passes.sum() > path.n_lambdas
 
+    def test_row_updates_alone_certify(self, monkeypatch):
+        # with every Newton step rejected each pass falls back to one exact
+        # update of the worst row; that alone must certify the demo path
+        monkeypatch.setattr(enet, "_newton_step", lambda *args: None)
+        x, y = demo_groups()
+        self._certified(x, y, EnetConfig())
+
     @pytest.mark.parametrize("s", [251, 1007, 1203, 1587])
     def test_near_copy_lasso_designs_certify(self, s):
         # near copies at alpha = 1 from tools/design_sweep.py that spent
@@ -641,19 +664,35 @@ class TestNewtonStep:
 
     @pytest.mark.parametrize(
         "s, alpha, most",
-        [(390, 0.5, 10), (313, 1.0, 10), (1115, 1e-3, 10), (1251, 1.0, 300)],
-        ids=["worst-alone", "keep-worst-lasso", "keep-worst-near-ridge", "support-reduction"],
+        [(390, 0.5, 10), (313, 1.0, 10), (1115, 1e-3, 10), (1251, 1.0, 60)],
+        ids=["factor", "copy-lasso", "near-copy-near-ridge", "near-copy-lasso"],
     )
     def test_design_sweep_fallbacks(self, s, alpha, most):
-        # designs from tools/design_sweep.py with passes whose first step is
-        # rejected at every damping. In 390 (one factor) the retry with only
-        # the worst violator admitted is accepted; in 313 and 1115 it is
-        # rejected too, and the pass keeps the worst at its row update; in
-        # 1251 (near copy, K = 3) 17 passes have no violator and zero the
-        # smallest active row. Without its rule each design stalls.
+        # designs from tools/design_sweep.py with a pass whose Newton step is
+        # rejected at every damping, so the pass updates the row with the
+        # largest stationarity residual exactly instead. 1251 (near copy,
+        # K = 3) took 149 passes at one lambda when such passes zeroed the
+        # smallest nonzero row, and 41 with the row update.
         x, y = design(s)
         path = self._certified(x, y, EnetConfig(alpha=alpha, nlambda=20, max_iter=3000))
         assert int(path.n_passes.max()) <= most
+
+    def test_wide_near_copy_lasso_does_not_crawl(self):
+        # N = 3, p = 11 plus a 1e-6 near copy of column 0, K = 3, alpha = 1:
+        # at lambda index 2 five rows are active on rank-2 data and every
+        # damped step is rejected. Zeroing the smallest nonzero row and
+        # re-admitting a violator undid each other there for 748 passes
+        rng = np.random.default_rng([123, 1115])
+        n, p, k = int(rng.integers(3, 31)), int(rng.integers(1, 31)), int(rng.integers(1, 4))
+        assert (rng.random() < 0.5, int(rng.choice(3))) == (False, 2)  # no factor, near copy
+        alpha = (1e-3, 0.5, 1.0)[int(rng.integers(3))]
+        nlambda = (5, 8, 20)[int(rng.integers(3))]
+        x = zscore(rng.normal(size=(n, p)))
+        x = zscore(np.column_stack([x, x[:, 0] + 1e-6 * rng.normal(size=n)]))
+        y = x[:, :2] @ rng.normal(size=(2, k)) + 0.5 * rng.normal(size=(n, k))
+        assert (n, p, k, alpha, nlambda) == (3, 11, 3, 1.0, 8)
+        path = self._certified(x, y, EnetConfig(alpha=alpha, nlambda=nlambda, max_iter=3000))
+        assert int(path.n_passes.max()) <= 50
 
     @staticmethod
     def _certified(x, y, cfg, lambdas=None):

@@ -390,12 +390,23 @@ def standardize(table: RawTable) -> StandardizedMatrix:
     if len(missing):
         i, j = missing[0]
         raise MissingValueError(f"row {i + 1}, column {table.names[j]!r}: missing value")
-    means = values.mean(axis=0)
-    sds = values.std(axis=0, ddof=1)
-    # a spread below ~1e-154 still squares to an sd of 0
-    constant = np.flatnonzero(is_constant(values) | (sds == 0.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = values.mean(axis=0)
+        sds = values.std(axis=0, ddof=1)
+    constant = np.flatnonzero(is_constant(values))
     if constant.size:
         names = ", ".join(repr(table.names[j]) for j in constant)
         raise ConstantColumnError(f"constant column(s): {names}")
+    # the squares inside std overflow for a spread above ~1e154 and
+    # underflow to 0 below ~1e-154, and the sum inside mean overflows near
+    # the largest double; such a column's moments are taken again on it
+    # divided by the largest power of two not above its largest |value|,
+    # which is exact
+    extreme = np.flatnonzero(~np.isfinite(means) | ~np.isfinite(sds) | (sds == 0.0))
+    if extreme.size:
+        scale = np.ldexp(1.0, np.frexp(np.abs(values[:, extreme]).max(axis=0))[1] - 1)
+        scaled = values[:, extreme] / scale
+        means[extreme] = scaled.mean(axis=0) * scale
+        sds[extreme] = scaled.std(axis=0, ddof=1) * scale
     z = (values - means) / sds
     return StandardizedMatrix(matrix=z, means=means, sds=sds, names=list(table.names))

@@ -61,16 +61,24 @@ Differentiating the stationarity condition on the support in lambda gives
 the tangent d = H^-1 (c o b_A) = -db/dlog(lambda), where H is the Newton
 step's Hessian and c the shrink factors; each Newton step pushes c o b_A
 through the inverse it already forms, so the tangent costs no extra
-factorization or certificate. The next lambda then starts from
-b_A + (1 - lambda / lambda_prev) d, a row the move carries past zero set to
-zero, and the passes there only correct that prediction: a lambda whose
-predicted start meets the certificate takes no pass at all. The tangent of
-a step that admitted rows covers them too, and a row zeroed since stays
-zero in the prediction.
+factorization or certificate. As c is proportional to lambda, the path
+keeps d / lambda, which varies smoothly, and its predictor is multistep,
+as in numerical continuation (Allgower & Georg 1990, ch. 2): with P the
+Lagrange polynomial in log lambda through the last PREDICTOR_NODES such
+nodes on the current support (cleared when the support changes), the
+next lambda starts from b_A + integral of P(log l) dl over
+[lambda, lambda_prev], which for one node is b_A + (1 - lambda /
+lambda_prev) d. A row the move carries past zero is set to zero, and the
+passes there only correct that prediction: a lambda whose predicted start
+meets the certificate takes no pass at all, and then adds no node. The
+tangent of a step that admitted rows covers them too, and a row zeroed
+since stays zero in the prediction.
 """
 
 from __future__ import annotations
 
+import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,6 +99,12 @@ __all__ = [
 # Stationarity level every returned solution meets; EnetConfig.tol may not
 # exceed it.
 KKT_TOL = 1e-6
+
+# Tangent nodes the path predictor extrapolates from; 4 took the fewest
+# passes on the demo and tall paths, against 2, 3 and 5.
+PREDICTOR_NODES = 4
+# (node, weight) pairs of the 3-point Gauss-Legendre rule on [-1, 1]
+_GAUSS_LEGENDRE_3 = ((-math.sqrt(0.6), 5 / 9), (0.0, 8 / 9), (math.sqrt(0.6), 5 / 9))
 
 
 class ConvergenceError(RuntimeError):
@@ -120,7 +134,7 @@ class EnetConfig:
     nlambda: int = 100
     lambda_min_ratio: float | None = None
     tol: float = 1e-7
-    max_iter: int = 100_000
+    max_iter: int = 10_000
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
@@ -324,18 +338,25 @@ def _fit_path(x, y: np.ndarray, cfg: EnetConfig, lambdas) -> EnetPath:
     n_passes = np.empty(n_lams, dtype=np.int64)
     kkt_max = np.empty(n_lams)
 
-    tangent = None
-    for i, lam in enumerate(lams):
-        if tangent is not None:  # predictor: follow the tangent to this lambda
-            rows, d = tangent
+    grid = lams.tolist()
+    rows, nodes = None, deque(maxlen=PREDICTOR_NODES)  # the support, its tangents
+    for i, lam in enumerate(grid):
+        if nodes:  # predictor: integrate the extrapolated tangents to this lambda
             start = b[rows]
-            moved = start + (1.0 - lam / lams[i - 1]) * d
+            moved = start.copy()
+            for weight, (_, d) in zip(_node_weights(nodes, grid[i - 1], lam), nodes):
+                moved += weight * d
             moved[np.einsum("jk,jk->j", start, moved) <= 0.0] = 0.0
             b[rows] = moved
-        n_passes[i], kkt_max[i], tangent = _descend(gram, cov, b, float(lam), cfg, tangent)
+        n_passes[i], kkt_max[i], tangent = _descend(gram, cov, b, lam, cfg)
         if kkt_max[i] > cfg.tol:
             raise ConvergenceError(i, cfg.max_iter)
         coefs[i] = b
+        if tangent is not None and lam > 0.0:
+            if rows is None or not np.array_equal(tangent[0], rows):
+                rows = tangent[0]
+                nodes.clear()
+            nodes.append((math.log(lam), tangent[1] / lam))
 
     # RSS / N = y'y / N - 2 <C, B> + <B, G B>, for every lambda at once
     fit = np.einsum("ljk,ljk->l", coefs, 2.0 * cov - gram @ coefs)
@@ -353,12 +374,7 @@ def _fit_path(x, y: np.ndarray, cfg: EnetConfig, lambdas) -> EnetPath:
 
 
 def _descend(
-    gram: np.ndarray,
-    cov: np.ndarray,
-    b: np.ndarray,
-    lam: float,
-    cfg: EnetConfig,
-    tangent: tuple[np.ndarray, np.ndarray] | None = None,
+    gram: np.ndarray, cov: np.ndarray, b: np.ndarray, lam: float, cfg: EnetConfig
 ) -> tuple[int, float, tuple[np.ndarray, np.ndarray] | None]:
     """Corrector passes at one lambda, started from ``b`` (the predicted
     or warm start) and updating it in place.
@@ -372,8 +388,8 @@ def _descend(
 
     Returns the passes made, the final certificate (the largest
     stationarity residual), and the ``(rows, d)`` tangent of the last
-    accepted Newton step, admitted rows included: ``tangent`` itself when
-    no pass was needed. The solution is accepted when the certificate is
+    accepted Newton step, admitted rows included, or None when no step
+    was accepted. The solution is accepted when the certificate is
     at most ``cfg.tol``, which fails only once ``cfg.max_iter`` passes are
     spent.
     """
@@ -382,6 +398,7 @@ def _descend(
     grad = cov - gram @ b
     residuals = _stationarity(grad, b, lam, cfg.alpha)
     passes = 0
+    tangent = None
     while True:
         kkt = float(residuals.max(initial=0.0))
         if kkt <= cfg.tol or passes == cfg.max_iter:
@@ -405,6 +422,27 @@ def _descend(
             _row_update(gram, grad, b, np.argmax(residuals, keepdims=True), gamma, ridge)
             grad = cov - gram @ b
             residuals = _stationarity(grad, b, lam, cfg.alpha)
+
+
+def _node_weights(nodes, lam_prev: float, lam: float) -> list[float]:
+    """Weight w_k of each ``(log lambda_k, d_k)`` tangent node such that the
+    predictor's move from ``lam_prev`` to ``lam`` is sum_k w_k d_k: the
+    integral over lambda in [lam, lam_prev] of the Lagrange basis
+    polynomials through the nodes' log lambdas, by the 3-point
+    Gauss-Legendre rule. One node gets lam_prev - lam."""
+    half = 0.5 * (lam_prev - lam)
+    points = [(math.log(lam + half * (1.0 + x)), half * w) for x, w in _GAUSS_LEGENDRE_3]
+    ts = [t for t, _ in nodes]
+    weights = []
+    for k, t_k in enumerate(ts):
+        others = ts[:k] + ts[k + 1 :]
+        total = 0.0
+        for t, basis in points:
+            for t_j in others:
+                basis *= (t - t_j) / (t_k - t_j)
+            total += basis
+        weights.append(total)
+    return weights
 
 
 def _row_update(gram, grad, b, rows, gamma: float, ridge: float) -> None:

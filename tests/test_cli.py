@@ -132,6 +132,26 @@ class TestPrep:
         assert code == 2
         assert "'b'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scale", [1e300, 1e-300])
+    def test_extreme_column_scale_standardizes(self, tmp_path, scale):
+        # the squares inside the sd overflow (1e300) or underflow (1e-300);
+        # z-scores do not depend on a column's scale, so b's are those of
+        # the unscaled column and no warning escapes
+        rng = np.random.default_rng(11)
+        a, b = rng.normal(size=(2, 20)).tolist()
+        csv = tmp_path / "s.csv"
+        rows = "".join(f"{u!r},{v * scale!r}\n" for u, v in zip(a, b))
+        csv.write_text("a,b\n" + rows, encoding="utf-8")
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("g.column = a\ng.column = b\n", encoding="utf-8")
+        out = tmp_path / "o"
+        assert run("prep", "--input", csv, "--subsets", cfg, "--out", out) == 0
+        _, rows = read_tsv(out / "g.tsv")
+        z = np.array([[float(c) for c in row] for row in rows])
+        assert_allclose(z[:, 1], (np.array(b) - np.mean(b)) / np.std(b, ddof=1), rtol=1e-12)
+        _, scale_rows = read_tsv(out / "g_scale.tsv")
+        assert math.isclose(float(scale_rows[1][2]), np.std(b, ddof=1) * scale, rel_tol=1e-12)
+
     def test_non_finite_cell_exits_2_before_out(self, tmp_path, capsys):
         csv = tmp_path / "n.csv"
         csv.write_text("a,b\n1,5\n2,nan\n3,4\n", encoding="utf-8")

@@ -455,11 +455,28 @@ class TestStandardize:
         with pytest.raises(ConstantColumnError, match=r"^constant column\(s\): 'b'$"):
             standardize(t)
 
-    def test_sd_underflow_counts_as_constant(self):
-        # max != min, but the spread squares below the smallest double
+    def test_sd_underflow_is_rescaled(self):
+        # max != min, but the spread squares below the smallest double; the
+        # z-scores do not depend on the scale, so they are those of 0, 1, 0
         t = RawTable(names=["v"], values=[[0.0], [1e-200], [0.0]])
-        with pytest.raises(ConstantColumnError, match="'v'"):
-            standardize(t)
+        sm = standardize(t)
+        assert_allclose(sm.matrix[:, 0], np.array([-1.0, 2.0, -1.0]) / math.sqrt(3.0), rtol=1e-15)
+        assert_allclose(sm.sds, [1e-200 / math.sqrt(3.0)], rtol=1e-15)
+
+    def test_sd_overflow_is_rescaled(self):
+        # the spread's square overflows a double, and std would warn
+        t = RawTable(names=["a", "v"], values=[[1.0, 0.0], [2.0, 1e200], [4.0, 0.0]])
+        sm = standardize(t)
+        assert_allclose(sm.matrix[:, 1], np.array([-1.0, 2.0, -1.0]) / math.sqrt(3.0), rtol=1e-15)
+        assert_allclose(sm.sds, [math.sqrt(7.0 / 3.0), 1e200 / math.sqrt(3.0)], rtol=1e-15)
+
+    def test_mean_overflow_is_rescaled(self):
+        # the column's sum exceeds the largest double, and mean would warn
+        t = RawTable(names=["v"], values=[[1.0e308], [1.5e308], [1.7e308]])
+        sm = standardize(t)
+        want = standardize(RawTable(names=["v"], values=[[1.0], [1.5], [1.7]]))
+        assert_allclose(sm.matrix, want.matrix, rtol=1e-14)
+        assert_allclose(sm.means, want.means * 1e308, rtol=1e-14)
 
     def test_missing_cell(self):
         t = RawTable(names=["v"], values=[[1.0], [np.nan]])

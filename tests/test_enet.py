@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -6,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy import integrate
 
-from enetstats import enet
+from enetstats import cv, enet
 from enetstats.dataprep import SubsetConfig, load_csv, select_variables, standardize
 from enetstats.enet import (
     KKT_TOL,
@@ -20,7 +22,7 @@ from enetstats.enet import (
     kkt_check,
 )
 
-from design_sweep import design, zscore
+from design_sweep import design, wide_design
 from oracles import enet_objective_direct, group_soft_threshold, prox_grad_reference, soft_threshold
 
 
@@ -595,6 +597,52 @@ class TestPathTelemetry:
             assert grows.size >= 5
             assert np.median(path.n_passes[grows]) <= 2, path.n_passes[grows]
 
+    def test_demo_path_and_folds_take_few_passes(self, monkeypatch):
+        # the predictor extrapolates the last tangents, each scaled by its
+        # lambda, so most demo lambdas certify at their predicted start: the
+        # path and 10 folds (fold seed 1) took 1,285 passes for 1,100
+        # lambdas with the last tangent alone, and take 748
+        paths = []
+
+        def recording(*args, **kwargs):
+            paths.append(fit_mgaussian_path(*args, **kwargs))
+            return paths[-1]
+
+        monkeypatch.setattr(cv, "fit_mgaussian_path", recording)
+        x, y = demo_groups()
+        recording(x, y, EnetConfig())
+        cv.cross_validate(x, y, EnetConfig(), cv.make_folds(x.shape[0], 10, 1))
+        assert len(paths) == 11
+        assert sum(int(path.n_passes.sum()) for path in paths) <= 900
+
+    def test_node_weights_integrate_the_interpolant(self):
+        # a cubic in log lambda is its own interpolant through 4 nodes, so
+        # the weighted tangents must give its integral over lambda, up to
+        # the Gauss-Legendre rule's error (2e-10 relative here)
+        def cubic(t):
+            return 0.3 - 1.2 * t + 0.5 * t**2 + 0.1 * t**3
+
+        nodes = [(math.log(lam), cubic(math.log(lam))) for lam in (1.0, 0.9, 0.8, 0.7)]
+        weights = enet._node_weights(nodes, 0.7, 0.63)
+        want = integrate.quad(lambda lam: cubic(math.log(lam)), 0.63, 0.7, epsabs=0.0)[0]
+        got = sum(w * d for w, (_, d) in zip(weights, nodes))
+        assert math.isclose(got, want, rel_tol=1e-9)
+        # one node: the step along the tangent, (1 - lambda / lambda_prev) d
+        assert math.isclose(enet._node_weights(nodes[-1:], 0.7, 0.63)[0], 0.07, rel_tol=1e-15)
+
+    def test_irregular_grid_certifies_every_lambda(self):
+        # an explicit grid with uneven steps, down to lambda = 0 (least
+        # squares), where a tangent is never taken
+        x, y = demo_groups()
+        top = float(default_lambda_grid(x, y, EnetConfig())[0])
+        grid = top * np.array([1.0, 0.7, 0.65, 0.3, 0.1, 0.09, 0.02, 0.019, 3e-3, 1e-4, 0.0])
+        path = fit_mgaussian_path(x, y, EnetConfig(), lambdas=grid)
+        assert np.all(path.kkt_max <= EnetConfig().tol)
+        for i, lam in enumerate(path.lambdas):
+            report = kkt_check(x, y, path.coefs[i], path.intercepts[i], float(lam), 0.5)
+            assert report.max_violation <= 1e-6, i
+        assert path.nonzero[-1] == x.shape[1]
+
     def test_cold_start_passes_within_max_iter(self):
         rng = np.random.default_rng(34)
         x = standardized(rng, 25, 6)
@@ -682,16 +730,9 @@ class TestNewtonStep:
         # at lambda index 2 five rows are active on rank-2 data and every
         # damped step is rejected. Zeroing the smallest nonzero row and
         # re-admitting a violator undid each other there for 748 passes
-        rng = np.random.default_rng([123, 1115])
-        n, p, k = int(rng.integers(3, 31)), int(rng.integers(1, 31)), int(rng.integers(1, 4))
-        assert (rng.random() < 0.5, int(rng.choice(3))) == (False, 2)  # no factor, near copy
-        alpha = (1e-3, 0.5, 1.0)[int(rng.integers(3))]
-        nlambda = (5, 8, 20)[int(rng.integers(3))]
-        x = zscore(rng.normal(size=(n, p)))
-        x = zscore(np.column_stack([x, x[:, 0] + 1e-6 * rng.normal(size=n)]))
-        y = x[:, :2] @ rng.normal(size=(2, k)) + 0.5 * rng.normal(size=(n, k))
-        assert (n, p, k, alpha, nlambda) == (3, 11, 3, 1.0, 8)
-        path = self._certified(x, y, EnetConfig(alpha=alpha, nlambda=nlambda, max_iter=3000))
+        x, y, cfg = wide_design(1115)
+        assert (*x.shape, y.shape[1], cfg.alpha, cfg.nlambda) == (3, 12, 3, 1.0, 8)
+        path = self._certified(x, y, cfg)
         assert int(path.n_passes.max()) <= 50
 
     @staticmethod
@@ -848,3 +889,24 @@ class TestPathProperties:
             single = fit_gaussian_path(x, y[:, 0], cfg)
             for name in ("lambdas", "coefs", "intercepts", "dev_ratio", "nonzero"):
                 assert np.array_equal(getattr(single, name), getattr(path, name)), name
+
+    @settings(max_examples=25)
+    @given(path_problems())
+    def test_matches_proximal_gradient(self, problem):
+        # wherever the independent proximal-gradient reference converges,
+        # the path, each lambda started from its prediction, reaches the
+        # same objective and the same fitted values
+        x, y, cfg = problem
+        path = fit_mgaussian_path(x, y, replace(cfg, tol=1e-10))
+        b_ref = None
+        for i, lam in enumerate(path.lambdas.tolist()):
+            b_ref, b0_ref = prox_grad_reference(
+                x, y, lam, cfg.alpha, tol=1e-12, max_iter=500, b_init=b_ref
+            )
+            if kkt_check(x, y, b_ref, b0_ref, lam, cfg.alpha).max_violation > 1e-9:
+                continue  # the reference has not converged at this lambda
+            b, b0 = path.coefs[i], path.intercepts[i]
+            ours = enet_objective_direct(x, y, b, b0, lam, cfg.alpha)
+            ref = enet_objective_direct(x, y, b_ref, b0_ref, lam, cfg.alpha)
+            assert abs(ours - ref) <= 1e-10, i
+            assert np.max(np.abs(x @ (b - b_ref) + (b0 - b0_ref))) <= 1e-6, i

@@ -1,9 +1,13 @@
 """Command-line pipeline: prep -> enet -> cv -> mlm -> report.
 
-Machine outputs are TSV (UTF-8, LF, header row first) written with 17
-significant digits so every value round-trips; tables meant for reading
-are also rendered as aligned text on stdout at a configurable display
-precision. A run computes first and writes once: ``--out`` is created,
+Each table the CLI writes is declared once, as a :class:`_Table`: its
+file name and its columns, each with a TSV header and %-format and, where
+the table is shown on stdout, a display header and format. :func:`_tsv`
+writes a table's rows as TSV (UTF-8, LF, header row first, numbers at 17
+significant digits so every value round-trips); :func:`_render` shows the
+same rows as aligned text at ``--digits`` (p-values at 4).
+
+A run computes first and writes once: ``--out`` is created,
 the files written and stdout printed only after every stage of the
 command has returned, so a failed run creates or changes no file in
 ``--out`` and prints nothing to stdout; the files go in under temporary
@@ -16,11 +20,13 @@ from __future__ import annotations
 
 import argparse
 import io
+import itertools
 import os
 import shutil
 import sys
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,14 +69,6 @@ def _g17(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _sci(value: float, digits: int) -> str:
-    return format(float(value), f".{digits - 1}e")
-
-
-def _fixed(value: float, digits: int) -> str:
-    return format(float(value), f".{digits}g")
-
-
 def stars(p: float) -> str:
     """Significance code for a p-value: *** / ** / * / NS."""
     if p < 0.001:
@@ -82,27 +80,92 @@ def stars(p: float) -> str:
     return "NS"
 
 
-def _tsv(header: list[str], line: str, rows, footer: str | None = None) -> str:
-    """One TSV file's text, formatted one row at a time: the %-format
-    ``line`` is filled from each tuple in ``rows``. Its "%.17g" writes a
-    number as :func:`_g17` does; cells that are already text go through
-    "%s"."""
-    lines = ["\t".join(header)]
-    lines.extend(line % row for row in rows)
-    if footer is not None:
-        lines.append(footer)
-    lines.append("")
-    return "\n".join(lines)
+class _Column(NamedTuple):
+    header: str  # TSV header
+    fmt: str  # TSV %-format; "%.17g" writes a number as _g17 does
+    shown: str | None = None  # display header; None keeps the column off screen
+    spec: str = ""  # display format spec; "{}" takes --digits, "" shows it as is
 
 
-def _render_table(header: list[str], rows: list[list[str]]) -> str:
-    widths = [len(h) for h in header]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
-    for row in rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
+class _Table(NamedTuple):
+    file: str  # file name; "{}" takes the group, lambda or response
+    columns: tuple[_Column, ...]
+    each: str = ""  # %-format of the one column per data name after these
+    title: str = ""  # the line above the stdout table; "{}" as in ``file``
+
+
+_G = "%.17g"
+_FIXED = ".{}g"  # --digits significant digits
+_P = ".4g"  # p-values
+_GROUP = _Table("{}.tsv", (), each=_G)
+_SCALE = _Table("{}_scale.tsv", (_Column("column", "%s"), _Column("mean", _G), _Column("sd", _G)))
+_PATH = _Table(
+    "path.tsv", (_Column("lambda", _G), _Column("dev_ratio", _G), _Column("nonzero", "%d"))
+)
+_COEF = _Table("coef_{:.6g}.tsv", (_Column("predictor", "%s"),), each="%s")
+_CV = _Table("cv.tsv", (_Column("lambda", _G), _Column("mean_error", _G), _Column("se_error", _G)))
+_MANOVA = _Table(
+    "manova.tsv",
+    (
+        _Column("term", "%s", "term"),
+        _Column("df", "%d", "df"),
+        _Column("pillai", _G, "pillai", _FIXED),
+        _Column("approx_f", _G, "approx F", _FIXED),
+        _Column("num_df", "%d", "num df"),
+        _Column("den_df", "%d", "den df"),
+        _Column("p", _G, "p", _P),
+        _Column("stars", "%s", ""),
+    ),
+    title="Multivariate tests:",
+)
+_UNI = _Table(
+    "uni_{}.tsv",
+    (
+        _Column("term", "%s", "term"),
+        _Column("estimate", _G, "estimate", _FIXED),
+        _Column("std_error", _G, "std error", _FIXED),
+        _Column("t", _G, "t", _FIXED),
+        _Column("p", _G, "p", _P),
+        _Column("stars", "%s", ""),
+    ),
+    title="Follow-up regression: {}",
+)
+_VIF = _Table(
+    "vif.tsv",
+    (
+        _Column("predictor", "%s", "predictor"),
+        _Column("r2_aux", _G),
+        _Column("vif", _G, "vif", _FIXED),
+    ),
+    title="Variance inflation factors:",
+)
+_RESIDUALS = _Table(
+    "residuals.tsv", (_Column("response", "%s"), _Column("fitted", _G), _Column("residual", _G))
+)
+
+
+def _tsv(table: _Table, rows, names=(), footer=()) -> str:
+    """A table's TSV text: each tuple in ``rows`` fills the columns'
+    %-formats, and then one ``table.each`` column per entry of ``names``;
+    the ``footer`` lines follow. Rows are formatted in chunks of 32, each
+    joined at once, so few strings are alive when the text is joined."""
+    line = "\t".join([c.fmt for c in table.columns] + [table.each] * len(names))
+    text = ["\t".join([c.header for c in table.columns] + list(names))]
+    rows = iter(rows)
+    while chunk := [line % row for row in itertools.islice(rows, 32)]:
+        text.append("\n".join(chunk))
+    return "\n".join([*text, *footer, ""])
+
+
+def _render(table: _Table, rows, digits: int, key=None) -> str:
+    """A table's title and aligned stdout text: the shown columns of
+    ``rows``, each cell formatted by its column's display spec."""
+    shown = [(i, c) for i, c in enumerate(table.columns) if c.shown is not None]
+    cells = [[c.shown for _, c in shown]]
+    cells.extend([format(row[i], c.spec.format(digits)) for i, c in shown] for row in rows)
+    widths = [max(len(row[j]) for row in cells) for j in range(len(shown))]
+    lines = [table.title.format(key)]
+    lines.extend("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() for row in cells)
     return "\n".join(lines)
 
 
@@ -197,50 +260,37 @@ class Pipeline:
 
     # -- subcommands -------------------------------------------------------
 
+    def _add(self, table: _Table, rows, key=None, names=(), footer=()) -> None:
+        """Add a table's file and, if it has a title, show the same row list on stdout."""
+        self.files[table.file.format(key)] = _tsv(table, rows, names, footer)
+        if table.title:
+            print(_render(table, rows, self.args.digits, key), file=self.stdout)
+
     def run_prep(self) -> None:
         for group in self.subsets.groups:
             sm = self.standardized[group]
-            self.files[f"{group}.tsv"] = _tsv(
-                sm.names,
-                "\t".join(["%.17g"] * len(sm.names)),
-                (tuple(row.tolist()) for row in sm.matrix),
-            )
-            self.files[f"{group}_scale.tsv"] = _tsv(
-                ["column", "mean", "sd"],
-                "%s\t%.17g\t%.17g",
-                zip(sm.names, sm.means.tolist(), sm.sds.tolist()),
-            )
+            self._add(_GROUP, (tuple(row.tolist()) for row in sm.matrix), group, sm.names)
+            self._add(_SCALE, zip(sm.names, sm.means.tolist(), sm.sds.tolist()), group)
 
     def run_enet(self) -> None:
         path = self.enet_path
-        self.files["path.tsv"] = _tsv(
-            ["lambda", "dev_ratio", "nonzero"],
-            "%.17g\t%.17g\t%d",
-            zip(path.lambdas.tolist(), path.dev_ratio.tolist(), path.nonzero.tolist()),
-        )
+        self._add(_PATH, zip(path.lambdas.tolist(), path.dev_ratio.tolist(), path.nonzero.tolist()))
         idx = self.selected_lambda_index()
         lam = float(path.lambdas[idx])
         x, y = self.design
+        sci = f".{self.args.digits - 1}e"
 
-        def coef_cells(coef_row: np.ndarray) -> list[str]:
-            if np.any(coef_row != 0.0):
-                return [_sci(c, self.args.digits) for c in coef_row]
-            return ["removed"] * len(coef_row)
+        def coef_row(name: str, coefs: np.ndarray) -> tuple:
+            if np.any(coefs != 0.0):
+                return (name, *(format(c, sci) for c in coefs.tolist()))
+            return (name, *["removed"] * len(coefs))
 
-        self.files[f"coef_{lam:.6g}.tsv"] = _tsv(
-            ["predictor"] + list(y.names),
-            "\t".join(["%s"] * (1 + len(y.names))),
-            ((name, *coef_cells(row)) for name, row in zip(x.names, path.coefs[idx])),
-        )
+        self._add(_COEF, map(coef_row, x.names, path.coefs[idx]), lam, y.names)
         print(f"coefficients written at lambda={_g17(lam)} rule={self.args.rule}", file=self.stdout)
 
     def run_cv(self) -> None:
         cv = self.cv_result
-        self.files["cv.tsv"] = _tsv(
-            ["lambda", "mean_error", "se_error"],
-            "%.17g\t%.17g\t%.17g",
-            zip(cv.lambdas.tolist(), cv.mean_error.tolist(), cv.se_error.tolist()),
-        )
+        self._add(_CV, zip(cv.lambdas.tolist(), cv.mean_error.tolist(), cv.se_error.tolist()))
         print(f"lambda.min={_g17(cv.lambda_min)}", file=self.stdout)
         print(f"lambda.1se={_g17(cv.lambda_1se)}", file=self.stdout)
 
@@ -249,90 +299,30 @@ class Pipeline:
         d = self.args.digits
         out = self.stdout
 
-        def fixed(value: float) -> str:
-            return _fixed(value, d)
-
-        def p4(value: float) -> str:
-            return _fixed(value, 4)
-
-        manova = manova_table(fit)
-        self.files["manova.tsv"] = _tsv(
-            ["term", "df", "pillai", "approx_f", "num_df", "den_df", "p", "stars"],
-            "%s\t%d\t%.17g\t%.17g\t%d\t%d\t%.17g\t%s",
-            (
-                (r.term, r.df, r.pillai, r.approx_f, r.num_df, r.den_df, r.p_value,
-                 stars(r.p_value))
-                for r in manova
-            ),
-        )
-        print("Multivariate tests:", file=out)
-        print(
-            _render_table(
-                ["term", "df", "pillai", "approx F", "num df", "den df", "p", ""],
-                [
-                    [r.term, str(r.df), fixed(r.pillai), fixed(r.approx_f), str(r.num_df),
-                     str(r.den_df), p4(r.p_value), stars(r.p_value)]
-                    for r in manova
-                ],
-            ),
-            file=out,
-        )
+        rows = [
+            (r.term, r.df, r.pillai, r.approx_f, r.num_df, r.den_df, r.p_value, stars(r.p_value))
+            for r in manova_table(fit)
+        ]
+        self._add(_MANOVA, rows)
 
         for k, response in enumerate(fit.response_names):
-            summary = univariate_summary(fit, k)
-            footer = (
-                f"F({summary.df1},{summary.df2})={_g17(summary.f_stat)} "
-                f"R2={_g17(summary.r2)} R2adj={_g17(summary.r2_adj)}"
-            )
-            self.files[f"uni_{response}.tsv"] = _tsv(
-                ["term", "estimate", "std_error", "t", "p", "stars"],
-                "%s\t%.17g\t%.17g\t%.17g\t%.17g\t%s",
-                ((r.name, r.estimate, r.std_error, r.t, r.p, stars(r.p)) for r in summary.coef_rows),
-                footer=footer,
-            )
-            print(f"Follow-up regression: {response}", file=out)
+            s = univariate_summary(fit, k)
+            rows = [(r.name, r.estimate, r.std_error, r.t, r.p, stars(r.p)) for r in s.coef_rows]
+            head = f"F({s.df1},{s.df2})="
+            footer = f"{head}{_g17(s.f_stat)} R2={_g17(s.r2)} R2adj={_g17(s.r2_adj)}"
+            self._add(_UNI, rows, response, footer=[footer])
             print(
-                _render_table(
-                    ["term", "estimate", "std error", "t", "p", ""],
-                    [
-                        [r.name, fixed(r.estimate), fixed(r.std_error), fixed(r.t), p4(r.p),
-                         stars(r.p)]
-                        for r in summary.coef_rows
-                    ],
-                ),
-                file=out,
-            )
-            print(
-                f"F({summary.df1},{summary.df2})={fixed(summary.f_stat)} "
-                f"R2={p4(summary.r2)} R2adj={p4(summary.r2_adj)} "
-                f"sigma={p4(summary.sigma)}",
+                f"{head}{s.f_stat:.{d}g} R2={s.r2:.4g} R2adj={s.r2_adj:.4g} sigma={s.sigma:.4g}",
                 file=out,
             )
 
-        entries = vif(fit)
-        self.files["vif.tsv"] = _tsv(
-            ["predictor", "r2_aux", "vif"],
-            "%s\t%.17g\t%.17g",
-            ((e.name, e.r2_aux, e.vif) for e in entries),
-        )
-        print("Variance inflation factors:", file=out)
-        print(_render_table(["predictor", "vif"], [[e.name, fixed(e.vif)] for e in entries]), file=out)
+        rows = [(e.name, e.r2_aux, e.vif) for e in vif(fit)]
+        self._add(_VIF, rows)
 
-        def residual_rows():
-            cells = [0.0] * (2 * fit.n_responses)
-            for fitted, residuals in zip(fit.fitted, fit.residuals):
-                cells[0::2] = fitted.tolist()
-                cells[1::2] = residuals.tolist()
-                yield tuple(cells)
-
-        # one observation per row of the format: the responses cycle fastest
-        self.files["residuals.tsv"] = _tsv(
-            ["response", "fitted", "residual"],
-            "\n".join(
-                name.replace("%", "%%") + "\t%.17g\t%.17g" for name in fit.response_names
-            ),
-            residual_rows(),
-        )
+        # one row per observation and response, the responses cycling
+        # fastest; a memoryview yields the floats without a list of them all
+        cells = [memoryview(a.ravel()) for a in (fit.fitted, fit.residuals)]
+        self._add(_RESIDUALS, zip(itertools.cycle(fit.response_names), *cells))
 
         y = fit.fitted + fit.residuals
         k = fit.n_responses
@@ -386,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="lambda selection rule (default min)",
         )
         p.add_argument(
-            "--digits", type=int, default=6, help="significant digits for display tables"
+            "--digits", type=int, default=6, help="significant digits: stdout tables, coef_*.tsv"
         )
         if name in ("mlm", "report"):
             p.add_argument(

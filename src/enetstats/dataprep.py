@@ -407,6 +407,15 @@ def standardize(table: RawTable) -> StandardizedMatrix:
         scale = np.ldexp(1.0, np.frexp(np.abs(values[:, extreme]).max(axis=0))[1] - 1)
         scaled = values[:, extreme] / scale
         means[extreme] = scaled.mean(axis=0) * scale
-        sds[extreme] = scaled.std(axis=0, ddof=1) * scale
+        with np.errstate(over="ignore"):
+            sds[extreme] = scaled.std(axis=0, ddof=1) * scale
+            # the largest |value - mean| that a z-score divides by the sd
+            spread = np.abs(scaled - scaled.mean(axis=0)).max(axis=0) * scale
+        too_large = extreme[~(np.isfinite(sds[extreme]) & np.isfinite(spread))]
+        if too_large.size:
+            raise DataError(
+                f"column {table.names[too_large[0]]!r} is too large to z-score: its sd or "
+                "the distance of a value from its mean overflows a double"
+            )
     z = (values - means) / sds
     return StandardizedMatrix(matrix=z, means=means, sds=sds, names=list(table.names))

@@ -2,6 +2,7 @@ import errno
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,11 +14,11 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import enetstats.cli
-from enetstats.cli import _g17, _tsv, main, stars
+from enetstats.cli import _GROUP, _g17, _tsv, main, stars
 from enetstats.cv import make_folds
 from enetstats.dataprep import SubsetConfig, load_csv, select_variables, standardize
 from enetstats.enet import EnetConfig, default_lambda_grid, fit_mgaussian_path
-from enetstats.inference import fit_mlm, pearson
+from enetstats.inference import fit_mlm, pearson, univariate_summary
 
 from oracles import cv_refit_loop
 
@@ -60,7 +61,10 @@ def write_small_dataset(tmp_path, n=12, seed=5):
 class TestStars:
     @pytest.mark.parametrize(
         "p,want",
-        [(0.0005, "***"), (0.005, "**"), (0.03, "*"), (0.2, "NS"), (0.001, "**"), (0.05, "NS")],
+        [
+            (0.0005, "***"), (0.005, "**"), (0.03, "*"), (0.2, "NS"),
+            (0.001, "**"), (0.01, "*"), (0.05, "NS"),
+        ],
     )
     def test_codes(self, p, want):
         assert stars(p) == want
@@ -73,9 +77,8 @@ class TestTsvEgress:
     @example([1.7976931348623157e308, -1.7976931348623157e308, -5e-324])
     def test_row_format_matches_per_cell_format(self, values):
         header = [f"c{j}" for j in range(len(values))]
-        line = "\t".join(["%.17g"] * len(values))
         want = "\t".join(header) + "\n" + "\t".join(format(v, ".17g") for v in values) + "\n"
-        assert _tsv(header, line, [tuple(values)]) == want
+        assert _tsv(_GROUP, [tuple(values)], header) == want
 
     def test_percent_in_response_name_written_verbatim(self, tmp_path, capsys):
         csv, cfg = write_small_dataset(tmp_path)
@@ -115,6 +118,28 @@ class TestPrep:
         assert [r[0] for r in rows] == ["yll_communicable", "yll_noncommunicable"]
         for row in rows:
             assert float(row[2]) > 0
+
+    @pytest.mark.parametrize(
+        "column",
+        [
+            # the sd is finite, and 1.7e308 lies more than a double from the mean
+            [1.7e308, -1.7e308, -1.7e308, 5.0],
+            # each value lies 1.3e308 from the mean, and the sd overflows
+            [1.3e308, -1.3e308],
+        ],
+    )
+    def test_column_too_large_to_z_score_exits_2_naming_it(self, tmp_path, capsys, column):
+        csv = tmp_path / "h.csv"
+        rows = "".join(f"{v!r},{i}\n" for i, v in enumerate(column))
+        csv.write_text("a,b\n" + rows, encoding="utf-8")
+        cfg = tmp_path / "h.cfg"
+        cfg.write_text("g.column = a\ng.column = b\n", encoding="utf-8")
+        out = tmp_path / "o"
+        assert run("prep", "--input", csv, "--subsets", cfg, "--out", out) == 2
+        captured = capsys.readouterr()
+        assert "'a'" in captured.err and "too large" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_missing_column_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -287,16 +312,20 @@ class TestEnet:
         assert math.isclose(lams[0], lam_max, rel_tol=1e-15)
 
     def test_noise_predictor_removed(self, tmp_path):
-        out = tmp_path / "out"
-        run("enet", "--input", DEMO_CSV, "--subsets", DEMO_CFG, "--out", out)
-        coef_files = list(out.glob("coef_*.tsv"))
-        assert len(coef_files) == 1
-        header, rows = read_tsv(coef_files[0])
-        assert header == ["predictor", "yll_communicable", "yll_noncommunicable"]
-        by_name = {r[0]: r[1:] for r in rows}
-        assert by_name["water_access"] == ["removed", "removed"]
-        # the informative predictors stay, printed in 6-digit scientific form
-        assert "e" in by_name["fertility_rate"][0]
+        for digits in (6, 3):
+            out = tmp_path / f"out{digits}"
+            argv = ["enet", "--input", DEMO_CSV, "--subsets", DEMO_CFG, "--out", out]
+            run(*argv, "--digits", digits)
+            coef_files = list(out.glob("coef_*.tsv"))
+            assert len(coef_files) == 1
+            header, rows = read_tsv(coef_files[0])
+            assert header == ["predictor", "yll_communicable", "yll_noncommunicable"]
+            by_name = {r[0]: r[1:] for r in rows}
+            assert by_name["water_access"] == ["removed", "removed"]
+            # the informative predictors stay, in scientific form at --digits
+            sci = re.compile(rf"-?\d\.\d{{{digits - 1}}}e[+-]\d\d")
+            kept = [c for name, cells in by_name.items() if name != "water_access" for c in cells]
+            assert kept and all(sci.fullmatch(c) for c in kept), kept
 
     def test_numbers_round_trip(self, tmp_path):
         out = tmp_path / "out"
@@ -457,6 +486,93 @@ class TestMlm:
         )
         assert code == 4
         assert "collinear" in capsys.readouterr().err
+
+
+def stdout_sections(text):
+    """The stdout tables by title, each as its lines up to the next title."""
+    sections, title = {}, None
+    for line in text.splitlines():
+        if line.endswith(":") or line.startswith("Follow-up regression: "):
+            title = line
+            sections[title] = []
+        elif line.startswith("pearson"):
+            title = None
+        elif title is not None:
+            sections[title].append(line)
+    return sections
+
+
+def cell_starts(line):
+    # cells are at least two spaces apart; a header may hold one space
+    return [m.start() for m in re.finditer(r"\S+(?: \S+)*", line)]
+
+
+class TestStdoutTables:
+    """Each stdout table shows the cells of its TSV at display precision:
+    numbers at --digits significant digits, p-values at 4, text as is."""
+
+    def assert_shown(self, lines, path, header, styles):
+        """``lines`` are the table's aligned header and rows; ``styles``
+        formats each TSV column, None for a column kept off screen."""
+        _, rows = read_tsv(path)
+        rows = [row for row in rows if len(row) > 1]  # without a footer line
+        assert re.split(r"\s{2,}", lines[0]) == header
+        shown = [line.split() for line in lines[1 : 1 + len(rows)]]
+        assert shown == [[f(c) for c, f in zip(row, styles) if f] for row in rows]
+        starts = [cell_starts(line) for line in lines[1 : 1 + len(rows)]]
+        assert all(s == starts[0] for s in starts)
+        assert starts[0][: len(header)] == cell_starts(lines[0])
+        return lines[1 + len(rows) :]
+
+    @pytest.mark.parametrize("digits", [6, 3])
+    def test_tables_match_tsvs(self, tmp_path, capsys, digits):
+        out = tmp_path / "out"
+        argv = ["mlm", "--input", DEMO_CSV, "--subsets", DEMO_CFG, "--out", out]
+        assert run(*argv, "--digits", digits) == 0
+        sections = stdout_sections(capsys.readouterr().out)
+
+        def fixed(cell):
+            return format(float(cell), f".{digits}g")
+
+        def p4(cell):
+            return format(float(cell), ".4g")
+
+        text = str
+        rest = self.assert_shown(
+            sections["Multivariate tests:"], out / "manova.tsv",
+            ["term", "df", "pillai", "approx F", "num df", "den df", "p"],
+            [text, text, fixed, fixed, text, text, p4, text],
+        )
+        assert rest == []
+
+        _, rows = read_tsv(out / "manova.tsv")
+        terms = [r[0] for r in rows]
+        table, cfg = load_csv(DEMO_CSV), SubsetConfig.load(DEMO_CFG)
+        x = standardize(select_variables(table, cfg, cfg.group_with_role("predictor")))
+        y = standardize(select_variables(table, cfg, cfg.group_with_role("response")))
+        fit = fit_mlm(x.matrix[:, [x.names.index(t) for t in terms]], y.matrix)
+        for k, response in enumerate(y.names):
+            path = out / f"uni_{response}.tsv"
+            (footer,) = self.assert_shown(
+                sections[f"Follow-up regression: {response}"], path,
+                ["term", "estimate", "std error", "t", "p"],
+                [text, fixed, fixed, fixed, p4, text],
+            )
+            written = dict(c.split("=") for c in read_tsv(path)[1][-1][0].split())
+            got = dict(c.split("=") for c in footer.split())
+            (f_label,) = [label for label in written if label.startswith("F(")]
+            assert got == {
+                f_label: fixed(written[f_label]),
+                "R2": p4(written["R2"]),
+                "R2adj": p4(written["R2adj"]),
+                "sigma": format(univariate_summary(fit, k).sigma, ".4g"),
+            }
+
+        rest = self.assert_shown(
+            sections["Variance inflation factors:"], out / "vif.tsv",
+            ["predictor", "vif"], [text, None, fixed],
+        )
+        assert rest == []
 
 
 class TestFlagValidation:

@@ -245,3 +245,12 @@ class TestRelativeTailAccuracy:
                     tails.append(float(want))
         assert len(tails) >= 250
         assert min(tails) < 1e-250
+
+    @pytest.mark.parametrize("f,d1,d2", [(2.0, 100000, 2), (1.0, 100000, 100)])
+    def test_large_numerator_df(self, f, d1, d2):
+        # two points past the documented numerator df of 100: y = d1 f /
+        # (d2 + d1 f) is close to 1 and carries the shape d1 / 2, so log(y)
+        # in place of log1p(-x) misses them by ~2e-12
+        want = self._reference(mpmath.mpf(d2) / 2, mpmath.mpf(d1) / 2, d2, d1 * mpmath.mpf(f))
+        err = float(abs(f_sf(f, d1, d2).value - want) / want)
+        assert err <= 1e-12, err

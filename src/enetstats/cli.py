@@ -261,10 +261,11 @@ class Pipeline:
     # -- subcommands -------------------------------------------------------
 
     def _add(self, table: _Table, rows, key=None, names=(), footer=()) -> None:
-        """Add a table's file and, if it has a title, show the same row list on stdout."""
-        self.files[table.file.format(key)] = _tsv(table, rows, names, footer)
+        """Add a table's file; a titled table is small, and its listed rows also go to stdout."""
         if table.title:
+            rows = list(rows)
             print(_render(table, rows, self.args.digits, key), file=self.stdout)
+        self.files[table.file.format(key)] = _tsv(table, rows, names, footer)
 
     def run_prep(self) -> None:
         for group in self.subsets.groups:
@@ -316,8 +317,7 @@ class Pipeline:
                 file=out,
             )
 
-        rows = [(e.name, e.r2_aux, e.vif) for e in vif(fit)]
-        self._add(_VIF, rows)
+        self._add(_VIF, ((e.name, e.r2_aux, e.vif) for e in vif(fit)))
 
         # one row per observation and response, the responses cycling
         # fastest; a memoryview yields the floats without a list of them all

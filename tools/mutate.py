@@ -13,7 +13,7 @@ Each mutant changes one thing in the module's syntax tree:
 The script lists every such site, draws ``--count`` of them with
 ``random.Random(--seed)``, and runs the named tests once per mutant in a
 scratch copy of the repository, so the working tree is never touched. A
-mutant is killed when pytest exits nonzero (or runs past ``--timeout``)
+mutant is killed when pytest exits nonzero (or runs past ten minutes)
 and survives when every test passes. Each survivor is either an untested
 number or an equivalent mutant, code that can be simplified; the script
 reports them for a reader to judge. It is a developer tool, not a test.
@@ -41,11 +41,7 @@ _FLIP = {
     ast.In: ast.NotIn, ast.NotIn: ast.In,
 }
 _SWAP = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mult}
-_SYMBOL = {
-    ast.Lt: "<", ast.GtE: ">=", ast.Gt: ">", ast.LtE: "<=", ast.Eq: "==", ast.NotEq: "!=",
-    ast.Is: "is", ast.IsNot: "is not", ast.In: "in", ast.NotIn: "not in",
-    ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/",
-}
+_TIMEOUT = 600.0  # seconds per mutant run; a mutant that hangs is killed
 
 
 def sites(tree: ast.Module) -> list[tuple[int, int, str]]:
@@ -64,22 +60,19 @@ def sites(tree: ast.Module) -> list[tuple[int, int, str]]:
 
 
 def mutate(source: str, site: tuple[int, int, str]) -> tuple[str, str]:
-    """The module's source with one site changed, and a one-line label."""
+    """The module's source with one site changed, and a one-line label
+    that shows the changed expression before and after."""
     tree = ast.parse(source)
     index, j, kind = site
     node = next(n for i, n in enumerate(ast.walk(tree)) if i == index)
+    before = ast.unparse(node)
     if kind == "compare":
-        old = type(node.ops[j])
-        node.ops[j] = _FLIP[old]()
-        label = f"{_SYMBOL[old]} -> {_SYMBOL[_FLIP[old]]}"
+        node.ops[j] = _FLIP[type(node.ops[j])]()
     elif kind == "arith":
-        old = type(node.op)
-        node.op = _SWAP[old]()
-        label = f"{_SYMBOL[old]} -> {_SYMBOL[_SWAP[old]]}"
+        node.op = _SWAP[type(node.op)]()
     else:
-        label = f"{node.value!r} -> {node.value * 1.5!r}"
         node.value *= 1.5
-    return ast.unparse(tree) + "\n", f"line {node.lineno}: {kind} {label}"
+    return ast.unparse(tree) + "\n", f"line {node.lineno}: {kind} {before} -> {ast.unparse(node)}"
 
 
 def main(argv=None) -> int:
@@ -88,7 +81,6 @@ def main(argv=None) -> int:
     parser.add_argument("tests", nargs="+", help="pytest targets the mutants run against")
     parser.add_argument("--count", type=int, default=30, help="mutants to draw (default 30)")
     parser.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
-    parser.add_argument("--timeout", type=float, default=600.0, help="seconds per mutant run")
     args = parser.parse_args(argv)
 
     root = Path.cwd()
@@ -111,7 +103,7 @@ def main(argv=None) -> int:
             target.write_text(text, encoding="utf-8")
             try:
                 done = subprocess.run(
-                    command, cwd=copy, env=env, capture_output=True, timeout=args.timeout
+                    command, cwd=copy, env=env, capture_output=True, timeout=_TIMEOUT
                 )
             except subprocess.TimeoutExpired:
                 return False

@@ -11,7 +11,10 @@ A run computes first and writes once: ``--out`` is created,
 the files written and stdout printed only after every stage of the
 command has returned, so a failed run creates or changes no file in
 ``--out`` and prints nothing to stdout; the files go in under temporary
-names, so an I/O error while writing leaves ``--out`` as it was too.
+names, so an error while writing leaves ``--out`` as it was too. The
+stages keep each file's table and rows, not its text: the rows are
+formatted while each file is written, so the CLI never holds an output
+file's text.
 Exit codes: 0 success, 2 input/validation failure, 3 solver or CV
 failure, 4 inference failure.
 """
@@ -63,6 +66,7 @@ EXIT_INFERENCE = 4
 _INPUT_ERRORS = (DataError, FileNotFoundError, IsADirectoryError, PermissionError)
 _SOLVER_ERRORS = (ConvergenceError, CvError)
 _INFERENCE_ERRORS = (RankDeficiencyError, PerfectFitError, CollinearityError)
+_BUFFER = 1 << 18  # write buffer per output file, in bytes
 
 
 def _g17(value: float) -> str:
@@ -144,17 +148,20 @@ _RESIDUALS = _Table(
 )
 
 
-def _tsv(table: _Table, rows, names=(), footer=()) -> str:
-    """A table's TSV text: each tuple in ``rows`` fills the columns'
-    %-formats, and then one ``table.each`` column per entry of ``names``;
-    the ``footer`` lines follow. Rows are formatted in chunks of 32, each
-    joined at once, so few strings are alive when the text is joined."""
+def _tsv(sink, table: _Table, rows, names=(), footer=()) -> None:
+    """Write a table's TSV text to the text file ``sink``: each tuple in
+    ``rows`` fills the columns' %-formats, and then one ``table.each``
+    column per entry of ``names``; the ``footer`` lines follow. Rows are
+    formatted while the file is written, 32 to a ``write``, so no more
+    than a chunk of the text exists at once."""
     line = "\t".join([c.fmt for c in table.columns] + [table.each] * len(names))
-    text = ["\t".join([c.header for c in table.columns] + list(names))]
+    sink.write("\t".join([c.header for c in table.columns] + list(names)) + "\n")
     rows = iter(rows)
     while chunk := [line % row for row in itertools.islice(rows, 32)]:
-        text.append("\n".join(chunk))
-    return "\n".join([*text, *footer, ""])
+        chunk.append("")  # each line ends in LF
+        sink.write("\n".join(chunk))
+    for text in footer:
+        sink.write(text + "\n")
 
 
 def _render(table: _Table, rows, digits: int, key=None) -> str:
@@ -183,22 +190,24 @@ class _Groups(dict):
 
 
 class _Files(dict):
-    """File name to text; a name that is not a plain file name or that two
-    outputs share is rejected when added, before anything is written."""
+    """File name to the table, rows, names and footer :func:`_tsv` writes
+    it from; a name that is not a plain file name or that two outputs share
+    is rejected when added, before anything is written."""
 
-    def __setitem__(self, name: str, text: str) -> None:
+    def __setitem__(self, name: str, output: tuple) -> None:
         if Path(name).name != name:
             raise DataError(f"output file name {name!r} is not a plain file name")
         if name in self:
             raise DataError(f"two outputs would both be written to {name!r}")
-        super().__setitem__(name, text)
+        super().__setitem__(name, output)
 
 
 class Pipeline:
     """Shared state for the subcommands so `report` never recomputes.
 
-    The ``run_*`` stages write nothing: each adds its files' text to
-    ``files`` (file name to text) and its lines to ``stdout``.
+    The ``run_*`` stages write nothing: each adds its files to ``files``
+    (file name to table, rows, names and footer, formatted only when the
+    file is written) and its lines to ``stdout``.
     """
 
     def __init__(self, args: argparse.Namespace):
@@ -265,7 +274,7 @@ class Pipeline:
         if table.title:
             rows = list(rows)
             print(_render(table, rows, self.args.digits, key), file=self.stdout)
-        self.files[table.file.format(key)] = _tsv(table, rows, names, footer)
+        self.files[table.file.format(key)] = (table, rows, names, footer)
 
     def run_prep(self) -> None:
         for group in self.subsets.groups:
@@ -424,9 +433,10 @@ def _predictor_flag(args: argparse.Namespace, subsets: SubsetConfig) -> list[str
     return names
 
 
-def _write_files(out: Path, files: dict[str, str]) -> None:
-    """Write every file into the ``--out`` directory so that an I/O error
-    leaves ``--out`` as it was, with no temporary file behind.
+def _write_files(out: Path, files: dict[str, tuple]) -> None:
+    """Write every file, each by :func:`_tsv` from its entry in ``files``,
+    into the ``--out`` directory so that an error while writing leaves
+    ``--out`` as it was, with no temporary file behind.
 
     A fresh ``--out`` is built as a hidden sibling directory and renamed
     into place. In an existing one every file is first written under a
@@ -448,9 +458,10 @@ def _write_files(out: Path, files: dict[str, str]) -> None:
             ) from None
     temporary = {name: staging / (name if fresh else f".{name}{suffix}") for name in files}
     try:
-        for name, text in files.items():
+        for name, output in files.items():
             failure = f"cannot write {name!r}"
-            temporary[name].write_text(text, encoding="utf-8", newline="")
+            with temporary[name].open("w", encoding="utf-8", newline="", buffering=_BUFFER) as sink:
+                _tsv(sink, *output)
         if fresh:
             failure = f"cannot create directory {str(out)!r}"
             staging.rename(out)
@@ -458,13 +469,15 @@ def _write_files(out: Path, files: dict[str, str]) -> None:
             for name, path in temporary.items():
                 failure = f"cannot write {name!r}"
                 os.replace(path, out / name)
-    except OSError as exc:
+    except BaseException as exc:
         if fresh:
             shutil.rmtree(staging, ignore_errors=True)
         else:
             for path in temporary.values():
                 path.unlink(missing_ok=True)
-        raise DataError(f"--out: {failure}: {exc.strerror}") from None
+        if isinstance(exc, OSError):
+            raise DataError(f"--out: {failure}: {exc.strerror}") from None
+        raise
 
 
 def main(argv=None) -> int:

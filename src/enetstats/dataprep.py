@@ -418,4 +418,16 @@ def standardize(table: RawTable) -> StandardizedMatrix:
                 "the distance of a value from its mean overflows a double"
             )
     z = (values - means) / sds
+    # a spread far below the mean leaves these z-scores off by the mean's
+    # rounding; such a column is centered again on its differences from the
+    # rounded mean, which are exact, scaled by a power of two to max |d| < 1
+    near = np.flatnonzero(np.abs(means) / 1024.0 > sds)
+    if near.size:
+        d = values[:, near] - means[near]
+        scale = np.ldexp(1.0, np.frexp(np.abs(d).max(axis=0))[1])
+        d /= scale
+        shift, sd = d.mean(axis=0), d.std(axis=0, ddof=1)
+        means[near] += shift * scale
+        sds[near] = sd * scale
+        z[:, near] = (d - shift) / sd
     return StandardizedMatrix(matrix=z, means=means, sds=sds, names=list(table.names))

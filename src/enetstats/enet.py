@@ -83,7 +83,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import as_matrix, is_constant
+from .linalg import as_matrix, check_scale, is_constant
 
 __all__ = [
     "ConvergenceError",
@@ -280,7 +280,8 @@ def _working_copies(x, y: np.ndarray):
     """Reject data no fit can use and return the centered working copies
     ``xw`` and ``yw`` with the offsets, the column means, removed.
 
-    Constancy is judged by :func:`~enetstats.linalg.is_constant`.
+    Constancy is judged by :func:`~enetstats.linalg.is_constant`, and a
+    column's scale by :func:`~enetstats.linalg.check_scale`.
     """
     x = as_matrix(x, "x")
     n = x.shape[0]
@@ -291,6 +292,8 @@ def _working_copies(x, y: np.ndarray):
         raise ValueError(f"predictor column {int(flat[0])} is constant")
     if np.all(is_constant(y)):
         raise ValueError("responses are constant; deviance ratio is undefined")
+    check_scale(x, lambda j: f"predictor column {j}")
+    check_scale(y, lambda j: f"response column {j}")
     x_off = x.mean(axis=0)
     y_off = y.mean(axis=0)
     return x - x_off, y - y_off, x_off, y_off

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dist import f_sf, t_sf
-from .linalg import RankDeficiencyError, as_matrix, check_rank, is_constant, r_factor
+from .linalg import RankDeficiencyError, as_matrix, check_rank, check_scale, is_constant, r_factor
 
 __all__ = [
     "PerfectFitError",
@@ -154,7 +154,9 @@ def fit_mlm(x, y, predictor_names=None, response_names=None) -> MlmFit:
     One Q-free QR of [1, X, Y] gives R = [[R_x, R_xy], [0, R_e]]: the
     coefficients are R_x^-1 R_xy, (X'X)^-1 = R_x^-1 R_x^-T and
     E = R_e'R_e. Raises :class:`~enetstats.linalg.RankDeficiencyError`
-    naming the first predictor that is collinear with the columns before it.
+    naming the first predictor that is collinear with the columns before it,
+    and ValueError naming a column outside
+    :func:`~enetstats.linalg.check_scale`'s window.
     """
     x = as_matrix(x, "x")
     y = as_matrix(y, "y")
@@ -172,6 +174,8 @@ def fit_mlm(x, y, predictor_names=None, response_names=None) -> MlmFit:
         response_names = [f"y{j + 1}" for j in range(k)]
     if len(predictor_names) != p or len(response_names) != k:
         raise ValueError("name lists must match the matrix shapes")
+    check_scale(x, lambda j: f"predictor {predictor_names[j]!r}")
+    check_scale(y, lambda j: f"response {response_names[j]!r}")
 
     augmented = np.column_stack([np.ones(n), x, y])
     r = r_factor(augmented)

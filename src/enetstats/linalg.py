@@ -11,7 +11,10 @@ layers build their diagnostics on:
 * one Q-free QR (:func:`r_factor`), whose R holds every regression
   statistic, and one pivot rule for it (:func:`check_rank`), which judges
   each pivot against its own column's norm, so collinearity surfaces as a
-  rank failure naming the dependent column whatever the columns' scales.
+  rank failure naming the dependent column whatever the columns' scales;
+* one scale window (:func:`check_scale`) for the fitters' columns, inside
+  which none of their sums of squares, inverses or ratios of two columns'
+  scales can overflow.
 
 Problems in this package stay small (~100 columns at most), so everything
 is dense and unblocked.
@@ -29,6 +32,7 @@ __all__ = [
 ]
 
 _RANK_TOL = 1e-12
+_SCALE_MAX = 2.0**200  # about 1.6e60
 
 
 class DimensionError(ValueError):
@@ -70,6 +74,24 @@ def is_constant(x: np.ndarray) -> np.ndarray:
     wraps exactly the names listed there, does not count it as a call.
     """
     return x.max(axis=0) == x.min(axis=0)
+
+
+def check_scale(a: np.ndarray, label) -> None:
+    """Raise ValueError naming ``label(j)`` for the first column j of ``a``
+    whose largest |value| is nonzero and outside [2^-200, 2^200]. Squares,
+    inverses and products of such scales stay finite, so a fit whose
+    columns pass never overflows for a column's scale alone.
+
+    Left out of ``__all__`` for the reason :func:`is_constant` is.
+    """
+    big = np.abs(a).max(axis=0)
+    bad = np.flatnonzero((big > _SCALE_MAX) | ((big > 0.0) & (big < 1.0 / _SCALE_MAX)))
+    if bad.size:
+        j = int(bad[0])
+        raise ValueError(
+            f"{label(j)} has largest |value| {big[j]:.3g}, outside the 2^-200 to 2^200 "
+            "(about 6.2e-61 to 1.6e60) the fitters accept; rescale it"
+        )
 
 
 def r_factor(x) -> np.ndarray:

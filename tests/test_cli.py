@@ -1,10 +1,15 @@
+import contextlib
 import errno
+import io
+import itertools
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +19,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import enetstats.cli
-from enetstats.cli import _GROUP, _g17, _tsv, main, stars
+from enetstats.cli import _GROUP, Pipeline, _g17, _tsv, _write_files, build_parser, main, stars
 from enetstats.cv import make_folds
 from enetstats.dataprep import SubsetConfig, load_csv, select_variables, standardize
 from enetstats.enet import EnetConfig, default_lambda_grid, fit_mgaussian_path
@@ -78,7 +83,9 @@ class TestTsvEgress:
     def test_row_format_matches_per_cell_format(self, values):
         header = [f"c{j}" for j in range(len(values))]
         want = "\t".join(header) + "\n" + "\t".join(format(v, ".17g") for v in values) + "\n"
-        assert _tsv(_GROUP, [tuple(values)], header) == want
+        sink = io.StringIO()
+        _tsv(sink, _GROUP, [tuple(values)], header)
+        assert sink.getvalue() == want
 
     def test_percent_in_response_name_written_verbatim(self, tmp_path, capsys):
         csv, cfg = write_small_dataset(tmp_path)
@@ -736,32 +743,66 @@ class TestFailedRunWritesNothing:
             assert not out.exists()
 
 
+def fail_write(monkeypatch, file, write, error):
+    """Make the ``write``-th write into the ``file``-th file opened for
+    writing write its first 5 characters and then raise ``error``; returns
+    the paths opened for writing."""
+    path_open = Path.open
+    opened = []
+
+    class Sink:
+        def __init__(self, handle):
+            self.handle = handle
+            self.index = len(opened)
+            self.writes = 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            self.handle.close()
+
+        def write(self, text):
+            self.writes += 1
+            if (self.index, self.writes) == (file, write):
+                self.handle.write(text[:5])
+                raise error
+            return self.handle.write(text)
+
+    def open_for_test(path, mode="r", *args, **kwargs):
+        handle = path_open(path, mode, *args, **kwargs)
+        if "w" not in mode:
+            return handle
+        sink = Sink(handle)
+        opened.append(path)
+        return sink
+
+    monkeypatch.setattr(Path, "open", open_for_test)
+    return opened
+
+
 class TestAtomicOutput:
-    @pytest.mark.parametrize("existing", [False, True], ids=["fresh", "existing"])
-    def test_failed_second_write_leaves_out_unchanged(self, tmp_path, capsys, monkeypatch, existing):
+    ENOSPC = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def run_failing(self, tmp_path, capsys, monkeypatch, existing, file, write, error):
+        """Run ``prep`` with the ``write``-th write into its ``file``-th
+        file raising ``error``, check that ``--out`` is as it was with no
+        temporary file behind, and return stderr."""
         out = tmp_path / "o"
         if existing:
             out.mkdir()
             (out / "sentinel.tsv").write_bytes(b"before\n")
             (out / "demographic.tsv").write_bytes(b"old\n")
-        write_text = Path.write_text
-        written = []
-
-        def full_disk_on_second(path, text, *args, **kwargs):
-            written.append(path)
-            if len(written) == 2:  # a truncated file, then the error
-                write_text(path, text[:5], *args, **kwargs)
-                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-            return write_text(path, text, *args, **kwargs)
-
-        monkeypatch.setattr(Path, "write_text", full_disk_on_second)
-        assert run("prep", "--input", DEMO_CSV, "--subsets", DEMO_CFG, "--out", out) == 2
+        written = fail_write(monkeypatch, file, write, error)
+        argv = ("prep", "--input", DEMO_CSV, "--subsets", DEMO_CFG, "--out", out)
+        if isinstance(error, OSError):
+            assert run(*argv) == 2
+        else:
+            with pytest.raises(type(error)):
+                run(*argv)
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (
-            "error: --out: cannot write 'demographic_scale.tsv': No space left on device\n"
-        )
-        assert all(not path.exists() for path in written)
+        assert written and all(not path.exists() for path in written)
         if existing:
             assert sorted(p.name for p in tmp_path.iterdir()) == ["o"]
             assert sorted(p.name for p in out.iterdir()) == ["demographic.tsv", "sentinel.tsv"]
@@ -769,6 +810,29 @@ class TestAtomicOutput:
             assert (out / "demographic.tsv").read_bytes() == b"old\n"
         else:
             assert list(tmp_path.iterdir()) == []
+        return captured.err
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["fresh", "existing"])
+    def test_failed_second_write_leaves_out_unchanged(self, tmp_path, capsys, monkeypatch, existing):
+        # the second file's first write is truncated, then the error
+        err = self.run_failing(tmp_path, capsys, monkeypatch, existing, 1, 1, self.ENOSPC)
+        want = "error: --out: cannot write 'demographic_scale.tsv': No space left on device\n"
+        assert err == want
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["fresh", "existing"])
+    def test_failed_write_mid_file_leaves_out_unchanged(
+        self, tmp_path, capsys, monkeypatch, existing
+    ):
+        # demographic.tsv's header and first chunk of rows are written, and
+        # its second chunk is truncated
+        err = self.run_failing(tmp_path, capsys, monkeypatch, existing, 0, 3, self.ENOSPC)
+        assert err == "error: --out: cannot write 'demographic.tsv': No space left on device\n"
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["fresh", "existing"])
+    def test_interrupted_write_leaves_out_unchanged(self, tmp_path, capsys, monkeypatch, existing):
+        # not an OSError: it propagates, and the temporaries are still removed
+        err = self.run_failing(tmp_path, capsys, monkeypatch, existing, 1, 1, KeyboardInterrupt())
+        assert err == ""
 
     def test_existing_out_files_replaced(self, tmp_path, capsys):
         out = tmp_path / "o"
@@ -784,6 +848,154 @@ class TestAtomicOutput:
         for name in names:
             assert (out / name).read_bytes() == (fresh / name).read_bytes()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh", "o"]
+
+
+class TestStreamedOutput:
+    def test_writing_holds_no_file_text(self, tmp_path):
+        """The files' text is formatted while it is written: while ~8.9 MB
+        of TSV is written, traced memory never grows by 1 MB."""
+        n, p = 11_000, 40
+        names = [f"x{j}" for j in range(p)]
+        csv = tmp_path / "wide.csv"
+        data = np.random.default_rng(7).normal(size=(n, p))
+        np.savetxt(csv, data, fmt="%.6f", delimiter=",", header=",".join(names), comments="")
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text("".join(f"g.column = {name}\n" for name in names), encoding="utf-8")
+        out = tmp_path / "o"
+        args = build_parser().parse_args(
+            ["prep", "--input", str(csv), "--subsets", str(cfg), "--out", str(out)]
+        )
+        pipeline = Pipeline(args)
+        pipeline.run_prep()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            _write_files(out, pipeline.files)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(path.stat().st_size for path in out.iterdir()) >= 8_000_000
+        assert peak - start < 1_000_000
+
+
+@st.composite
+def cli_runs(draw):
+    """A small CSV whose columns are each normal, small integers or at a
+    scale of 10^-300 to 10^300; a config with a predictor and a response
+    group; a command and its flags; and whether ``--out`` exists before
+    the run. Most runs are valid; one fault at most is drawn in: a column
+    that copies the one before, is constant, or has a tiny spread on a
+    large mean, an "NA" cell, too few rows, or one bad flag value."""
+    faults = ["copy", "constant", "tiny", "na", "rows", "flag"]
+    fault = draw(st.sampled_from([None] * 9 + faults))
+    n = draw(st.integers(1, 3) if fault == "rows" else st.integers(6, 20))
+    p = draw(st.integers(2, 5))
+    k = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for _ in range(p + k):
+        kind = draw(st.sampled_from(["normal", "integers", "scaled"]))
+        if kind == "integers":
+            columns.append(rng.integers(-3, 4, size=n).astype(float))
+        elif kind == "scaled":
+            columns.append(rng.normal(size=n) * 10.0 ** draw(st.integers(-300, 300)))
+        else:
+            columns.append(rng.normal(size=n))
+    bad = draw(st.integers(0, p + k - 1))  # the column a fault is drawn in
+    if fault == "copy":
+        columns[bad] = columns[bad - 1].copy()
+    elif fault == "constant":
+        columns[bad] = np.full(n, 2.5)
+    elif fault == "tiny":
+        columns[bad] = 1e6 + 1e-9 * rng.normal(size=n)
+    cells = [[repr(float(v)) for v in row] for row in np.column_stack(columns)]
+    if fault == "na":
+        cells[draw(st.integers(0, n - 1))][bad] = "NA"
+    names = [f"x{j}" for j in range(p)] + [f"y{j}" for j in range(k)]
+    csv = ",".join(names) + "\n" + "".join(",".join(row) + "\n" for row in cells)
+    cfg = "pred.role = predictor\nresp.role = response\n" + "".join(
+        f"{'pred' if name[0] == 'x' else 'resp'}.column = {name}\n" for name in names
+    )
+    command = draw(st.sampled_from(["prep", "enet", "cv", "mlm", "report"]))
+    flags = {
+        "--alpha": draw(st.sampled_from(["0.5", "1", "0.01"])),
+        "--nlambda": draw(st.sampled_from(["5", "8", "2"])),  # few, so each run is short
+        "--folds": draw(st.sampled_from(["2", "3", str(n)])),
+        "--rule": draw(st.sampled_from(["min", "1se"])),
+        "--digits": draw(st.sampled_from(["6", "1"])),
+        "--lambda-min-ratio": draw(st.sampled_from(["0.01", "0.1"])),
+    }
+    if fault == "flag":
+        flag, value = draw(st.sampled_from([
+            ("--alpha", "0"), ("--alpha", "-1"), ("--alpha", "nan"), ("--nlambda", "0"),
+            ("--folds", "1"), ("--folds", str(n + 1)), ("--digits", "0"),
+            ("--lambda-min-ratio", "1"), ("--lambda-min-ratio", "-0.1"),
+            ("--predictors", "nope"),
+        ]))
+        flags[flag] = value
+    elif command in ("mlm", "report") and draw(st.booleans()):
+        chosen = st.lists(st.sampled_from(names[:p]), min_size=1, max_size=3, unique=True)
+        flags["--predictors"] = ",".join(draw(chosen))
+    return csv, cfg, [command, *itertools.chain(*flags.items())], draw(st.booleans())
+
+
+def assert_finite_tsv(path):
+    """Every row of a TSV has the header's width, and every cell that
+    reads as a number (or a footer's ``key=value``) is finite."""
+    lines = path.read_text(encoding="utf-8").split("\n")
+    assert lines.pop() == ""
+    width = len(lines[0].split("\t"))
+    for line in lines[1:]:
+        cells = line.split("\t")
+        if len(cells) == 1 and line.startswith("F("):  # the follow-up table's footer
+            cells = [cell.split("=")[1] for cell in line.split()]
+        else:
+            assert len(cells) == width, (path.name, line)
+        for cell in cells:
+            try:
+                value = float(cell)
+            except ValueError:
+                continue
+            assert math.isfinite(value), (path.name, line)
+
+
+class TestCliContract:
+    """Drawn inputs and flags through ``main``: an exit code of 0, 2, 3 or 4
+    and no exception or warning; a failed run prints nothing to stdout and
+    leaves ``--out`` as it was, without temporaries; a successful run's
+    TSVs parse and hold only finite numbers."""
+
+    @settings(max_examples=150)
+    @given(cli_runs())
+    def test_exit_codes_output_and_files(self, drawn):
+        csv_text, cfg_text, argv, existing = drawn
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            csv, cfg, out = tmp / "in.csv", tmp / "in.cfg", tmp / "o"
+            csv.write_text(csv_text, encoding="utf-8")
+            cfg.write_text(cfg_text, encoding="utf-8")
+            if existing:
+                out.mkdir()
+                (out / "sentinel.txt").write_bytes(b"before\n")
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main([*argv, "--input", str(csv), "--subsets", str(cfg), "--out", str(out)])
+            assert code in (0, 2, 3, 4)
+            if code:
+                assert stdout.getvalue() == ""
+                assert stderr.getvalue().startswith("error: ")
+                assert sorted(q.name for q in tmp.iterdir()) == sorted(
+                    ["in.csv", "in.cfg"] + ["o"] * existing
+                )
+                if existing:
+                    assert [q.name for q in out.iterdir()] == ["sentinel.txt"]
+                    assert (out / "sentinel.txt").read_bytes() == b"before\n"
+                return
+            assert stderr.getvalue() == ""
+            written = sorted(out.glob("*.tsv"))
+            assert written and not any(q.name.startswith(".") for q in out.iterdir())
+            for path in written:
+                assert_finite_tsv(path)
 
 
 class TestReport:

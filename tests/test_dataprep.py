@@ -478,6 +478,19 @@ class TestStandardize:
         assert_allclose(sm.matrix, want.matrix, rtol=1e-14)
         assert_allclose(sm.means, want.means * 1e308, rtol=1e-14)
 
+    @pytest.mark.parametrize("mean", [1e6, -3e12, 1e300, -1e-290])
+    def test_tiny_spread_on_a_large_mean(self, mean):
+        # the values are the mean plus -200..200 units in its last place, so
+        # their z-scores are exactly those of the integers; the mean's
+        # rounding alone used to move the z-scores' mean by ~0.1, and the
+        # run stopped at "matrix columns are not standardized to tolerance"
+        k = np.random.default_rng(4).integers(-200, 201, size=15).astype(float)
+        ulp = np.spacing(abs(mean))
+        sm = standardize(RawTable(names=["v"], values=(mean + k * ulp)[:, None]))
+        assert_allclose(sm.matrix[:, 0], (k - k.mean()) / k.std(ddof=1), rtol=1e-12, atol=1e-13)
+        assert_allclose(sm.sds, [k.std(ddof=1) * ulp], rtol=1e-12)
+        assert_allclose(sm.means, [mean + k.mean() * ulp], rtol=1e-15)
+
     def test_missing_cell(self):
         t = RawTable(names=["v"], values=[[1.0], [np.nan]])
         with pytest.raises(MissingValueError, match=r"^row 2, column 'v': missing value$"):

@@ -225,6 +225,20 @@ class TestGaussianPath:
         with pytest.raises(ValueError, match="constant"):
             fit_gaussian_path(x, np.arange(8.0), EnetConfig(alpha=0.5), lambdas=[0.1])
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e300, 1e-300])
+    @pytest.mark.parametrize("role", ["predictor", "response"])
+    def test_column_outside_scale_window_named(self, role, scale):
+        # such a column overflowed the Gram or X'Y/N; it is now named
+        # before either is formed
+        rng = np.random.default_rng(53)
+        x = standardized(rng, 20, 3)
+        y = rng.normal(size=(20, 2))
+        (x if role == "predictor" else y)[:, 1] *= scale
+        message = rf"^{role} column 1 has largest \|value\| .* rescale it$"
+        for fit in (fit_mgaussian_path, default_lambda_grid):
+            with pytest.raises(ValueError, match=message):
+                fit(x, y, EnetConfig())
+
     def test_constant_column_with_inexact_mean_rejected(self):
         # the mean of three 0.1s is not 0.1 in floating point, so the
         # centered column is not exactly zero; its spread still is

@@ -109,6 +109,38 @@ class TestFitMlm:
         with pytest.raises(ValueError, match="^name lists must match the matrix shapes$"):
             fit_mlm(rng.normal(size=(10, 2)), rng.normal(size=(10, 2)), **names)
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e300, 1e-300])
+    @pytest.mark.parametrize("role", ["predictor", "response"])
+    def test_column_outside_scale_window_named(self, role, scale):
+        # such a column overflowed a norm, (X'X)^-1 or a standard error;
+        # it is now named before anything is computed
+        rng = np.random.default_rng(51)
+        x = rng.normal(size=(20, 3))
+        y = rng.normal(size=(20, 2))
+        (x if role == "predictor" else y)[:, 1] *= scale
+        name = "x2" if role == "predictor" else "y2"
+        message = rf"^{role} '{name}' has largest \|value\| .* rescale it$"
+        with pytest.raises(ValueError, match=message):
+            fit_mlm(x, y)
+
+    @pytest.mark.parametrize("sx, sy", [(1.5e60, 6.3e-61), (6.3e-61, 1.5e60)])
+    def test_statistics_scale_free_at_the_window_edges(self, sx, sy):
+        # a predictor and a response at opposite edges of the window: no
+        # warning, and every statistic is that of the unit-scaled columns
+        rng = np.random.default_rng(52)
+        x = rng.normal(size=(20, 3))
+        y = x @ rng.normal(size=(3, 2)) + rng.normal(size=(20, 2))
+        x /= np.abs(x).max(axis=0)
+        y /= np.abs(y).max(axis=0)
+        unit, scaled = fit_mlm(x, y), fit_mlm(x * [1.0, sx, 1.0], y * [sy, 1.0])
+        for got, want in zip(manova_table(scaled), manova_table(unit)):
+            assert_allclose([got.pillai, got.p_value], [want.pillai, want.p_value], rtol=1e-12)
+        for k in range(2):
+            got, want = univariate_summary(scaled, k), univariate_summary(unit, k)
+            assert_allclose([r.t for r in got.coef_rows], [r.t for r in want.coef_rows], rtol=1e-12)
+            assert_allclose([got.r2, got.f_stat], [want.r2, want.f_stat], rtol=1e-12)
+        assert_allclose([e.vif for e in vif(scaled)], [e.vif for e in vif(unit)], rtol=1e-12)
+
     def test_columns_of_very_different_scale(self):
         # each pivot is judged against its own column, so a column 1e14
         # times larger than the intercept is no reason to call either

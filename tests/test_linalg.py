@@ -7,6 +7,7 @@ from enetstats.linalg import (
     RankDeficiencyError,
     as_matrix,
     check_rank,
+    check_scale,
     is_constant,
     r_factor,
 )
@@ -20,6 +21,18 @@ class TestAsMatrix:
     def test_zero_rows_rejected(self):
         with pytest.raises(DimensionError, match="^y must have at least one row$"):
             as_matrix(np.empty((0, 3)), "y")
+
+
+class TestCheckScale:
+    def test_window_edges_and_zero_columns_pass(self):
+        check_scale(np.array([[2.0**200, -(2.0**-200), 0.0], [1.0, 0.0, 0.0]]), str)
+
+    @pytest.mark.parametrize(
+        "value", [np.nextafter(2.0**200, np.inf), np.nextafter(2.0**-200, 0.0)]
+    )
+    def test_just_outside_the_window_named(self, value):
+        with pytest.raises(ValueError, match="^column 1 has largest"):
+            check_scale(np.array([[1.0, -value]]), lambda j: f"column {j}")
 
 
 class TestRFactor:

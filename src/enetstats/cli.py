@@ -333,7 +333,7 @@ class Pipeline:
         cells = [memoryview(a.ravel()) for a in (fit.fitted, fit.residuals)]
         self._add(_RESIDUALS, zip(itertools.cycle(fit.response_names), *cells))
 
-        y = fit.fitted + fit.residuals
+        y = self.design[1].matrix
         k = fit.n_responses
         for i in range(k):
             for j in range(i + 1, k):

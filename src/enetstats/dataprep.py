@@ -7,11 +7,11 @@ table as one N x p float64 matrix with NaN for a missing cell, which is
 unambiguous because every parsed cell must be finite. Selecting a group
 is column indexing, and the missing-value check is one ``np.isnan`` scan.
 
-Column scaling lives here and only here: every downstream solver consumes
-the standardized matrices exactly as produced (no internal rescaling), so
-one module owns the scaling convention. Standardization uses the sample
-standard deviation (divisor N - 1), and the per-column means and SDs are
-kept, so ``matrix * sds + means`` maps the values back.
+Z-scoring lives here, with the sample standard deviation (divisor N - 1);
+the solvers consume the standardized matrices as produced and never
+rescale. The moments come from :func:`~enetstats.linalg.center_columns`,
+which Pearson's correlation shares. The means and SDs are kept, so
+``matrix * sds + means`` maps the values back.
 
 Subset configuration grammar (flat, line-oriented, no nesting)::
 
@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import is_constant
+from .linalg import center_columns, is_constant
 
 __all__ = [
     "DataError",
@@ -378,10 +378,12 @@ def select_variables(table: RawTable, config: SubsetConfig, group: str) -> RawTa
 
 
 def standardize(table: RawTable) -> StandardizedMatrix:
-    """Z-score every column of a complete numeric table.
-
-    Uses the sample standard deviation (divisor N - 1). Missing cells are a
-    hard error; this toolkit does not impute.
+    """Z-score every column of a complete numeric table with the sample
+    standard deviation (divisor N - 1), on one path for every column: the
+    centered values of :func:`~enetstats.linalg.center_columns` divided by
+    their sd, both at the column's exact power-of-two scale. A missing cell,
+    a constant column, and a column whose sd or largest distance from its
+    mean overflows a double once scaled back are errors naming the column.
     """
     if table.n_rows < 2:
         raise DataError(f"need at least 2 rows to standardize, got {table.n_rows}")
@@ -390,44 +392,20 @@ def standardize(table: RawTable) -> StandardizedMatrix:
     if len(missing):
         i, j = missing[0]
         raise MissingValueError(f"row {i + 1}, column {table.names[j]!r}: missing value")
-    with np.errstate(over="ignore", invalid="ignore"):
-        means = values.mean(axis=0)
-        sds = values.std(axis=0, ddof=1)
     constant = np.flatnonzero(is_constant(values))
     if constant.size:
         names = ", ".join(repr(table.names[j]) for j in constant)
         raise ConstantColumnError(f"constant column(s): {names}")
-    # the squares inside std overflow for a spread above ~1e154 and
-    # underflow to 0 below ~1e-154, and the sum inside mean overflows near
-    # the largest double; such a column's moments are taken again on it
-    # divided by the largest power of two not above its largest |value|,
-    # which is exact
-    extreme = np.flatnonzero(~np.isfinite(means) | ~np.isfinite(sds) | (sds == 0.0))
-    if extreme.size:
-        scale = np.ldexp(1.0, np.frexp(np.abs(values[:, extreme]).max(axis=0))[1] - 1)
-        scaled = values[:, extreme] / scale
-        means[extreme] = scaled.mean(axis=0) * scale
-        with np.errstate(over="ignore"):
-            sds[extreme] = scaled.std(axis=0, ddof=1) * scale
-            # the largest |value - mean| that a z-score divides by the sd
-            spread = np.abs(scaled - scaled.mean(axis=0)).max(axis=0) * scale
-        too_large = extreme[~(np.isfinite(sds[extreme]) & np.isfinite(spread))]
-        if too_large.size:
-            raise DataError(
-                f"column {table.names[too_large[0]]!r} is too large to z-score: its sd or "
-                "the distance of a value from its mean overflows a double"
-            )
-    z = (values - means) / sds
-    # a spread far below the mean leaves these z-scores off by the mean's
-    # rounding; such a column is centered again on its differences from the
-    # rounded mean, which are exact, scaled by a power of two to max |d| < 1
-    near = np.flatnonzero(np.abs(means) / 1024.0 > sds)
-    if near.size:
-        d = values[:, near] - means[near]
-        scale = np.ldexp(1.0, np.frexp(np.abs(d).max(axis=0))[1])
-        d /= scale
-        shift, sd = d.mean(axis=0), d.std(axis=0, ddof=1)
-        means[near] += shift * scale
-        sds[near] = sd * scale
-        z[:, near] = (d - shift) / sd
-    return StandardizedMatrix(matrix=z, means=means, sds=sds, names=list(table.names))
+    z, means, scales = center_columns(values)
+    sds = np.sqrt(np.einsum("ij,ij->j", z, z) / (table.n_rows - 1))
+    # the sds and the values' largest distances from the means stay exact
+    # when scaled back, unless that overflows, which needs a scale above 1
+    limit = np.finfo(float).max / np.maximum(scales, 1.0)
+    too_large = np.flatnonzero(np.maximum(sds, np.maximum(z.max(axis=0), -z.min(axis=0))) > limit)
+    if too_large.size:
+        raise DataError(
+            f"column {table.names[too_large[0]]!r} is too large to z-score: its sd or "
+            "the distance of a value from its mean overflows a double"
+        )
+    z /= sds
+    return StandardizedMatrix(matrix=z, means=means, sds=sds * scales, names=list(table.names))

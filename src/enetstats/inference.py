@@ -22,7 +22,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .dist import f_sf, t_sf
-from .linalg import RankDeficiencyError, as_matrix, check_rank, check_scale, is_constant, r_factor
+from .linalg import (
+    RankDeficiencyError, as_matrix, center_columns, check_rank, check_scale, is_constant, r_factor
+)
 
 __all__ = [
     "PerfectFitError",
@@ -350,8 +352,8 @@ def pearson(a, b) -> PearsonResult:
         raise ValueError("correlation is undefined for constant input")
     # the power-of-two scaling leaves r unchanged and keeps each sum of
     # squares from underflowing to 0 (a spread of 1e-200) or overflowing
-    ac = _unit_scale(a - a.mean())
-    bc = _unit_scale(b - b.mean())
+    ac = center_columns(a)[0]
+    bc = center_columns(b)[0]
     sa = math.sqrt(float(ac @ ac))
     sb = math.sqrt(float(bc @ bc))
     r = float(ac @ bc) / (sa * sb)
@@ -361,7 +363,3 @@ def pearson(a, b) -> PearsonResult:
     t = r * math.sqrt((n - 2) / (1.0 - r * r))
     return PearsonResult(r=r, t=t, p=t_sf(t, n - 2).value)
 
-
-def _unit_scale(v: np.ndarray) -> np.ndarray:
-    """Scale ``v`` in place by a power of two to max |v| in [0.5, 1)."""
-    return np.ldexp(v, -int(np.frexp(max(v.max(), -v.min()))[1]), out=v)

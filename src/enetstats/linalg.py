@@ -8,6 +8,9 @@ layers build their diagnostics on:
 * one constancy rule (:func:`is_constant`): a column is constant when
   its largest and smallest entries are equal. A centered sum of squares
   need not come out 0 for such a column when its mean is inexact;
+* one centering rule (:func:`center_columns`), which every z-score and
+  correlation takes its moments from: an exact power-of-two rescale and
+  the corrected two-pass mean, so the moments hold at any column scale;
 * one Q-free QR (:func:`r_factor`), whose R holds every regression
   statistic, and one pivot rule for it (:func:`check_rank`), which judges
   each pivot against its own column's norm, so collinearity surfaces as a
@@ -74,6 +77,26 @@ def is_constant(x: np.ndarray) -> np.ndarray:
     wraps exactly the names listed there, does not count it as a call.
     """
     return x.max(axis=0) == x.min(axis=0)
+
+
+def center_columns(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each column of ``x`` (a 1-D ``x`` is one column) divided by the
+    power of two that brings its largest |value| into [1, 2), which is
+    exact, and centered by the corrected two-pass mean (Chan, Golub &
+    LeVeque 1983); returned with the columns' means and the scales. A
+    column that is not constant spreads over at least half a unit in the
+    last place of its largest |value|, so no square or sum of the centered
+    values overflows or underflows to 0, and the second pass removes the
+    first mean's rounding, as a tiny spread on a large mean needs. Left
+    out of ``__all__`` for the reason :func:`is_constant` is.
+    """
+    scales = np.ldexp(1.0, np.frexp(np.maximum(x.max(axis=0), -x.min(axis=0)))[1] - 1)
+    centered = x / scales
+    means = centered.mean(axis=0)
+    centered -= means
+    shift = centered.mean(axis=0)
+    centered -= shift
+    return centered, (means + shift) * scales, scales
 
 
 def check_scale(a: np.ndarray, label) -> None:

@@ -14,16 +14,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy import stats
 
 import enetstats.cli
 from enetstats.cli import _GROUP, Pipeline, _g17, _tsv, _write_files, build_parser, main, stars
 from enetstats.cv import make_folds
 from enetstats.dataprep import SubsetConfig, load_csv, select_variables, standardize
 from enetstats.enet import EnetConfig, default_lambda_grid, fit_mgaussian_path
-from enetstats.inference import fit_mlm, pearson, univariate_summary
+from enetstats.inference import fit_mlm, univariate_summary
 
 from oracles import cv_refit_loop
 
@@ -164,11 +165,12 @@ class TestPrep:
         assert code == 2
         assert "'b'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("scale", [1e300, 1e-300])
+    @pytest.mark.parametrize("scale", [1e300, 1e-300, 1e-158, 1e-160])
     def test_extreme_column_scale_standardizes(self, tmp_path, scale):
-        # the squares inside the sd overflow (1e300) or underflow (1e-300);
-        # z-scores do not depend on a column's scale, so b's are those of
-        # the unscaled column and no warning escapes
+        # the squares inside the sd overflow (1e300), underflow to 0
+        # (1e-300) or are subnormal and lose bits (1e-158, 1e-160); z-scores
+        # do not depend on a column's scale, so b's are those of the
+        # unscaled column and no warning escapes
         rng = np.random.default_rng(11)
         a, b = rng.normal(size=(2, 20)).tolist()
         csv = tmp_path / "s.csv"
@@ -471,11 +473,21 @@ class TestMlm:
         out = capsys.readouterr().out
         got = [line.split() for line in out.splitlines() if line.startswith("pearson")]
         assert [g[1] for g in got] == ["y1~y2", "y1~y3", "y2~y3"]
-        y = standardize(select_variables(load_csv(csv), SubsetConfig.load(cfg), "resp")).matrix
+        # scipy on the responses as the CSV holds them, before z-scoring
+        y = load_csv(csv).values[:, 2:]
         for (i, j), g in zip([(0, 1), (0, 2), (1, 2)], got):
-            want = pearson(y[:, i], y[:, j])
-            assert math.isclose(float(g[2].removeprefix("r=")), want.r, rel_tol=1e-12)
-            assert math.isclose(float(g[3].removeprefix("p=")), want.p, rel_tol=1e-9)
+            want = stats.pearsonr(y[:, i], y[:, j])
+            assert math.isclose(float(g[2].removeprefix("r=")), want.statistic, rel_tol=1e-12)
+            assert math.isclose(float(g[3].removeprefix("p=")), want.pvalue, rel_tol=1e-12)
+
+    def test_demo_pearson_line_matches_scipy(self, tmp_path, capsys):
+        assert run("mlm", "--input", DEMO_CSV, "--subsets", DEMO_CFG, "--out", tmp_path / "o") == 0
+        line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("pearson"))
+        _, r, p = line.split()
+        y = select_variables(load_csv(DEMO_CSV), SubsetConfig.load(DEMO_CFG), "health").values
+        want = stats.pearsonr(y[:, 0], y[:, 1])
+        assert math.isclose(float(r.removeprefix("r=")), want.statistic, rel_tol=1e-12)
+        assert math.isclose(float(p.removeprefix("p=")), want.pvalue, rel_tol=1e-12)
 
     def test_unknown_predictor_exits_2(self, tmp_path, capsys):
         code = run(
@@ -878,14 +890,30 @@ class TestStreamedOutput:
         assert peak - start < 1_000_000
 
 
+def _config(names):
+    """A config with the x columns in a predictor group and the y columns
+    in a response group."""
+    return "pred.role = predictor\nresp.role = response\n" + "".join(
+        f"{'pred' if name[0] == 'x' else 'resp'}.column = {name}\n" for name in names
+    )
+
+
+def _csv(names, cells):
+    return ",".join(names) + "\n" + "".join(",".join(row) + "\n" for row in cells)
+
+
 @st.composite
 def cli_runs(draw):
     """A small CSV whose columns are each normal, small integers or at a
     scale of 10^-300 to 10^300; a config with a predictor and a response
-    group; a command and its flags; and whether ``--out`` exists before
-    the run. Most runs are valid; one fault at most is drawn in: a column
-    that copies the one before, is constant, or has a tiny spread on a
-    large mean, an "NA" cell, too few rows, or one bad flag value."""
+    group; a command and its flags; whether ``--out`` exists before the
+    run; and what an error must name. Most runs are valid; one fault at
+    most is drawn in: a column that copies the one before, is constant, or
+    has a tiny spread on a large mean, an "NA" cell, too few rows, or one
+    bad flag value. A constant column, an NA cell and a bad flag value
+    fail every run that reaches them, so a failed run's error must name
+    the column, the row and column, or the flag; the other faults may
+    pass, or fail where no single column, row or flag is to blame."""
     faults = ["copy", "constant", "tiny", "na", "rows", "flag"]
     fault = draw(st.sampled_from([None] * 9 + faults))
     n = draw(st.integers(1, 3) if fault == "rows" else st.integers(6, 20))
@@ -901,21 +929,21 @@ def cli_runs(draw):
             columns.append(rng.normal(size=n) * 10.0 ** draw(st.integers(-300, 300)))
         else:
             columns.append(rng.normal(size=n))
+    names = [f"x{j}" for j in range(p)] + [f"y{j}" for j in range(k)]
     bad = draw(st.integers(0, p + k - 1))  # the column a fault is drawn in
+    named = None
     if fault == "copy":
         columns[bad] = columns[bad - 1].copy()
     elif fault == "constant":
         columns[bad] = np.full(n, 2.5)
+        named = repr(names[bad])
     elif fault == "tiny":
         columns[bad] = 1e6 + 1e-9 * rng.normal(size=n)
     cells = [[repr(float(v)) for v in row] for row in np.column_stack(columns)]
     if fault == "na":
-        cells[draw(st.integers(0, n - 1))][bad] = "NA"
-    names = [f"x{j}" for j in range(p)] + [f"y{j}" for j in range(k)]
-    csv = ",".join(names) + "\n" + "".join(",".join(row) + "\n" for row in cells)
-    cfg = "pred.role = predictor\nresp.role = response\n" + "".join(
-        f"{'pred' if name[0] == 'x' else 'resp'}.column = {name}\n" for name in names
-    )
+        row = draw(st.integers(0, n - 1))
+        cells[row][bad] = "NA"
+        named = f"row {row + 1}, column {names[bad]!r}"
     command = draw(st.sampled_from(["prep", "enet", "cv", "mlm", "report"]))
     flags = {
         "--alpha": draw(st.sampled_from(["0.5", "1", "0.01"])),
@@ -926,17 +954,44 @@ def cli_runs(draw):
         "--lambda-min-ratio": draw(st.sampled_from(["0.01", "0.1"])),
     }
     if fault == "flag":
-        flag, value = draw(st.sampled_from([
+        bad_flags = [
             ("--alpha", "0"), ("--alpha", "-1"), ("--alpha", "nan"), ("--nlambda", "0"),
             ("--folds", "1"), ("--folds", str(n + 1)), ("--digits", "0"),
             ("--lambda-min-ratio", "1"), ("--lambda-min-ratio", "-0.1"),
-            ("--predictors", "nope"),
-        ]))
+        ]
+        if command in ("mlm", "report"):  # the only commands that take the flag
+            bad_flags.append(("--predictors", "nope"))
+        flag, value = draw(st.sampled_from(bad_flags))
         flags[flag] = value
+        named = flag
     elif command in ("mlm", "report") and draw(st.booleans()):
         chosen = st.lists(st.sampled_from(names[:p]), min_size=1, max_size=3, unique=True)
         flags["--predictors"] = ",".join(draw(chosen))
-    return csv, cfg, [command, *itertools.chain(*flags.items())], draw(st.booleans())
+    argv = [command, *itertools.chain(*flags.items())]
+    return _csv(names, cells), _config(names), argv, draw(st.booleans()), named
+
+
+def _prep_run(x1_scale=1.0, y0=None):
+    """A run as :func:`cli_runs` draws it: ``prep`` on 20 normal rows of
+    x0, x1 and y0, with x1 times ``x1_scale`` and y0, when given, the
+    constant ``y0``."""
+    x0, x1, y = np.random.default_rng(11).normal(size=(3, 20))
+    columns = [x0, x1 * x1_scale, y if y0 is None else np.full(20, y0)]
+    cells = [[repr(float(v)) for v in row] for row in np.column_stack(columns)]
+    names = ["x0", "x1", "y0"]
+    return _csv(names, cells), _config(names), ["prep"], False, None if y0 is None else "'y0'"
+
+
+def run_texts(tmp, csv_text, cfg_text, argv):
+    """``main`` on the texts written to files in ``tmp``, with ``--out``
+    ``tmp/o``; its exit code, stdout and stderr."""
+    csv, cfg = tmp / "in.csv", tmp / "in.cfg"
+    csv.write_text(csv_text, encoding="utf-8")
+    cfg.write_text(cfg_text, encoding="utf-8")
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main([*argv, "--input", str(csv), "--subsets", str(cfg), "--out", str(tmp / "o")])
+    return code, stdout.getvalue(), stderr.getvalue()
 
 
 def assert_finite_tsv(path):
@@ -961,29 +1016,28 @@ def assert_finite_tsv(path):
 
 class TestCliContract:
     """Drawn inputs and flags through ``main``: an exit code of 0, 2, 3 or 4
-    and no exception or warning; a failed run prints nothing to stdout and
-    leaves ``--out`` as it was, without temporaries; a successful run's
-    TSVs parse and hold only finite numbers."""
+    and no exception or warning; a failed run prints nothing to stdout,
+    names its fault and leaves ``--out`` as it was, without temporaries; a
+    successful run's TSVs parse and hold only finite numbers. Rescaling a
+    column changes neither the exit code nor a z-score."""
 
     @settings(max_examples=150)
     @given(cli_runs())
+    @example(_prep_run(1e-159, y0=2.5))  # x1's squares are subnormal
     def test_exit_codes_output_and_files(self, drawn):
-        csv_text, cfg_text, argv, existing = drawn
+        csv_text, cfg_text, argv, existing, named = drawn
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
-            csv, cfg, out = tmp / "in.csv", tmp / "in.cfg", tmp / "o"
-            csv.write_text(csv_text, encoding="utf-8")
-            cfg.write_text(cfg_text, encoding="utf-8")
+            out = tmp / "o"
             if existing:
                 out.mkdir()
                 (out / "sentinel.txt").write_bytes(b"before\n")
-            stdout, stderr = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                code = main([*argv, "--input", str(csv), "--subsets", str(cfg), "--out", str(out)])
+            code, stdout, stderr = run_texts(tmp, csv_text, cfg_text, argv)
             assert code in (0, 2, 3, 4)
             if code:
-                assert stdout.getvalue() == ""
-                assert stderr.getvalue().startswith("error: ")
+                assert stdout == ""
+                assert stderr.startswith("error: ")
+                assert named is None or named in stderr
                 assert sorted(q.name for q in tmp.iterdir()) == sorted(
                     ["in.csv", "in.cfg"] + ["o"] * existing
                 )
@@ -991,11 +1045,44 @@ class TestCliContract:
                     assert [q.name for q in out.iterdir()] == ["sentinel.txt"]
                     assert (out / "sentinel.txt").read_bytes() == b"before\n"
                 return
-            assert stderr.getvalue() == ""
+            assert stderr == ""
             written = sorted(out.glob("*.tsv"))
             assert written and not any(q.name.startswith(".") for q in out.iterdir())
             for path in written:
                 assert_finite_tsv(path)
+
+    @settings(max_examples=60)
+    @given(cli_runs(), st.integers(0, 7), st.integers(-160, 160))
+    @example(_prep_run(), 1, -158)
+    @example(_prep_run(), 1, -160)
+    def test_column_scale_changes_no_exit_code_or_z_score(self, drawn, j, s):
+        csv_text, cfg_text, argv, _, _ = drawn
+        names, *rows = [line.split(",") for line in csv_text.splitlines()]
+        j %= len(names)
+        column = np.array([math.nan if row[j] == "NA" else float(row[j]) for row in rows])
+        big = float(np.nanmax(np.abs(column)))
+        # the rescaled column must stay clear of overflow and of the
+        # subnormals; and rescaling rounds each value by half a unit in its
+        # last place, which moves a z-score by up to ~1e-16 * max |value| / sd,
+        # so a tiny spread on a large mean, which lies in those places, is out
+        assume(big > 0.0 and -290 < math.log10(big) + s < 290)
+        assume(np.nanstd(column / big) >= 1e-3)
+        for row in rows:
+            if row[j] != "NA":
+                row[j] = repr(float(row[j]) * 10.0**s)
+        runs = []
+        for text in (csv_text, _csv(names, rows)):
+            with tempfile.TemporaryDirectory() as tmp:
+                code, _, _ = run_texts(Path(tmp), text, cfg_text, argv)
+                z = None
+                if code == 0 and argv[0] == "prep":
+                    groups = [read_tsv(Path(tmp) / "o" / f"{g}.tsv")[1] for g in ("pred", "resp")]
+                    z = np.hstack([np.array(cells, dtype=float) for cells in groups])
+                runs.append((code, z))
+        (code, z), (scaled_code, scaled_z) = runs
+        assert scaled_code == code
+        if z is not None:
+            assert_allclose(scaled_z, z, rtol=0.0, atol=1e-12)
 
 
 class TestReport:

@@ -470,6 +470,15 @@ class TestStandardize:
         assert_allclose(sm.matrix[:, 1], np.array([-1.0, 2.0, -1.0]) / math.sqrt(3.0), rtol=1e-15)
         assert_allclose(sm.sds, [math.sqrt(7.0 / 3.0), 1e200 / math.sqrt(3.0)], rtol=1e-15)
 
+    def test_subnormal_squares_are_rescaled(self):
+        # at 1e-155 the squares inside a plain sd are subnormal and lose
+        # bits, enough to move these z-scores by ~1e-14
+        x = np.random.default_rng(11).normal(size=20)
+        sm = standardize(RawTable(names=["v"], values=(x * 1e-155)[:, None]))
+        want = standardize(RawTable(names=["v"], values=x[:, None]))
+        assert_allclose(sm.matrix, want.matrix, rtol=0.0, atol=1e-15)
+        assert_allclose(sm.sds, want.sds * 1e-155, rtol=1e-15)
+
     def test_mean_overflow_is_rescaled(self):
         # the column's sum exceeds the largest double, and mean would warn
         t = RawTable(names=["v"], values=[[1.0e308], [1.5e308], [1.7e308]])
@@ -490,6 +499,17 @@ class TestStandardize:
         assert_allclose(sm.matrix[:, 0], (k - k.mean()) / k.std(ddof=1), rtol=1e-12, atol=1e-13)
         assert_allclose(sm.sds, [k.std(ddof=1) * ulp], rtol=1e-12)
         assert_allclose(sm.means, [mean + k.mean() * ulp], rtol=1e-15)
+
+    def test_second_pass_recovers_the_exact_mean(self):
+        # c + k ulp with sum(k) = 0 has the exact mean c; the first pass's
+        # mean misses it by an ulp here, and the second pass recovers it, as
+        # the differences from the first mean and their sum are exact
+        k = np.random.default_rng(2).integers(-1000, 1001, size=999)
+        k = np.append(k, -k.sum()).astype(float)
+        c = -7.3e-5
+        sm = standardize(RawTable(names=["v"], values=(c + k * np.spacing(abs(c)))[:, None]))
+        assert sm.means[0] == c
+        assert_allclose(sm.matrix[:, 0], k / k.std(ddof=1), rtol=1e-13, atol=1e-15)
 
     def test_missing_cell(self):
         t = RawTable(names=["v"], values=[[1.0], [np.nan]])

@@ -11,13 +11,7 @@ from .dataprep import (
     standardize,
 )
 from .dist import TailProbability, f_sf, t_sf
-from .enet import (
-    EnetConfig,
-    EnetPath,
-    fit_gaussian_path,
-    fit_mgaussian_path,
-    kkt_check,
-)
+from .enet import EnetConfig, EnetPath, fit_mgaussian_path, kkt_check
 from .inference import (
     MlmFit,
     fit_mlm,
@@ -41,7 +35,6 @@ __all__ = [
     "TailProbability",
     "cross_validate",
     "f_sf",
-    "fit_gaussian_path",
     "fit_mgaussian_path",
     "fit_mlm",
     "kkt_check",

@@ -254,6 +254,10 @@ class Pipeline:
             names = [name for name, kept in zip(x.names, keep) if kept]
         if not names:
             raise DataError("the selected model keeps no predictors")
+        if len(names) < 2:
+            raise DataError(
+                f"the selected model keeps one predictor, {names[0]!r}; VIF needs at least 2"
+            )
         return names
 
     @cached_property
@@ -416,8 +420,9 @@ def _enet_config(args: argparse.Namespace) -> EnetConfig:
 
 
 def _predictor_flag(args: argparse.Namespace, subsets: SubsetConfig) -> list[str] | None:
-    """The ``--predictors`` names, checked against the predictor group when
-    the config is read, or None when the flag is absent or empty."""
+    """The ``--predictors`` names, at least 2 for VIF, checked against the
+    predictor group when the config is read, or None when the flag is
+    absent or empty."""
     flag = getattr(args, "predictors", None)
     if not flag:
         return None
@@ -430,6 +435,8 @@ def _predictor_flag(args: argparse.Namespace, subsets: SubsetConfig) -> list[str
         raise DataError(
             "--predictors: not in the predictor group: " + ", ".join(repr(u) for u in unknown)
         )
+    if len(names) < 2:
+        raise DataError(f"--predictors must name at least 2 predictors for VIF, got {flag!r}")
     return names
 
 

@@ -383,7 +383,8 @@ def standardize(table: RawTable) -> StandardizedMatrix:
     centered values of :func:`~enetstats.linalg.center_columns` divided by
     their sd, both at the column's exact power-of-two scale. A missing cell,
     a constant column, and a column whose sd or largest distance from its
-    mean overflows a double once scaled back are errors naming the column.
+    mean overflows a double once scaled back, or whose sd then underflows
+    to 0, are errors naming the column.
     """
     if table.n_rows < 2:
         raise DataError(f"need at least 2 rows to standardize, got {table.n_rows}")
@@ -398,14 +399,23 @@ def standardize(table: RawTable) -> StandardizedMatrix:
         raise ConstantColumnError(f"constant column(s): {names}")
     z, means, scales = center_columns(values)
     sds = np.sqrt(np.einsum("ij,ij->j", z, z) / (table.n_rows - 1))
-    # the sds and the values' largest distances from the means stay exact
-    # when scaled back, unless that overflows, which needs a scale above 1
-    limit = np.finfo(float).max / np.maximum(scales, 1.0)
-    too_large = np.flatnonzero(np.maximum(sds, np.maximum(z.max(axis=0), -z.min(axis=0))) > limit)
+    # scaled back by the power-of-two scales, the sds and the largest
+    # distances from the means are exact unless they overflow a double or
+    # fall below its normal range, where an sd may round to 0
+    with np.errstate(over="ignore"):
+        far = np.maximum(sds, np.maximum(z.max(axis=0), -z.min(axis=0))) * scales
+        scaled_sds = sds * scales
+    too_large = np.flatnonzero(np.isinf(far))
     if too_large.size:
         raise DataError(
             f"column {table.names[too_large[0]]!r} is too large to z-score: its sd or "
             "the distance of a value from its mean overflows a double"
         )
+    too_small = np.flatnonzero(scaled_sds == 0.0)
+    if too_small.size:
+        raise DataError(
+            f"column {table.names[too_small[0]]!r} is too small to z-score: its sd "
+            "underflows to 0 in a double"
+        )
     z /= sds
-    return StandardizedMatrix(matrix=z, means=means, sds=sds * scales, names=list(table.names))
+    return StandardizedMatrix(matrix=z, means=means, sds=scaled_sds, names=list(table.names))

@@ -17,7 +17,6 @@ import enetstats
 from enetstats.dist import f_sf
 from enetstats.enet import (
     EnetConfig,
-    fit_gaussian_path,
     fit_mgaussian_path,
     kkt_check,
 )
@@ -98,9 +97,9 @@ def test_criterion_03_solver_correctness_sweep():
             assert report.max_violation <= 1e-6, (instance, l)
 
         if k == 1:
-            pm = fit_mgaussian_path(x, y, EnetConfig(alpha=alpha, nlambda=25))
-            pg = fit_gaussian_path(x, y[:, 0], EnetConfig(alpha=alpha, nlambda=25))
-            assert np.max(np.abs(pm.coefs - pg.coefs)) <= 1e-10
+            # a 1-D y is the same one-column fit
+            flat = fit_mgaussian_path(x, y[:, 0], EnetConfig(alpha=alpha, nlambda=25))
+            assert np.max(np.abs(path.coefs - flat.coefs)) <= 1e-10
 
     # alpha = 0: closed-form ridge oracle
     for seed in range(20):
@@ -112,7 +111,7 @@ def test_criterion_03_solver_correctness_sweep():
         xc = x - x.mean(axis=0)
         yc = y - y.mean()
         want = np.linalg.solve(xc.T @ xc / n + lam * np.eye(p), xc.T @ yc / n)
-        got = fit_gaussian_path(x, y, EnetConfig(alpha=0.0, tol=1e-13), lambdas=[lam])
+        got = fit_mgaussian_path(x, y, EnetConfig(alpha=0.0, tol=1e-13), lambdas=[lam])
         assert np.max(np.abs(got.coefs[0][:, 0] - want)) <= 1e-6
 
     # orthonormal design, alpha = 1: soft-threshold closed form
@@ -126,7 +125,7 @@ def test_criterion_03_solver_correctness_sweep():
         x = q * math.sqrt(n)
         y = rng3.normal(size=n)
         lam = float(rng3.uniform(0.02, 0.5))
-        got = fit_gaussian_path(x, y, EnetConfig(alpha=1.0, tol=1e-12), lambdas=[lam])
+        got = fit_mgaussian_path(x, y, EnetConfig(alpha=1.0, tol=1e-12), lambdas=[lam])
         want = [soft_threshold(float(x[:, j] @ y) / n, lam) for j in range(p)]
         assert np.max(np.abs(got.coefs[0][:, 0] - np.array(want))) <= 1e-8
 
@@ -181,7 +180,7 @@ def test_criterion_05_grouped_penalty_geometry():
         pm = fit_mgaussian_path(
             x, np.column_stack([yv, yv]), EnetConfig(alpha=1.0, tol=1e-12), lambdas=[lam]
         )
-        pg = fit_gaussian_path(
+        pg = fit_mgaussian_path(
             x, yv, EnetConfig(alpha=1.0, tol=1e-12), lambdas=[lam / math.sqrt(2.0)]
         )
         assert np.max(np.abs(pm.coefs[0][:, 0] - pg.coefs[0][:, 0])) <= 1e-6

@@ -149,6 +149,21 @@ class TestPrep:
         assert captured.out == ""
         assert not out.exists()
 
+    def test_column_too_small_to_z_score_exits_2_naming_it(self, tmp_path, capsys):
+        # one 5e-324 among 19 zeros: the sd, 0.22 times the smallest
+        # subnormal, rounds to 0 once scaled back
+        csv = tmp_path / "t.csv"
+        rows = "".join(f"{'5e-324' if i == 0 else '0'},{i}\n" for i in range(20))
+        csv.write_text("a,b\n" + rows, encoding="utf-8")
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text("g.column = a\ng.column = b\n", encoding="utf-8")
+        out = tmp_path / "o"
+        assert run("prep", "--input", csv, "--subsets", cfg, "--out", out) == 2
+        captured = capsys.readouterr()
+        assert "'a'" in captured.err and "too small" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_missing_column_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("g.column = not_there\n", encoding="utf-8")
@@ -650,12 +665,17 @@ class TestFlagValidation:
         assert capsys.readouterr().err == "error: --predictors: not in the predictor group: 'nope'\n"
 
     @pytest.mark.parametrize(
-        "command, value",
-        [("mlm", "fertility_rate,fertility_rate,gni_per_capita"), ("report", " , ")],
-        ids=["repeated", "separators_only"],
+        "command, value, rule",
+        [
+            ("mlm", "fertility_rate,fertility_rate,gni_per_capita", "distinct predictors"),
+            ("report", " , ", "distinct predictors"),
+            # VIF needs 2; the flag is named, not VIF's own error
+            ("mlm", "fertility_rate", "at least 2 predictors for VIF"),
+        ],
+        ids=["repeated", "separators_only", "one"],
     )
     def test_repeated_or_no_predictor_exits_2_before_any_fit(
-        self, tmp_path, capsys, monkeypatch, command, value
+        self, tmp_path, capsys, monkeypatch, command, value, rule
     ):
         def no_fit(*args, **kwargs):
             raise AssertionError("a model was fitted before --predictors was checked")
@@ -668,9 +688,9 @@ class TestFlagValidation:
             "--predictors", value,
         )
         assert code == 2
-        want = f"error: --predictors must name distinct predictors, got {value!r}\n"
-        assert capsys.readouterr().err == want
-        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --predictors must name {rule}, got {value!r}\n"
+        assert captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
     def test_out_that_cannot_be_a_directory_exits_2(self, tmp_path, capsys, under):
@@ -960,12 +980,12 @@ def cli_runs(draw):
             ("--lambda-min-ratio", "1"), ("--lambda-min-ratio", "-0.1"),
         ]
         if command in ("mlm", "report"):  # the only commands that take the flag
-            bad_flags.append(("--predictors", "nope"))
+            bad_flags += [("--predictors", "nope"), ("--predictors", "x0")]
         flag, value = draw(st.sampled_from(bad_flags))
         flags[flag] = value
         named = flag
     elif command in ("mlm", "report") and draw(st.booleans()):
-        chosen = st.lists(st.sampled_from(names[:p]), min_size=1, max_size=3, unique=True)
+        chosen = st.lists(st.sampled_from(names[:p]), min_size=2, max_size=3, unique=True)
         flags["--predictors"] = ",".join(draw(chosen))
     argv = [command, *itertools.chain(*flags.items())]
     return _csv(names, cells), _config(names), argv, draw(st.booleans()), named
@@ -1097,6 +1117,23 @@ class TestReport:
         assert code == 2
         captured = capsys.readouterr()
         assert captured.err == "error: the selected model keeps no predictors\n"
+        assert captured.out == "" and not out.exists()
+
+    def test_selected_model_with_one_predictor_exits_2(self, tmp_path, capsys, monkeypatch):
+        # at 0.999 lambda_max only fertility_rate enters, and CV selects it
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit_mlm ran on a one-predictor selection")
+
+        monkeypatch.setattr(enetstats.cli, "fit_mlm", no_fit)
+        out = tmp_path / "o"
+        code = run(
+            "report", "--input", DEMO_CSV, "--subsets", DEMO_CFG, "--out", out,
+            "--nlambda", "2", "--lambda-min-ratio", "0.999",
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        want = "error: the selected model keeps one predictor, 'fertility_rate'; VIF needs at least 2\n"
+        assert captured.err == want
         assert captured.out == "" and not out.exists()
 
     def test_group_named_like_the_cv_curve_exits_2_before_out(self, tmp_path, capsys):

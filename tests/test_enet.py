@@ -17,7 +17,6 @@ from enetstats.enet import (
     EnetConfig,
     _descend,
     default_lambda_grid,
-    fit_gaussian_path,
     fit_mgaussian_path,
     kkt_check,
 )
@@ -100,7 +99,7 @@ class TestComputeLambdaMax:
         # x'y = 0: the all-zero solution is stationary at every lambda
         x = np.array([[1.0], [-1.0], [1.0], [-1.0]])
         y = np.array([[1.0], [1.0], [-1.0], [-1.0]])
-        path = fit_gaussian_path(x, y, EnetConfig(alpha=1.0), lambdas=[1.0, 1e-3])
+        path = fit_mgaussian_path(x, y, EnetConfig(alpha=1.0), lambdas=[1.0, 1e-3])
         assert np.all(path.coefs == 0.0)
         assert np.all(path.dev_ratio == 0.0)
 
@@ -162,7 +161,7 @@ class TestMakeLambdaPath:
         with pytest.raises(ValueError, match="uncorrelated"):
             default_lambda_grid(x, y, EnetConfig(alpha=0.5))
         with pytest.raises(ValueError, match="uncorrelated"):
-            fit_gaussian_path(x, y, EnetConfig(alpha=0.5))
+            fit_mgaussian_path(x, y, EnetConfig(alpha=0.5))
 
 
 class TestGaussianPath:
@@ -171,7 +170,7 @@ class TestGaussianPath:
         x = standardized(rng, 20, 5)
         y = x @ rng.normal(size=5) + rng.normal(size=20)
         lam_max = float(default_lambda_grid(x, y, EnetConfig(alpha=0.5))[0])
-        path = fit_gaussian_path(x, y, EnetConfig(alpha=0.5), lambdas=[lam_max])
+        path = fit_mgaussian_path(x, y, EnetConfig(alpha=0.5), lambdas=[lam_max])
         assert np.all(path.coefs[0] == 0.0)
         assert path.nonzero[0] == 0
         assert math.isclose(float(path.intercepts[0, 0]), float(y.mean()), rel_tol=1e-12)
@@ -185,7 +184,7 @@ class TestGaussianPath:
         xc = x - x.mean(axis=0)
         yc = y - y.mean()
         want = np.linalg.solve(xc.T @ xc / n + lam * np.eye(p), xc.T @ yc / n)
-        path = fit_gaussian_path(x, y, EnetConfig(alpha=0.0, tol=1e-13), lambdas=[lam])
+        path = fit_mgaussian_path(x, y, EnetConfig(alpha=0.0, tol=1e-13), lambdas=[lam])
         assert_allclose(path.coefs[0][:, 0], want, atol=1e-6)
 
     def test_orthonormal_design_soft_threshold(self):
@@ -199,7 +198,7 @@ class TestGaussianPath:
         y = rng.normal(size=n)
         lam = 0.15
         cfg = EnetConfig(alpha=1.0, tol=1e-12)
-        path = fit_gaussian_path(x, y, cfg, lambdas=[lam])
+        path = fit_mgaussian_path(x, y, cfg, lambdas=[lam])
         want = [soft_threshold(float(x[:, j] @ y) / n, lam) for j in range(p)]
         assert_allclose(path.coefs[0][:, 0], want, atol=1e-8)
 
@@ -208,22 +207,22 @@ class TestGaussianPath:
         rng = np.random.default_rng(9)
         x = standardized(rng, 10, 1)
         y = 2.0 * x[:, 0] + 0.1 * rng.normal(size=10)
-        path = fit_gaussian_path(x, y, EnetConfig(alpha=0.5, nlambda=20))
+        path = fit_mgaussian_path(x, y, EnetConfig(alpha=0.5, nlambda=20))
         assert path.coefs.shape == (20, 1, 1)
         assert path.dev_ratio[-1] > 0.9
 
     def test_row_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="^x has 8 rows but y has 7$"):
-            fit_gaussian_path(np.arange(16.0).reshape(8, 2), np.arange(7.0))
+            fit_mgaussian_path(np.arange(16.0).reshape(8, 2), np.arange(7.0))
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
-            fit_gaussian_path(np.array([[np.inf], [1.0]]), np.array([1.0, 2.0]))
+            fit_mgaussian_path(np.array([[np.inf], [1.0]]), np.array([1.0, 2.0]))
 
     def test_constant_column_rejected(self):
         x = np.column_stack([np.ones(8), np.arange(8.0)])
         with pytest.raises(ValueError, match="constant"):
-            fit_gaussian_path(x, np.arange(8.0), EnetConfig(alpha=0.5), lambdas=[0.1])
+            fit_mgaussian_path(x, np.arange(8.0), EnetConfig(alpha=0.5), lambdas=[0.1])
 
     @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e300, 1e-300])
     @pytest.mark.parametrize("role", ["predictor", "response"])
@@ -245,9 +244,9 @@ class TestGaussianPath:
         x = np.array([[1.0, 0.1], [2.0, 0.1], [4.0, 0.1]])
         xc = x[:, 1] - x[:, 1].mean()
         assert float(xc @ xc) != 0.0
-        for fit in (fit_gaussian_path, fit_mgaussian_path):
-            with pytest.raises(ValueError, match="column 1 is constant"):
-                fit(x, np.array([1.0, 3.0, 2.0]), EnetConfig(alpha=0.5), lambdas=[0.1])
+        y = np.array([1.0, 3.0, 2.0])
+        with pytest.raises(ValueError, match="column 1 is constant"):
+            fit_mgaussian_path(x, y, EnetConfig(alpha=0.5), lambdas=[0.1])
 
     def test_max_iter_reports_lambda_index(self):
         rng = np.random.default_rng(10)
@@ -257,7 +256,7 @@ class TestGaussianPath:
         y = x @ rng.normal(size=6) + rng.normal(size=30)
         cfg = EnetConfig(alpha=0.5, tol=1e-14, max_iter=2)
         with pytest.raises(ConvergenceError) as info:
-            fit_gaussian_path(x, y, cfg, lambdas=[0.001])
+            fit_mgaussian_path(x, y, cfg, lambdas=[0.001])
         assert info.value.lambda_index == 0
 
     def test_tol_looser_than_certificate_rejected(self):
@@ -292,33 +291,16 @@ class TestGaussianPath:
         rng = np.random.default_rng(13)
         x = standardized(rng, 10, 2)
         with pytest.raises(ValueError, match=f"^lambdas must be {message}$"):
-            fit_gaussian_path(x, rng.normal(size=10), EnetConfig(alpha=0.5), lambdas=lambdas)
-
-    def test_two_responses_rejected(self):
-        rng = np.random.default_rng(14)
-        x = standardized(rng, 10, 2)
-        with pytest.raises(ValueError, match="^gaussian fit expects a single response, got 2$"):
-            fit_gaussian_path(x, rng.normal(size=(10, 2)), EnetConfig(alpha=0.5))
+            fit_mgaussian_path(x, rng.normal(size=10), EnetConfig(alpha=0.5), lambdas=lambdas)
 
     def test_alpha_zero_needs_explicit_grid(self):
         rng = np.random.default_rng(11)
         x = standardized(rng, 10, 2)
         with pytest.raises(ValueError, match="explicit"):
-            fit_gaussian_path(x, x[:, 0], EnetConfig(alpha=0.0))
+            fit_mgaussian_path(x, x[:, 0], EnetConfig(alpha=0.0))
 
 
 class TestMgaussianPath:
-    def test_k1_equals_gaussian_bitwise(self):
-        rng = np.random.default_rng(12)
-        x = standardized(rng, 18, 4)
-        y = x @ rng.normal(size=4) + rng.normal(size=18)
-        cfg = EnetConfig(alpha=0.5, nlambda=25)
-        pg = fit_gaussian_path(x, y, cfg)
-        pm = fit_mgaussian_path(x, y.reshape(-1, 1), cfg)
-        assert np.array_equal(pg.coefs, pm.coefs)
-        assert np.array_equal(pg.intercepts, pm.intercepts)
-        assert np.array_equal(pg.dev_ratio, pm.dev_ratio)
-
     def test_duplicated_response_reduction_lasso(self):
         # identical response columns: grouped lasso at lambda equals the
         # single-response lasso at lambda / sqrt(2)
@@ -329,7 +311,7 @@ class TestMgaussianPath:
         pm = fit_mgaussian_path(
             x, np.column_stack([y, y]), EnetConfig(alpha=1.0, tol=1e-12), lambdas=[lam]
         )
-        pg = fit_gaussian_path(
+        pg = fit_mgaussian_path(
             x, y, EnetConfig(alpha=1.0, tol=1e-12), lambdas=[lam / math.sqrt(2.0)]
         )
         assert_allclose(pm.coefs[0][:, 0], pg.coefs[0][:, 0], atol=1e-6)
@@ -348,7 +330,7 @@ class TestMgaussianPath:
         pm = fit_mgaussian_path(
             x, np.column_stack([y, y]), EnetConfig(alpha=alpha, tol=1e-12), lambdas=[lam]
         )
-        pg = fit_gaussian_path(
+        pg = fit_mgaussian_path(
             x, y, EnetConfig(alpha=alpha_eq, tol=1e-12), lambdas=[lam_eq]
         )
         assert_allclose(pm.coefs[0][:, 0], pg.coefs[0][:, 0], atol=1e-6)
@@ -411,7 +393,7 @@ class TestKktCheck:
         x = standardized(rng, 20, 4)
         y = x @ np.array([1.5, -1.0, 0.8, 0.0]) + 0.2 * rng.normal(size=20)
         cfg = EnetConfig(alpha=0.5, tol=1e-11)
-        path = fit_gaussian_path(x, y, cfg, lambdas=[0.05])
+        path = fit_mgaussian_path(x, y, cfg, lambdas=[0.05])
         b = path.coefs[0].copy()
         j = int(np.argmax(np.abs(b[:, 0])))
         b[j, 0] += 0.1
@@ -425,14 +407,14 @@ class TestDevianceExplained:
         rng = np.random.default_rng(20)
         x = standardized(rng, 20, 3)
         y = x @ rng.normal(size=3) + rng.normal(size=20)
-        path = fit_gaussian_path(x, y, EnetConfig(alpha=0.5, nlambda=10))
+        path = fit_mgaussian_path(x, y, EnetConfig(alpha=0.5, nlambda=10))
         assert path.dev_ratio[0] == 0.0
 
     def test_perfect_fit_reaches_one(self):
         rng = np.random.default_rng(21)
         x = standardized(rng, 20, 3)
         y = x @ np.array([1.0, -2.0, 0.5])
-        path = fit_gaussian_path(
+        path = fit_mgaussian_path(
             x, y, EnetConfig(alpha=0.5, nlambda=30, lambda_min_ratio=1e-9, tol=1e-14)
         )
         assert path.dev_ratio[-1] >= 1.0 - 1e-8
@@ -454,7 +436,7 @@ class TestDevianceExplained:
     def test_constant_response_rejected(self):
         x = standardized(np.random.default_rng(23), 10, 2)
         with pytest.raises(ValueError, match="constant"):
-            fit_gaussian_path(x, np.full(10, 0.1), EnetConfig(alpha=0.5), lambdas=[0.1])
+            fit_mgaussian_path(x, np.full(10, 0.1), EnetConfig(alpha=0.5), lambdas=[0.1])
 
 
 class TestPathInvariants:
@@ -842,8 +824,8 @@ class TestDefaultLambdaGrid:
         y = x @ rng.normal(size=4) + rng.normal(size=20)
         cfg = EnetConfig(alpha=0.5, nlambda=10)
         grid = default_lambda_grid(x, y, cfg)
-        # the fitters build this very grid, bit for bit
-        assert np.array_equal(fit_gaussian_path(x, y, cfg).lambdas, grid)
+        # the fitter builds this very grid, bit for bit
+        assert np.array_equal(fit_mgaussian_path(x, y, cfg).lambdas, grid)
         assert math.isclose(float(grid[0]), row_norm_max(x, y) / 0.5, rel_tol=1e-12)
 
     def test_ratio_default_depends_on_shape(self):
@@ -900,7 +882,8 @@ class TestPathProperties:
             want = 1.0 - float((resid * resid).sum()) / tss
             assert math.isclose(float(path.dev_ratio[i]), want, abs_tol=1e-9), i
         if y.shape[1] == 1:
-            single = fit_gaussian_path(x, y[:, 0], cfg)
+            # a 1-D y is the same one-column fit, bit for bit
+            single = fit_mgaussian_path(x, y[:, 0], cfg)
             for name in ("lambdas", "coefs", "intercepts", "dev_ratio", "nonzero"):
                 assert np.array_equal(getattr(single, name), getattr(path, name)), name
 

@@ -94,8 +94,16 @@ class TestFitMlm:
             fit_mlm(x, rng.normal(size=(12, 1)), predictor_names=["a", "b", "c"])
 
     def test_too_few_rows(self):
-        with pytest.raises(ValueError):
-            fit_mlm(np.ones((3, 3)), np.ones((3, 1)))
+        # full-rank data, so the row count alone decides: N = p and
+        # N = p + 1 leave no residual degree of freedom, N = p + 2 leaves one
+        rng = np.random.default_rng(7)
+        p = 3
+        x, y = rng.normal(size=(p + 2, p)), rng.normal(size=(p + 2, 2))
+        for n in (p, p + 1):
+            message = rf"^need more observations than coefficients: N={n}, p\+1=4$"
+            with pytest.raises(ValueError, match=message):
+                fit_mlm(x[:n], y[:n])
+        assert fit_mlm(x, y).df_error == 1
 
     def test_row_count_mismatch(self):
         with pytest.raises(ValueError, match="^x has 6 rows but y has 5$"):

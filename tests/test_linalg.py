@@ -60,6 +60,14 @@ class TestRFactor:
             check_rank(r_factor(np.column_stack([1e14 * a, 1e-14 * b, 1e-14 * a])))
         assert info.value.column == 2
 
+    def test_pivot_threshold_is_1e_12_of_the_column_norm(self):
+        # column 1's pivot is 1.2e-12 and 0.9e-12 of its norm, either side
+        # of the threshold
+        check_rank(r_factor(np.array([[1.0, 1.0], [0.0, 1.2e-12]])))
+        with pytest.raises(RankDeficiencyError) as info:
+            check_rank(r_factor(np.array([[1.0, 1.0], [0.0, 0.9e-12]])))
+        assert info.value.column == 1
+
     def test_wide_is_trapezoidal(self):
         x = np.random.default_rng(42).normal(size=(2, 3))
         r = r_factor(x)

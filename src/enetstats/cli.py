@@ -69,10 +69,6 @@ _INFERENCE_ERRORS = (RankDeficiencyError, PerfectFitError, CollinearityError)
 _BUFFER = 1 << 18  # write buffer per output file, in bytes
 
 
-def _g17(value: float) -> str:
-    return format(float(value), ".17g")
-
-
 def stars(p: float) -> str:
     """Significance code for a p-value: *** / ** / * / NS."""
     if p < 0.001:
@@ -86,7 +82,7 @@ def stars(p: float) -> str:
 
 class _Column(NamedTuple):
     header: str  # TSV header
-    fmt: str  # TSV %-format; "%.17g" writes a number as _g17 does
+    fmt: str  # TSV %-format
     shown: str | None = None  # display header; None keeps the column off screen
     spec: str = ""  # display format spec; "{}" takes --digits, "" shows it as is
 
@@ -239,7 +235,14 @@ class Pipeline:
         n, k = x.matrix.shape[0], self.args.folds
         if k > n:
             raise DataError(f"--folds must be <= the {n} observations, got {k!r}")
-        return cross_validate(x.matrix, y.matrix, self.enet_cfg, make_folds(n, k, self.args.seed))
+        folds = make_folds(n, k, self.args.seed)
+        try:
+            return cross_validate(x.matrix, y.matrix, self.enet_cfg, folds)
+        except CvError as exc:  # name a training slice's constant predictor
+            if exc.column is None:
+                raise
+            what = f"training slice: predictor {x.names[exc.column]!r} is constant"
+            raise CvError(f"fold {exc.fold}: {what}", fold=exc.fold) from None
 
     def selected_lambda_index(self) -> int:
         cv = self.cv_result
@@ -300,13 +303,13 @@ class Pipeline:
             return (name, *["removed"] * len(coefs))
 
         self._add(_COEF, map(coef_row, x.names, path.coefs[idx]), lam, y.names)
-        print(f"coefficients written at lambda={_g17(lam)} rule={self.args.rule}", file=self.stdout)
+        print(f"coefficients written at lambda={lam:.17g} rule={self.args.rule}", file=self.stdout)
 
     def run_cv(self) -> None:
         cv = self.cv_result
         self._add(_CV, zip(cv.lambdas.tolist(), cv.mean_error.tolist(), cv.se_error.tolist()))
-        print(f"lambda.min={_g17(cv.lambda_min)}", file=self.stdout)
-        print(f"lambda.1se={_g17(cv.lambda_1se)}", file=self.stdout)
+        print(f"lambda.min={cv.lambda_min:.17g}", file=self.stdout)
+        print(f"lambda.1se={cv.lambda_1se:.17g}", file=self.stdout)
 
     def run_mlm(self) -> None:
         fit = self.mlm_fit
@@ -323,7 +326,7 @@ class Pipeline:
             s = univariate_summary(fit, k)
             rows = [(r.name, r.estimate, r.std_error, r.t, r.p, stars(r.p)) for r in s.coef_rows]
             head = f"F({s.df1},{s.df2})="
-            footer = f"{head}{_g17(s.f_stat)} R2={_g17(s.r2)} R2adj={_g17(s.r2_adj)}"
+            footer = f"{head}{s.f_stat:.17g} R2={s.r2:.17g} R2adj={s.r2_adj:.17g}"
             self._add(_UNI, rows, response, footer=[footer])
             print(
                 f"{head}{s.f_stat:.{d}g} R2={s.r2:.4g} R2adj={s.r2_adj:.4g} sigma={s.sigma:.4g}",
@@ -343,7 +346,7 @@ class Pipeline:
             for j in range(i + 1, k):
                 result = pearson(y[:, i], y[:, j])
                 pair = "" if k == 2 else f"{fit.response_names[i]}~{fit.response_names[j]} "
-                print(f"pearson {pair}r={_g17(result.r)} p={_g17(result.p)}", file=out)
+                print(f"pearson {pair}r={result.r:.17g} p={result.p:.17g}", file=out)
 
     def run_report(self) -> None:
         self.run_prep()

@@ -18,10 +18,10 @@ restates this contract verbatim; tests pin it.
 Every fold refit reuses the lambda grid computed on the full data, so
 held-out errors are comparable across folds at each grid point. The
 fitter judges whether a training slice can be fitted at all; its
-rejection of a constant predictor or response is re-raised as a
-:class:`CvError` naming the fold. Fold refits are independent of one
-another; aggregation always reduces in fold order, so results do not
-depend on any execution schedule.
+rejection of a constant predictor or response, and its failure to
+converge, are re-raised as a :class:`CvError` naming the fold. Fold
+refits are independent of one another; aggregation always reduces in fold
+order, so results do not depend on any execution schedule.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .enet import EnetConfig, default_lambda_grid, fit_mgaussian_path
-from .linalg import as_matrix
+from .enet import ConvergenceError, EnetConfig, default_lambda_grid, fit_mgaussian_path
+from .linalg import as_matrix, is_constant
 
 __all__ = ["CvError", "FoldAssignment", "CvResult", "make_folds", "cross_validate"]
 
@@ -43,11 +43,14 @@ _MASK64 = (1 << 64) - 1
 
 
 class CvError(RuntimeError):
-    """Cross-validation could not be carried out; carries the fold index."""
+    """Cross-validation could not be carried out; carries the fold index
+    and, when a training slice has a constant predictor, that column's
+    index."""
 
-    def __init__(self, message: str, fold: int | None = None):
+    def __init__(self, message: str, fold: int | None = None, column: int | None = None):
         super().__init__(message)
         self.fold = fold
+        self.column = column
 
 
 @dataclass(frozen=True)
@@ -141,8 +144,13 @@ def cross_validate(x, y, config: EnetConfig, folds: FoldAssignment) -> CvResult:
         train = folds.assignment != f
         try:
             path = fit_mgaussian_path(x[train], y[train], config, lambdas=lambdas)
+        except ConvergenceError as exc:
+            raise CvError(f"fold {f}: {exc}", fold=f) from None
         except ValueError as exc:  # the fitter's rejection of degenerate data
-            raise CvError(f"fold {f}: training slice: {exc}", fold=f) from None
+            # the fitter rejects the first constant predictor before anything else
+            constant = np.flatnonzero(is_constant(x[train])).tolist()
+            column = constant[0] if constant else None
+            raise CvError(f"fold {f}: training slice: {exc}", fold=f, column=column) from None
         x_held = x[~train]
         err = y[~train] - (x_held @ path.coefs + path.intercepts[:, None, :])
         fold_errors[f] = np.einsum("lik,lik->l", err, err) / x_held.shape[0]

@@ -40,11 +40,6 @@ from .linalg import center_columns, is_constant
 
 __all__ = [
     "DataError",
-    "CsvFormatError",
-    "ConfigError",
-    "UnknownColumnError",
-    "MissingValueError",
-    "ConstantColumnError",
     "RawTable",
     "SubsetConfig",
     "StandardizedMatrix",
@@ -61,27 +56,8 @@ _VALID_ROLES = (ROLE_PREDICTOR, ROLE_RESPONSE)
 
 
 class DataError(ValueError):
-    """Base class for all ingestion and preparation failures."""
-
-
-class CsvFormatError(DataError):
-    """Malformed CSV input: ragged row, bad header, or unparseable cell."""
-
-
-class ConfigError(DataError):
-    """Malformed subset-configuration file."""
-
-
-class UnknownColumnError(DataError):
-    """A configured column does not exist in the table."""
-
-
-class MissingValueError(DataError):
-    """A missing cell reached a stage that requires complete data."""
-
-
-class ConstantColumnError(DataError):
-    """A column has zero sample variance and cannot be standardized."""
+    """Any failure to read, select or z-score the data; the message names
+    the row, column or configuration line at fault."""
 
 
 @dataclass
@@ -124,10 +100,10 @@ class SubsetConfig:
     def __post_init__(self) -> None:
         for group, columns in self.groups.items():
             if len(set(columns)) != len(columns):
-                raise ConfigError(f"group {group!r} lists a column twice")
+                raise DataError(f"group {group!r} lists a column twice")
         for group, role in self.roles.items():
             if role not in _VALID_ROLES:
-                raise ConfigError(f"invalid role {role!r} for group {group!r}")
+                raise DataError(f"invalid role {role!r} for group {group!r}")
 
     @classmethod
     def from_text(cls, text: str) -> "SubsetConfig":
@@ -136,45 +112,45 @@ class SubsetConfig:
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if not _is_utf8(line):
-                raise ConfigError(f"line {lineno}: {line!r} is not valid UTF-8")
+                raise DataError(f"line {lineno}: {line!r} is not valid UTF-8")
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise ConfigError(f"line {lineno}: expected '<group>.<key> = <value>'")
+                raise DataError(f"line {lineno}: expected '<group>.<key> = <value>'")
             lhs, value = line.split("=", 1)
             lhs = lhs.strip()
             value = value.strip()
             if "." not in lhs:
-                raise ConfigError(f"line {lineno}: expected '<group>.<key>' before '='")
+                raise DataError(f"line {lineno}: expected '<group>.<key>' before '='")
             group, key = lhs.rsplit(".", 1)
             group = group.strip()
             key = key.strip()
             if not group:
-                raise ConfigError(f"line {lineno}: empty group name")
+                raise DataError(f"line {lineno}: empty group name")
             if key == "column":
                 if not value:
-                    raise ConfigError(f"line {lineno}: empty column name")
+                    raise DataError(f"line {lineno}: empty column name")
                 columns = groups.setdefault(group, [])
                 if value in columns:
-                    raise ConfigError(
+                    raise DataError(
                         f"line {lineno}: column {value!r} listed twice in group {group!r}"
                     )
                 columns.append(value)
             elif key == "role":
                 if value not in _VALID_ROLES:
-                    raise ConfigError(
+                    raise DataError(
                         f"line {lineno}: role must be one of {_VALID_ROLES}, got {value!r}"
                     )
                 if group in roles:
-                    raise ConfigError(f"line {lineno}: role already set for group {group!r}")
+                    raise DataError(f"line {lineno}: role already set for group {group!r}")
                 roles[group] = value
             else:
-                raise ConfigError(f"line {lineno}: unknown key {key!r}")
+                raise DataError(f"line {lineno}: unknown key {key!r}")
         for group in roles:
             if group not in groups:
-                raise ConfigError(f"group {group!r} has a role but no columns")
+                raise DataError(f"group {group!r} has a role but no columns")
         if not groups:
-            raise ConfigError("configuration defines no groups")
+            raise DataError("configuration defines no groups")
         return cls(groups=groups, roles=roles)
 
     @classmethod
@@ -186,9 +162,7 @@ class SubsetConfig:
     def group_with_role(self, role: str) -> str:
         matches = [g for g, r in self.roles.items() if r == role]
         if len(matches) != 1:
-            raise ConfigError(
-                f"expected exactly one group with role {role!r}, found {len(matches)}"
-            )
+            raise DataError(f"expected exactly one group with role {role!r}, found {len(matches)}")
         return matches[0]
 
 
@@ -237,17 +211,17 @@ def _parse_cell(text: str) -> float:
         value = float(cell)
     except ValueError:
         if not _is_utf8(cell):
-            raise CsvFormatError(f"cell {cell!r} is not valid UTF-8") from None
-        raise CsvFormatError(f"unparseable cell {cell!r}") from None
+            raise DataError(f"cell {cell!r} is not valid UTF-8") from None
+        raise DataError(f"unparseable cell {cell!r}") from None
     if not math.isfinite(value):  # float() accepts nan, inf and overflow
-        raise CsvFormatError(f"non-finite cell {cell!r}")
+        raise DataError(f"non-finite cell {cell!r}")
     return value
 
 
 def _records(reader):
     """Number ``reader``'s records from 0 (the header) and its data rows
     from 1, skipping blank lines as :func:`standardize`'s row numbers do,
-    and re-raise a ``csv.Error`` as a CsvFormatError that names the row."""
+    and re-raise a ``csv.Error`` as a DataError that names the row."""
     i = 0
     while True:
         try:
@@ -255,7 +229,7 @@ def _records(reader):
         except StopIteration:
             return
         except csv.Error as exc:
-            raise CsvFormatError(f"row {i}: {exc}" if i else f"header row: {exc}") from None
+            raise DataError(f"row {i}: {exc}" if i else f"header row: {exc}") from None
         if record or not i:
             yield i, record
             i += 1
@@ -265,16 +239,16 @@ def _header(records) -> list[str]:
     """The column names from the first of ``records``, checked."""
     _, header = next(records, (0, None))
     if header is None:
-        raise CsvFormatError("input is empty; expected a header row")
+        raise DataError("input is empty; expected a header row")
     names = [h.strip() for h in header]
     seen: set[str] = set()
     for j, name in enumerate(names, start=1):
         if not name:
-            raise CsvFormatError("header contains an empty column name")
+            raise DataError("header contains an empty column name")
         if not _is_utf8(name):
-            raise CsvFormatError(f"header row, column {j}: name {name!r} is not valid UTF-8")
+            raise DataError(f"header row, column {j}: name {name!r} is not valid UTF-8")
         if name in seen:
-            raise CsvFormatError(f"duplicate header column {name!r}")
+            raise DataError(f"duplicate header column {name!r}")
         seen.add(name)
     return names
 
@@ -348,27 +322,25 @@ def load_csv(path: str | Path) -> RawTable:
         values = array("d")  # the cells row by row, 8 bytes each
         for i, record in records:
             if len(record) != len(names):
-                raise CsvFormatError(
-                    f"row {i} has {len(record)} cells, expected {len(names)}"
-                )
+                raise DataError(f"row {i} has {len(record)} cells, expected {len(names)}")
             for name, cell in zip(names, record):
                 try:
                     values.append(_parse_cell(cell))
-                except CsvFormatError as exc:
-                    raise CsvFormatError(f"row {i}, column {name!r}: {exc}") from None
+                except DataError as exc:
+                    raise DataError(f"row {i}, column {name!r}: {exc}") from None
     if not values:
-        raise CsvFormatError("no data rows after the header")
+        raise DataError("no data rows after the header")
     return RawTable(names=names, values=np.frombuffer(values).reshape(-1, len(names)))
 
 
 def select_variables(table: RawTable, config: SubsetConfig, group: str) -> RawTable:
     """Project ``table`` onto the columns of one configured group, in config order."""
     if group not in config.groups:
-        raise ConfigError(f"unknown group {group!r}")
+        raise DataError(f"unknown group {group!r}")
     wanted = config.groups[group]
     missing = [name for name in wanted if name not in table.names]
     if missing:
-        raise UnknownColumnError(
+        raise DataError(
             "columns not present in the table: " + ", ".join(repr(m) for m in missing)
         )
     index = [table.names.index(name) for name in wanted]
@@ -392,11 +364,11 @@ def standardize(table: RawTable) -> StandardizedMatrix:
     missing = np.argwhere(np.isnan(values))  # row-major order
     if len(missing):
         i, j = missing[0]
-        raise MissingValueError(f"row {i + 1}, column {table.names[j]!r}: missing value")
+        raise DataError(f"row {i + 1}, column {table.names[j]!r}: missing value")
     constant = np.flatnonzero(is_constant(values))
     if constant.size:
         names = ", ".join(repr(table.names[j]) for j in constant)
-        raise ConstantColumnError(f"constant column(s): {names}")
+        raise DataError(f"constant column(s): {names}")
     z, means, scales = center_columns(values)
     sds = np.sqrt(np.einsum("ij,ij->j", z, z) / (table.n_rows - 1))
     # scaled back by the power-of-two scales, the sds and the largest

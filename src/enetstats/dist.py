@@ -1,9 +1,10 @@
 """Special functions behind every p-value in the package.
 
-The F and Student-t tail probabilities both reduce to the regularized
-incomplete beta function I_x(a, b), evaluated here by a continued fraction
-(modified Lentz iteration) with the symmetry switch to I_{1-x}(b, a) once x
-passes (a + 1) / (a + b + 2). The tails hand the evaluator both x and its
+The F tail probability reduces to the regularized incomplete beta
+function I_x(a, b), and the two-sided Student-t tail is the F(1, df) tail
+at t^2. I_x(a, b) is evaluated here by a continued fraction (modified
+Lentz iteration) with the symmetry switch to I_{1-x}(b, a) once x passes
+(a + 1) / (a + b + 2). The F tail hands the evaluator both x and its
 complement 1 - x, each formed directly from the statistic (DiDonato &
 Morris 1992, ACM TOMS 18(3), Algorithm 708), so no digits are lost to
 1 - x when x is close to 1. The public functions are the tails
@@ -178,16 +179,11 @@ def f_sf(f: float, d1: int, d2: int) -> TailProbability:
 
 
 def t_sf(t: float, df: int) -> TailProbability:
-    """Two-sided tail P(|T_df| > |t|) of Student's t distribution."""
-    if not 1 <= df < math.inf:
-        raise ValueError(f"degrees of freedom must be finite and >= 1, got {df!r}")
+    """Two-sided tail P(|T_df| > |t|) of Student's t distribution, which is
+    the tail P(F_{1,df} > t^2)."""
     if math.isnan(t):
         raise ValueError("t statistic is NaN")
-    if math.isinf(t):
-        return TailProbability(0.0)
-    scale = df + t * t
-    p = _reg_incomplete_beta(df / 2.0, 0.5, df / scale, t * t / scale)
-    return _as_tail(p)
+    return f_sf(t * t, 1, df)
 
 
 def _as_tail(p: float) -> TailProbability:

@@ -193,7 +193,7 @@ def default_lambda_grid(x, y, config: EnetConfig) -> np.ndarray:
     (Friedman, Hastie & Tibshirani 2010, section 2.5). Pure ridge has no
     finite path start, so alpha must be positive.
     """
-    xw, yw, _, _ = _working_copies(x, as_matrix(y, "y"))
+    xw, yw, _, _ = _working_copies(x, y)
     n = xw.shape[0]
     return _lambda_grid(xw.T @ yw / n, n, config)
 
@@ -208,96 +208,6 @@ def fit_mgaussian_path(x, y, config: EnetConfig | None = None, lambdas=None) -> 
     :class:`EnetPath` has coefficient shape (L, p, K).
     """
     cfg = config if config is not None else EnetConfig()
-    y = as_matrix(y, "y")
-    return _fit_path(x, y, cfg, lambdas)
-
-
-# read by perfbench/worker.py until the benchmark change of ROADMAP item 7
-fit_gaussian_path = fit_mgaussian_path
-
-
-def kkt_check(x, y, b, b0, lam: float, alpha: float) -> KktReport:
-    """Stationarity certificate for a candidate solution.
-
-    Zero rows need ||(1/N) x_j'(y - yhat)||_2 <= lam * alpha + KKT_TOL;
-    nonzero rows need the full subgradient residual below KKT_TOL. The
-    residuals are the ones the solver stops on. Diagnostic only:
-    violations are reported, never raised.
-    """
-    x = as_matrix(x, "x")
-    y = as_matrix(y, "y")
-    b = as_matrix(b, "b")
-    b0 = np.atleast_1d(np.asarray(b0, dtype=float))
-    grad = x.T @ (y - b0 - x @ b) / x.shape[0]
-    residuals = _stationarity(grad, b, lam, alpha)
-    return KktReport(
-        max_violation=float(residuals.max(initial=0.0)),
-        violations=np.flatnonzero(residuals > KKT_TOL).tolist(),
-    )
-
-
-# ---------------------------------------------------------------------------
-# solver internals
-
-
-def _stationarity(grad: np.ndarray, b: np.ndarray, lam: float, alpha: float) -> np.ndarray:
-    """Per-predictor stationarity residuals of ``b`` given the gradient
-    ``grad = (1/N) x'(y - yhat)``.
-
-    A zero row j is stationary when ||grad_j||_2 <= lam * alpha, a nonzero
-    row when grad_j = lam * ((1 - alpha) + alpha / ||b_j||_2) * b_j; entry j
-    is the Euclidean amount by which row j misses its condition.
-    """
-    norms = np.sqrt(np.einsum("jk,jk->j", b, b))
-    zero = norms == 0.0
-    inactive = np.maximum(np.sqrt(np.einsum("jk,jk->j", grad, grad)) - lam * alpha, 0.0)
-    shrink = lam * (1.0 - alpha) + lam * alpha / np.where(zero, 1.0, norms)
-    miss = grad - shrink[:, None] * b
-    return np.where(zero, inactive, np.sqrt(np.einsum("jk,jk->j", miss, miss)))
-
-
-def _working_copies(x, y: np.ndarray):
-    """Reject data no fit can use and return the centered working copies
-    ``xw`` and ``yw`` with the offsets, the column means, removed.
-
-    Constancy is judged by :func:`~enetstats.linalg.is_constant`, and a
-    column's scale by :func:`~enetstats.linalg.check_scale`.
-    """
-    x = as_matrix(x, "x")
-    n = x.shape[0]
-    if y.shape[0] != n:
-        raise ValueError(f"x has {n} rows but y has {y.shape[0]}")
-    flat = np.flatnonzero(is_constant(x))
-    if flat.size:
-        raise ValueError(f"predictor column {int(flat[0])} is constant")
-    if np.all(is_constant(y)):
-        raise ValueError("responses are constant; deviance ratio is undefined")
-    check_scale(x, lambda j: f"predictor column {j}")
-    check_scale(y, lambda j: f"response column {j}")
-    x_off = x.mean(axis=0)
-    y_off = y.mean(axis=0)
-    return x - x_off, y - y_off, x_off, y_off
-
-
-def _lambda_grid(cov: np.ndarray, n: int, cfg: EnetConfig) -> np.ndarray:
-    """:func:`default_lambda_grid` from C = X'Y/N of the working copies."""
-    if cfg.alpha <= 0:
-        raise ValueError(
-            "alpha = 0 has no finite lambda_max; supply an explicit lambda path"
-        )
-    lam_max = float(np.sqrt((cov * cov).sum(axis=1)).max()) / cfg.alpha
-    if lam_max <= 0:
-        raise ValueError(
-            "every predictor is uncorrelated with the response; "
-            "no data-driven lambda grid exists"
-        )
-    ratio = cfg.lambda_min_ratio
-    if ratio is None:
-        ratio = 1e-4 if n > cov.shape[0] else 1e-2
-    return np.geomspace(lam_max, lam_max * ratio, cfg.nlambda)
-
-
-def _fit_path(x, y: np.ndarray, cfg: EnetConfig, lambdas) -> EnetPath:
     xw, yw, x_off, y_off = _working_copies(x, y)
     n, p = xw.shape
     k = yw.shape[1]
@@ -354,6 +264,93 @@ def _fit_path(x, y: np.ndarray, cfg: EnetConfig, lambdas) -> EnetPath:
         n_passes=n_passes,
         kkt_max=kkt_max,
     )
+
+
+# read by perfbench/worker.py until the benchmark change of ROADMAP item 7
+fit_gaussian_path = fit_mgaussian_path
+
+
+def kkt_check(x, y, b, b0, lam: float, alpha: float) -> KktReport:
+    """Stationarity certificate for a candidate solution.
+
+    Zero rows need ||(1/N) x_j'(y - yhat)||_2 <= lam * alpha + KKT_TOL;
+    nonzero rows need the full subgradient residual below KKT_TOL. The
+    residuals are the ones the solver stops on. Diagnostic only:
+    violations are reported, never raised.
+    """
+    x = as_matrix(x, "x")
+    y = as_matrix(y, "y")
+    b = as_matrix(b, "b")
+    b0 = np.atleast_1d(np.asarray(b0, dtype=float))
+    grad = x.T @ (y - b0 - x @ b) / x.shape[0]
+    residuals = _stationarity(grad, b, lam, alpha)
+    return KktReport(
+        max_violation=float(residuals.max(initial=0.0)),
+        violations=np.flatnonzero(residuals > KKT_TOL).tolist(),
+    )
+
+
+# ---------------------------------------------------------------------------
+# solver internals
+
+
+def _stationarity(grad: np.ndarray, b: np.ndarray, lam: float, alpha: float) -> np.ndarray:
+    """Per-predictor stationarity residuals of ``b`` given the gradient
+    ``grad = (1/N) x'(y - yhat)``.
+
+    A zero row j is stationary when ||grad_j||_2 <= lam * alpha, a nonzero
+    row when grad_j = lam * ((1 - alpha) + alpha / ||b_j||_2) * b_j; entry j
+    is the Euclidean amount by which row j misses its condition.
+    """
+    norms = np.sqrt(np.einsum("jk,jk->j", b, b))
+    zero = norms == 0.0
+    inactive = np.maximum(np.sqrt(np.einsum("jk,jk->j", grad, grad)) - lam * alpha, 0.0)
+    shrink = lam * (1.0 - alpha) + lam * alpha / np.where(zero, 1.0, norms)
+    miss = grad - shrink[:, None] * b
+    return np.where(zero, inactive, np.sqrt(np.einsum("jk,jk->j", miss, miss)))
+
+
+def _working_copies(x, y):
+    """Validate ``y`` (a 1-D ``y`` is one column), then ``x``, reject data
+    no fit can use and return the centered working copies ``xw`` and ``yw``
+    with the offsets, the column means, removed.
+
+    Constancy is judged by :func:`~enetstats.linalg.is_constant`, and a
+    column's scale by :func:`~enetstats.linalg.check_scale`.
+    """
+    y = as_matrix(y, "y")
+    x = as_matrix(x, "x")
+    n = x.shape[0]
+    if y.shape[0] != n:
+        raise ValueError(f"x has {n} rows but y has {y.shape[0]}")
+    flat = np.flatnonzero(is_constant(x))
+    if flat.size:
+        raise ValueError(f"predictor column {int(flat[0])} is constant")
+    if np.all(is_constant(y)):
+        raise ValueError("responses are constant; deviance ratio is undefined")
+    check_scale(x, lambda j: f"predictor column {j}")
+    check_scale(y, lambda j: f"response column {j}")
+    x_off = x.mean(axis=0)
+    y_off = y.mean(axis=0)
+    return x - x_off, y - y_off, x_off, y_off
+
+
+def _lambda_grid(cov: np.ndarray, n: int, cfg: EnetConfig) -> np.ndarray:
+    """:func:`default_lambda_grid` from C = X'Y/N of the working copies."""
+    if cfg.alpha <= 0:
+        raise ValueError(
+            "alpha = 0 has no finite lambda_max; supply an explicit lambda path"
+        )
+    lam_max = float(np.sqrt((cov * cov).sum(axis=1)).max()) / cfg.alpha
+    if lam_max <= 0:
+        raise ValueError(
+            "every predictor is uncorrelated with the response; "
+            "no data-driven lambda grid exists"
+        )
+    ratio = cfg.lambda_min_ratio
+    if ratio is None:
+        ratio = 1e-4 if n > cov.shape[0] else 1e-2
+    return np.geomspace(lam_max, lam_max * ratio, cfg.nlambda)
 
 
 def _descend(

@@ -7,10 +7,10 @@ with overall F and adjusted R^2, variance inflation factors and Pearson
 correlation. The plot-ready residual data is the fit's own ``fitted`` and
 ``residuals`` arrays (N x K), which the CLI writes to ``residuals.tsv``.
 
-Every statistic is read from one Q-free QR of [1, X, Y]
-(:func:`~enetstats.linalg.r_factor`). The leading (p+1) block of its R is
-the design's R: the coefficients, (X'X)^-1 = R^-1 R^-T and every VIF. The
-trailing K block is the residuals' R factor: E and every MANOVA term.
+Every statistic is read from one Q-free QR of [1, X, Y], numpy's
+``qr(mode="r")``. The leading (p+1) block of its R is the design's R: the
+coefficients, (X'X)^-1 = R^-1 R^-T and every VIF. The trailing K block is
+the residuals' R factor: E and every MANOVA term.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from .dist import f_sf, t_sf
 from .linalg import (
-    RankDeficiencyError, as_matrix, center_columns, check_rank, check_scale, is_constant, r_factor
+    RankDeficiencyError, as_matrix, center_columns, check_rank, check_scale, is_constant
 )
 
 __all__ = [
@@ -180,7 +180,7 @@ def fit_mlm(x, y, predictor_names=None, response_names=None) -> MlmFit:
     check_scale(y, lambda j: f"response {response_names[j]!r}")
 
     augmented = np.column_stack([np.ones(n), x, y])
-    r = r_factor(augmented)
+    r = np.linalg.qr(augmented, mode="r")
     m = p + 1
     try:
         check_rank(r[:m, :m])

@@ -11,10 +11,10 @@ layers build their diagnostics on:
 * one centering rule (:func:`center_columns`), which every z-score and
   correlation takes its moments from: an exact power-of-two rescale and
   the corrected two-pass mean, so the moments hold at any column scale;
-* one Q-free QR (:func:`r_factor`), whose R holds every regression
-  statistic, and one pivot rule for it (:func:`check_rank`), which judges
-  each pivot against its own column's norm, so collinearity surfaces as a
-  rank failure naming the dependent column whatever the columns' scales;
+* one pivot rule (:func:`check_rank`) for the R factor of a QR, which
+  judges each pivot against its own column's norm, so collinearity
+  surfaces as a rank failure naming the dependent column whatever the
+  columns' scales;
 * one scale window (:func:`check_scale`) for the fitters' columns, inside
   which none of their sums of squares, inverses or ratios of two columns'
   scales can overflow.
@@ -28,18 +28,12 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "DimensionError",
     "RankDeficiencyError",
     "as_matrix",
-    "r_factor",
 ]
 
 _RANK_TOL = 1e-12
 _SCALE_MAX = 2.0**200  # about 1.6e60
-
-
-class DimensionError(ValueError):
-    """Operand shapes do not conform."""
 
 
 class RankDeficiencyError(ValueError):
@@ -61,9 +55,9 @@ def as_matrix(a, name: str) -> np.ndarray:
     if arr.ndim == 1:
         arr = arr.reshape(-1, 1)
     if arr.ndim != 2:
-        raise DimensionError(f"{name} must be 2-D, got shape {arr.shape}")
+        raise ValueError(f"{name} must be 2-D, got shape {arr.shape}")
     if arr.shape[0] < 1:
-        raise DimensionError(f"{name} must have at least one row")
+        raise ValueError(f"{name} must have at least one row")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
@@ -115,12 +109,6 @@ def check_scale(a: np.ndarray, label) -> None:
             f"{label(j)} has largest |value| {big[j]:.3g}, outside the 2^-200 to 2^200 "
             "(about 6.2e-61 to 1.6e60) the fitters accept; rescale it"
         )
-
-
-def r_factor(x) -> np.ndarray:
-    """Upper-trapezoidal R of ``x`` = QR, min(rows, columns) x columns;
-    Q is never formed."""
-    return np.linalg.qr(as_matrix(x, "x"), mode="r")
 
 
 def check_rank(r: np.ndarray) -> None:

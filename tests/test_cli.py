@@ -20,13 +20,13 @@ from numpy.testing import assert_allclose
 from scipy import stats
 
 import enetstats.cli
-from enetstats.cli import _GROUP, Pipeline, _g17, _tsv, _write_files, build_parser, main, stars
+from enetstats.cli import _GROUP, Pipeline, _tsv, _write_files, build_parser, main, stars
 from enetstats.cv import make_folds
 from enetstats.dataprep import SubsetConfig, load_csv, select_variables, standardize
 from enetstats.enet import EnetConfig, default_lambda_grid, fit_mgaussian_path
 from enetstats.inference import fit_mlm, univariate_summary
 
-from oracles import cv_refit_loop
+from oracles import cv_refit_loop, vif_auxiliary
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 DEMO_CSV = DATA / "demo_lifestyle.csv"
@@ -117,7 +117,7 @@ class TestPrep:
         assert np.max(np.abs(values.std(axis=0, ddof=1) - 1.0)) <= 1e-10
         table, cfg = load_csv(DEMO_CSV), SubsetConfig.load(DEMO_CFG)
         sm = standardize(select_variables(table, cfg, "demographic"))
-        assert rows == [[_g17(v) for v in row] for row in sm.matrix]
+        assert rows == [[f"{v:.17g}" for v in row] for row in sm.matrix.tolist()]
 
     def test_scale_sidecar_round_trips(self, tmp_path):
         out = tmp_path / "out"
@@ -437,32 +437,64 @@ class TestMlm:
         table, cfg = load_csv(DEMO_CSV), SubsetConfig.load(DEMO_CFG)
         x = standardize(select_variables(table, cfg, cfg.group_with_role("predictor")))
         y = standardize(select_variables(table, cfg, cfg.group_with_role("response")))
-        fit = fit_mlm(x.matrix[:, [x.names.index(t) for t in terms]], y.matrix)
-        assert [r[0] for r in rrows[:4]] == y.names * 2
+        kept = x.matrix[:, [x.names.index(t) for t in terms]]
+        fit = fit_mlm(kept, y.matrix)
+        assert [r[0] for r in rrows] == y.names * 86
         assert rrows == [
-            [name, _g17(fit.fitted[i, k]), _g17(fit.residuals[i, k])]
+            [name, f"{fit.fitted[i, k]:.17g}", f"{fit.residuals[i, k]:.17g}"]
             for i in range(86)
             for k, name in enumerate(y.names)
         ]
-        fitted = np.array([float(r[1]) for r in rrows])
-        resid = np.array([float(r[2]) for r in rrows])
-        for name in ("yll_communicable", "yll_noncommunicable"):
-            mask = np.array([r[0] == name for r in rrows])
-            assert abs(resid[mask].mean()) <= 1e-10
-            assert abs(float(fitted[mask] @ resid[mask])) <= 1e-8
+
+        # every printed number against an independent least-squares fit, at
+        # the benchmark oracle's tolerances (perfbench/check.py)
+        n, p = kept.shape
+        df_error = n - p - 1
+        assert (p, df_error) == (5, 80)
+        design = np.column_stack([np.ones(n), kept])
+        want_fitted = design @ np.linalg.lstsq(design, y.matrix, rcond=None)[0]
+        fitted = np.array([float(r[1]) for r in rrows]).reshape(n, 2)
+        resid = np.array([float(r[2]) for r in rrows]).reshape(n, 2)
+        assert_allclose(fitted, want_fitted, rtol=0.0, atol=1e-10)
+        assert_allclose(resid, y.matrix - want_fitted, rtol=0.0, atol=1e-10)
+        for k in range(2):
+            assert abs(resid[:, k].mean()) <= 1e-10
+            assert abs(float(fitted[:, k] @ resid[:, k])) <= 1e-8
+        shown = [l for l in captured.splitlines() if l.startswith(f"F({p},{df_error})=")]
+        assert len(shown) == 2
+        for k, name in enumerate(y.names):
+            e = y.matrix[:, k] - want_fitted[:, k]
+            centered = y.matrix[:, k] - y.matrix[:, k].mean()
+            rss, tss = float(e @ e), float(centered @ centered)
+            r2 = 1.0 - rss / tss
+            uni = (out / f"uni_{name}.tsv").read_text(encoding="utf-8")
+            footer = dict(cell.split("=") for cell in uni.splitlines()[-1].split())
+            assert float(footer[f"F({p},{df_error})"]) == pytest.approx(
+                r2 / p / ((1.0 - r2) / df_error), rel=1e-10, abs=0.0
+            )
+            assert float(footer["R2"]) == pytest.approx(r2, rel=1e-12, abs=1e-12)
+            assert float(footer["R2adj"]) == pytest.approx(
+                1.0 - (1.0 - r2) * (n - 1) / df_error, rel=1e-12, abs=1e-12
+            )
+            # stdout prints sigma at 4 significant digits
+            sigma = float(shown[k].split("sigma=")[1])
+            assert sigma == pytest.approx(math.sqrt(rss / df_error), rel=5e-4, abs=0.0)
 
         # strongly negatively correlated responses show up on stdout
         line = next(l for l in captured.splitlines() if l.startswith("pearson"))
         r = float(line.split("r=")[1].split()[0])
+        want = stats.pearsonr(y.matrix[:, 0], y.matrix[:, 1])
         assert r <= -0.9
+        assert r == pytest.approx(want[0], rel=0.0, abs=1e-12)
+        assert float(line.split("p=")[1]) == pytest.approx(want[1], rel=5e-4, abs=1e-300)
 
-        # univariate footers carry the overall fit line
-        uni = (out / "uni_yll_communicable.tsv").read_text(encoding="utf-8")
-        assert uni.splitlines()[-1].startswith("F(5,80)=")
-
-        _, vrows = read_tsv(out / "vif.tsv")
-        assert len(vrows) == 5
-        assert all(float(r[2]) >= 1.0 for r in vrows)
+        header, vrows = read_tsv(out / "vif.tsv")
+        assert header == ["predictor", "r2_aux", "vif"]
+        assert [r[0] for r in vrows] == terms
+        for row, (r2_aux, v) in zip(vrows, vif_auxiliary(kept)):
+            assert float(row[1]) == pytest.approx(r2_aux, rel=1e-12, abs=1e-12)
+            assert float(row[2]) == pytest.approx(v, rel=1e-10, abs=0.0)
+            assert float(row[2]) >= 1.0
 
     def test_explicit_predictor_list(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -929,12 +961,17 @@ def cli_runs(draw):
     group; a command and its flags; whether ``--out`` exists before the
     run; and what an error must name. Most runs are valid; one fault at
     most is drawn in: a column that copies the one before, is constant, or
-    has a tiny spread on a large mean, an "NA" cell, too few rows, or one
-    bad flag value. A constant column, an NA cell and a bad flag value
-    fail every run that reaches them, so a failed run's error must name
-    the column, the row and column, or the flag; the other faults may
-    pass, or fail where no single column, row or flag is to blame."""
-    faults = ["copy", "constant", "tiny", "na", "rows", "flag"]
+    has a tiny spread on a large mean, a predictor that is 0 but for one
+    1 among normal columns (constant in the training slice of the fold
+    that holds the 1 out), an "NA" cell, too few rows, or one bad flag
+    value. A constant column, an NA cell and a bad flag value fail every
+    run that reaches them, and the one-1 predictor every run that
+    cross-validates (all but ``prep`` and ``mlm`` on given predictors), so
+    a failed run's error must name the column, the row and column, or the
+    flag; ``mlm`` on given predictors and too few rows, none constant,
+    must say it needs more observations. The other faults may pass, or
+    fail where no single column, row or flag is to blame."""
+    faults = ["copy", "constant", "tiny", "one", "na", "rows", "flag"]
     fault = draw(st.sampled_from([None] * 9 + faults))
     n = draw(st.integers(1, 3) if fault == "rows" else st.integers(6, 20))
     p = draw(st.integers(2, 5))
@@ -959,6 +996,11 @@ def cli_runs(draw):
         named = repr(names[bad])
     elif fault == "tiny":
         columns[bad] = 1e6 + 1e-9 * rng.normal(size=n)
+    elif fault == "one":
+        columns = [rng.normal(size=n) for _ in columns]
+        bad %= p
+        columns[bad] = np.zeros(n)
+        columns[bad][draw(st.integers(0, n - 1))] = 1.0
     cells = [[repr(float(v)) for v in row] for row in np.column_stack(columns)]
     if fault == "na":
         row = draw(st.integers(0, n - 1))
@@ -987,6 +1029,11 @@ def cli_runs(draw):
     elif command in ("mlm", "report") and draw(st.booleans()):
         chosen = st.lists(st.sampled_from(names[:p]), min_size=2, max_size=3, unique=True)
         flags["--predictors"] = ",".join(draw(chosen))
+    given = command == "mlm" and "--predictors" in flags  # then mlm skips the CV
+    if fault == "one" and command != "prep" and not given:
+        named = repr(names[bad])
+    if fault == "rows" and given and n >= 2 and all(np.ptp(c) > 0.0 for c in columns):
+        named = "need more observations"
     argv = [command, *itertools.chain(*flags.items())]
     return _csv(names, cells), _config(names), argv, draw(st.booleans()), named
 
@@ -1000,6 +1047,15 @@ def _prep_run(x1_scale=1.0, y0=None):
     cells = [[repr(float(v)) for v in row] for row in np.column_stack(columns)]
     names = ["x0", "x1", "y0"]
     return _csv(names, cells), _config(names), ["prep"], False, None if y0 is None else "'y0'"
+
+
+def _short_mlm_run():
+    """A run as :func:`cli_runs` draws it: ``mlm`` on x0 and x1 over 3
+    normal rows, so N = p + 1."""
+    names = ["x0", "x1", "y0"]
+    cells = [[repr(float(v)) for v in row] for row in np.random.default_rng(12).normal(size=(3, 3))]
+    argv = ["mlm", "--predictors", "x0,x1"]
+    return _csv(names, cells), _config(names), argv, False, "need more observations"
 
 
 def run_texts(tmp, csv_text, cfg_text, argv):
@@ -1044,6 +1100,7 @@ class TestCliContract:
     @settings(max_examples=150)
     @given(cli_runs())
     @example(_prep_run(1e-159, y0=2.5))  # x1's squares are subnormal
+    @example(_short_mlm_run())
     def test_exit_codes_output_and_files(self, drawn):
         csv_text, cfg_text, argv, existing, named = drawn
         with tempfile.TemporaryDirectory() as tmp:

@@ -178,9 +178,10 @@ class TestCrossValidate:
         x[:, 1] = 5.0
         x[folds.assignment == 0, 1] = rng.normal(size=int((folds.assignment == 0).sum()))
         y = rng.normal(size=n)
-        with pytest.raises(CvError) as info:
+        message = "^fold 0: training slice: predictor column 1 is constant$"
+        with pytest.raises(CvError, match=message) as info:
             cross_validate(x, y, EnetConfig(alpha=0.5, nlambda=10), folds)
-        assert info.value.fold == 0
+        assert (info.value.fold, info.value.column) == (0, 1)
 
     def test_constant_training_response_reports_fold(self):
         rng = np.random.default_rng(32)
@@ -193,6 +194,16 @@ class TestCrossValidate:
         y[assignment == 0] = rng.normal(size=4)
         with pytest.raises(CvError, match="fold 0") as info:
             cross_validate(x, y, EnetConfig(alpha=0.5, nlambda=10), folds)
+        assert (info.value.fold, info.value.column) == (0, None)
+
+    def test_fold_that_does_not_converge_is_named(self):
+        rng = np.random.default_rng(36)
+        x = standardized(rng, 40, 4)
+        y = x @ [1.0, -1.0, 0.5, 0.0] + rng.normal(size=40)
+        config = EnetConfig(nlambda=10, max_iter=1, tol=1e-14)
+        message = "^fold 0: the path solver did not converge within 1 passes at lambda index 1$"
+        with pytest.raises(CvError, match=message) as info:
+            cross_validate(x, y, config, make_folds(40, 4, 1))
         assert info.value.fold == 0
 
     def test_empty_fold_is_named(self):

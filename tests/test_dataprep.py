@@ -15,15 +15,10 @@ from numpy.testing import assert_allclose
 
 from enetstats import dataprep
 from enetstats.dataprep import (
-    ConfigError,
-    ConstantColumnError,
-    CsvFormatError,
-    MissingValueError,
     DataError,
     RawTable,
     StandardizedMatrix,
     SubsetConfig,
-    UnknownColumnError,
     load_csv,
     select_variables,
     standardize,
@@ -57,30 +52,30 @@ class TestLoadCsv:
         assert np.isnan(t.values[0, 0]) and t.values[0, 1] == 2.0
 
     def test_ragged_row(self):
-        with pytest.raises(CsvFormatError, match="row 1"):
+        with pytest.raises(DataError, match="row 1"):
             table("a,b\n1,2,3\n")
 
     def test_duplicate_header(self):
-        with pytest.raises(CsvFormatError, match="duplicate"):
+        with pytest.raises(DataError, match="duplicate"):
             table("a,a\n1,2\n")
 
     def test_unparseable_cell_names_row_and_column(self):
-        with pytest.raises(CsvFormatError, match="row 2.*'b'"):
+        with pytest.raises(DataError, match="row 2.*'b'"):
             table("a,b\n1,2\n3,oops\n")
 
     def test_blank_line_is_not_a_data_row(self):
         # the parser numbers rows as standardize does, so both name row 2
         text = "a,b\n1,2\n\n3,{}\n5,6\n"
-        with pytest.raises(MissingValueError, match=r"^row 2, column 'b'"):
+        with pytest.raises(DataError, match=r"^row 2, column 'b'"):
             standardize(table(text.format("NA")))
-        with pytest.raises(CsvFormatError, match=r"^row 2, column 'b'"):
+        with pytest.raises(DataError, match=r"^row 2, column 'b'"):
             table(text.format("x"))
-        with pytest.raises(CsvFormatError, match=r"^row 2: field larger"):
+        with pytest.raises(DataError, match=r"^row 2: field larger"):
             table(text.format('"' + "x" * 200_000 + '"'))
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e999"])
     def test_non_finite_cell_names_row_and_column(self, cell):
-        with pytest.raises(CsvFormatError, match=r"row 2, column 'b': non-finite cell"):
+        with pytest.raises(DataError, match=r"row 2, column 'b': non-finite cell"):
             table(f"a,b\n1,2\n3,{cell}\n")
 
     def test_quoted_header(self):
@@ -88,13 +83,13 @@ class TestLoadCsv:
         assert t.names == ["a,b", "c"]
 
     def test_empty_input(self):
-        with pytest.raises(CsvFormatError):
+        with pytest.raises(DataError, match="^input is empty; expected a header row$"):
             table("")
 
     def test_header_only(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # and no warning from numpy's reader
-            with pytest.raises(CsvFormatError, match="no data rows"):
+            with pytest.raises(DataError, match="no data rows"):
                 table("a,b\n")
 
     def test_reads_path(self, tmp_path):
@@ -111,13 +106,13 @@ class TestLoadCsv:
         # in chunks would fail rows before the one that holds it
         data = b"a,b\n" + b"1.5,2.5\n" * 2000 + b"3,4\xff5\n" + b"6,7\n"
         assert data.index(b"\xff") > 8192
-        with pytest.raises(CsvFormatError, match=r"^row 2001, column 'b': .*not valid UTF-8"):
+        with pytest.raises(DataError, match=r"^row 2001, column 'b': .*not valid UTF-8"):
             load_csv(self._path(tmp_path, data, kind))
 
     @pytest.mark.parametrize("kind", ["path", "str"])
     def test_non_utf8_byte_in_header_names_column(self, tmp_path, kind):
         data = b"a,b\xff\n1,2\n"
-        with pytest.raises(CsvFormatError, match=r"^header row, column 2: .*not valid UTF-8"):
+        with pytest.raises(DataError, match=r"^header row, column 2: .*not valid UTF-8"):
             load_csv(self._path(tmp_path, data, kind))
 
     @pytest.mark.parametrize(
@@ -152,7 +147,7 @@ class TestLoadCsv:
     def test_csv_module_errors_survive_the_c_reader(self, text, message):
         # numpy's reader would take both: it has no field-size limit, also
         # not for a quoted cell spread over short lines
-        with pytest.raises(CsvFormatError, match=message):
+        with pytest.raises(DataError, match=message):
             table(text)
 
     @staticmethod
@@ -224,7 +219,7 @@ class TestParserProperties:
     def test_any_config_text_parses_or_raises_config_error(self, text):
         try:
             cfg = SubsetConfig.from_text(text)
-        except ConfigError:
+        except DataError:
             return
         assert cfg.groups and all(cfg.groups.values())
 
@@ -338,29 +333,29 @@ class TestSubsetConfig:
         assert cfg.group_with_role("predictor") == "g1"
 
     def test_duplicate_column_rejected(self):
-        with pytest.raises(ConfigError, match="twice"):
+        with pytest.raises(DataError, match="twice"):
             SubsetConfig.from_text("g.column = a\ng.column = a\n")
 
     def test_bad_role(self):
-        with pytest.raises(ConfigError, match="role"):
+        with pytest.raises(DataError, match="role"):
             SubsetConfig.from_text("g.column = a\ng.role = banana\n")
 
     def test_unknown_key(self):
-        with pytest.raises(ConfigError, match="unknown key"):
+        with pytest.raises(DataError, match="unknown key"):
             SubsetConfig.from_text("g.thing = a\n")
 
     def test_missing_equals(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(DataError, match="^line 1: expected '<group>.<key> = <value>'$"):
             SubsetConfig.from_text("g.column a\n")
 
     def test_role_needs_columns(self):
-        with pytest.raises(ConfigError, match="no columns"):
+        with pytest.raises(DataError, match="no columns"):
             SubsetConfig.from_text("g.role = predictor\nh.column = a\n")
 
     def test_non_utf8_byte_names_line(self, tmp_path):
         path = tmp_path / "latin1.cfg"
         path.write_bytes(b"g.column = a\ng.column = b\xff\n")
-        with pytest.raises(ConfigError, match=r"^line 2: .*not valid UTF-8"):
+        with pytest.raises(DataError, match=r"^line 2: .*not valid UTF-8"):
             SubsetConfig.load(path)
 
     def test_byte_order_mark_is_not_part_of_the_first_line(self, tmp_path):
@@ -371,15 +366,16 @@ class TestSubsetConfig:
 
     def test_ambiguous_role_lookup(self):
         cfg = SubsetConfig.from_text("g.column = a\n")
-        with pytest.raises(ConfigError):
+        message = "^expected exactly one group with role 'response', found 0$"
+        with pytest.raises(DataError, match=message):
             cfg.group_with_role("response")
 
     def test_direct_construction_rejects_a_repeated_column(self):
-        with pytest.raises(ConfigError, match="^group 'g' lists a column twice$"):
+        with pytest.raises(DataError, match="^group 'g' lists a column twice$"):
             SubsetConfig(groups={"g": ["a", "b", "a"]})
 
     def test_direct_construction_rejects_a_bad_role(self):
-        with pytest.raises(ConfigError, match="^invalid role 'banana' for group 'g'$"):
+        with pytest.raises(DataError, match="^invalid role 'banana' for group 'g'$"):
             SubsetConfig(groups={"g": ["a"]}, roles={"g": "banana"})
 
 
@@ -413,12 +409,12 @@ class TestSelectVariables:
 
     def test_absent_column_named(self):
         cfg = SubsetConfig(groups={"bad": ["a", "zz", "ww"]})
-        with pytest.raises(UnknownColumnError, match="'zz'.*'ww'"):
+        with pytest.raises(DataError, match="'zz'.*'ww'"):
             select_variables(self.table, cfg, "bad")
 
     def test_unknown_group(self):
         cfg = SubsetConfig(groups={"g": ["a"]})
-        with pytest.raises(ConfigError):
+        with pytest.raises(DataError, match="^unknown group 'other'$"):
             select_variables(self.table, cfg, "other")
 
     def test_preserves_row_order_and_count(self):
@@ -446,13 +442,13 @@ class TestStandardize:
 
     def test_constant_column(self):
         t = RawTable(names=["v"], values=[[5.0], [5.0], [5.0]])
-        with pytest.raises(ConstantColumnError, match="'v'"):
+        with pytest.raises(DataError, match="'v'"):
             standardize(t)
 
     def test_constant_column_with_inexact_mean(self):
         # mean(0.1, 0.1, 0.1) is not 0.1 exactly, so the sd comes out 1.7e-17
         t = RawTable(names=["a", "b"], values=[[1.0, 0.1], [2.0, 0.1], [4.0, 0.1]])
-        with pytest.raises(ConstantColumnError, match=r"^constant column\(s\): 'b'$"):
+        with pytest.raises(DataError, match=r"^constant column\(s\): 'b'$"):
             standardize(t)
 
     def test_sd_underflow_is_rescaled(self):
@@ -513,13 +509,13 @@ class TestStandardize:
 
     def test_missing_cell(self):
         t = RawTable(names=["v"], values=[[1.0], [np.nan]])
-        with pytest.raises(MissingValueError, match=r"^row 2, column 'v': missing value$"):
+        with pytest.raises(DataError, match=r"^row 2, column 'v': missing value$"):
             standardize(t)
 
     def test_first_missing_cell_in_row_major_order(self):
         # column-major order would name row 3, column 'a'
         t = RawTable(names=["a", "b"], values=[[1.0, 2.0], [3.0, np.nan], [np.nan, 4.0]])
-        with pytest.raises(MissingValueError, match=r"^row 2, column 'b': missing value$"):
+        with pytest.raises(DataError, match=r"^row 2, column 'b': missing value$"):
             standardize(t)
 
     def test_too_few_rows(self):
@@ -552,6 +548,18 @@ class TestStandardizedMatrix:
         z = np.array([[-1.0], [1.0]]) / np.sqrt(2.0)
         with pytest.raises(DataError, match="strictly positive"):
             StandardizedMatrix(matrix=z, means=[0.0], sds=[np.nan], names=["a"])
+
+    @pytest.mark.parametrize("moment", ["mean", "sd"])
+    def test_tolerance_is_1e_10(self, moment):
+        v = np.array([[-3.0], [-1.0], [1.0], [3.0]])
+        z = v / v.std(ddof=1)  # mean 0 and sd 1 to the last bit
+
+        def off_by(delta):
+            return z + delta if moment == "mean" else z * (1.0 + delta)
+
+        StandardizedMatrix(matrix=off_by(0.8e-10), means=[0.0], sds=[1.0], names=["a"])
+        with pytest.raises(DataError, match="^matrix columns are not standardized to tolerance$"):
+            StandardizedMatrix(matrix=off_by(1.2e-10), means=[0.0], sds=[1.0], names=["a"])
 
     def test_one_dimensional_matrix_rejected(self):
         with pytest.raises(DataError, match="^standardized matrix must be 2-D$"):

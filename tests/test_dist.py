@@ -125,9 +125,7 @@ class TestTSf:
         for _ in range(50):
             t = float(rng.normal(scale=3.0))
             df = int(rng.integers(1, 300))
-            assert math.isclose(
-                t_sf(t, df).value, f_sf(t * t, 1, df).value, abs_tol=1e-12
-            )
+            assert t_sf(t, df) == f_sf(t * t, 1, df)
 
     def test_against_quadrature(self):
         df = 10
@@ -145,7 +143,8 @@ class TestTSf:
         assert t_sf(2.5, 7).value == t_sf(-2.5, 7).value
 
     def test_infinite_statistic_is_an_exact_zero(self):
-        for t in (math.inf, -math.inf):
+        # as is a finite t whose square overflows, since F's tail is read at t^2
+        for t in (math.inf, -math.inf, 1e155, -1e155):
             assert t_sf(t, 9) == TailProbability(0.0, False)
 
     def test_domain(self):

@@ -7,14 +7,14 @@ writes a table's rows as TSV (UTF-8, LF, header row first, numbers at 17
 significant digits so every value round-trips); :func:`_render` shows the
 same rows as aligned text at ``--digits`` (p-values at 4).
 
-A run computes first and writes once: ``--out`` is created,
-the files written and stdout printed only after every stage of the
-command has returned, so a failed run creates or changes no file in
-``--out`` and prints nothing to stdout; the files go in under temporary
-names, so an error while writing leaves ``--out`` as it was too. The
-stages keep each file's table and rows, not its text: the rows are
-formatted while each file is written, so the CLI never holds an output
-file's text.
+The inputs are read once: the groups a command reads are z-scored as
+the CSV is read, and the table is then dropped. A run computes first and
+writes once: ``--out`` is created, the files written and stdout printed
+only after every stage has returned, so a failed run creates or changes
+no file in ``--out`` and prints nothing to stdout; the files go in under
+temporary names, so an error while writing leaves ``--out`` as it was
+too. The stages keep each file's table and rows, not its text: the rows
+are formatted while each file is written.
 Exit codes: 0 success, 2 input/validation failure, 3 solver or CV
 failure, 4 inference failure.
 """
@@ -38,7 +38,6 @@ from .dataprep import (
     DataError,
     ROLE_PREDICTOR,
     ROLE_RESPONSE,
-    RawTable,
     StandardizedMatrix,
     SubsetConfig,
     load_csv,
@@ -172,48 +171,28 @@ def _render(table: _Table, rows, digits: int, key=None) -> str:
     return "\n".join(lines)
 
 
-class _Groups(dict):
-    """The configured groups, each z-scored on first use."""
-
-    def __init__(self, table: RawTable, subsets: SubsetConfig):
-        super().__init__()
-        self.table = table
-        self.subsets = subsets
-
-    def __missing__(self, group: str) -> StandardizedMatrix:
-        sm = self[group] = standardize(select_variables(self.table, self.subsets, group))
-        return sm
-
-
-class _Files(dict):
-    """File name to the table, rows, names and footer :func:`_tsv` writes
-    it from; a name that is not a plain file name or that two outputs share
-    is rejected when added, before anything is written."""
-
-    def __setitem__(self, name: str, output: tuple) -> None:
-        if Path(name).name != name:
-            raise DataError(f"output file name {name!r} is not a plain file name")
-        if name in self:
-            raise DataError(f"two outputs would both be written to {name!r}")
-        super().__setitem__(name, output)
-
-
 class Pipeline:
     """Shared state for the subcommands so `report` never recomputes.
 
+    ``standardized`` holds the groups the command reads, z-scored when the
+    inputs are read (every group in config order for `prep` and `report`,
+    else the predictor and then the response group); no table is kept.
     The ``run_*`` stages write nothing: each adds its files to ``files``
-    (file name to table, rows, names and footer, formatted only when the
-    file is written) and its lines to ``stdout``.
+    (file name to table, rows, names and footer, formatted only when
+    written) and its lines to ``stdout``.
     """
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
         self.enet_cfg = _enet_config(args)
-        self.table = load_csv(args.input)
-        self.subsets = SubsetConfig.load(args.subsets)
-        self.predictors = _predictor_flag(args, self.subsets)
-        self.standardized = _Groups(self.table, self.subsets)
-        self.files = _Files()
+        table = load_csv(args.input)
+        subsets = self.subsets = SubsetConfig.load(args.subsets)
+        self.predictors = _predictor_flag(args, subsets)
+        groups = subsets.groups
+        if args.command not in ("prep", "report"):
+            groups = [subsets.group_with_role(r) for r in (ROLE_PREDICTOR, ROLE_RESPONSE)]
+        self.standardized = {g: standardize(select_variables(table, subsets, g)) for g in groups}
+        self.files: dict[str, tuple] = {}
         self.stdout = io.StringIO()
 
     # -- shared stages ----------------------------------------------------
@@ -265,7 +244,7 @@ class Pipeline:
 
     @cached_property
     def mlm_fit(self) -> MlmFit:
-        names = self.reduced_predictors  # checked before the design is standardized
+        names = self.reduced_predictors
         x, y = self.design
         return fit_mlm(
             x.matrix[:, [x.names.index(n) for n in names]],
@@ -277,15 +256,20 @@ class Pipeline:
     # -- subcommands -------------------------------------------------------
 
     def _add(self, table: _Table, rows, key=None, names=(), footer=()) -> None:
-        """Add a table's file; a titled table is small, and its listed rows also go to stdout."""
+        """Add a table's file under a plain name no other output takes; a
+        titled table is small, and its listed rows also go to stdout."""
         if table.title:
             rows = list(rows)
             print(_render(table, rows, self.args.digits, key), file=self.stdout)
-        self.files[table.file.format(key)] = (table, rows, names, footer)
+        name = table.file.format(key)
+        if Path(name).name != name:
+            raise DataError(f"output file name {name!r} is not a plain file name")
+        if name in self.files:
+            raise DataError(f"two outputs would both be written to {name!r}")
+        self.files[name] = (table, rows, names, footer)
 
     def run_prep(self) -> None:
-        for group in self.subsets.groups:
-            sm = self.standardized[group]
+        for group, sm in self.standardized.items():
             self._add(_GROUP, (tuple(row.tolist()) for row in sm.matrix), group, sm.names)
             self._add(_SCALE, zip(sm.names, sm.means.tolist(), sm.sds.tolist()), group)
 

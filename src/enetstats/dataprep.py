@@ -247,6 +247,8 @@ def _header(records) -> list[str]:
             raise DataError("header contains an empty column name")
         if not _is_utf8(name):
             raise DataError(f"header row, column {j}: name {name!r} is not valid UTF-8")
+        if any(c in name for c in "\t\r\n"):  # each would break the TSVs it reaches
+            raise DataError(f"header row, column {j}: name {name!r} holds a tab or line break")
         if name in seen:
             raise DataError(f"duplicate header column {name!r}")
         seen.add(name)
@@ -254,13 +256,13 @@ def _header(records) -> list[str]:
 
 
 def _bounded_lines(handle):
-    """``handle``'s lines, with a ValueError at one longer than the csv
-    module's field-size limit, which that module rejects whatever its
-    cells hold."""
+    """``handle``'s lines, with a ValueError at one that holds a field
+    longer than the csv module's field-size limit, which that module
+    rejects whatever the field holds."""
     limit = csv.field_size_limit()
     for line in handle:
-        if len(line.rstrip("\r\n")) > limit:
-            raise ValueError("line is longer than the field-size limit")
+        if len(line) > limit and max(map(len, line.rstrip("\r\n").split(","))) > limit:
+            raise ValueError("field is longer than the field-size limit")
         yield line
 
 
@@ -303,7 +305,7 @@ def load_csv(path: str | Path) -> RawTable:
     numpy's C ``loadtxt``, streamed from the open file; its matrix is kept
     only when every row holds one finite number per column. A quoted cell,
     a missing or unparseable cell, a NaN or inf, a ragged row or an
-    overlong line makes it give up, and the file is read again from the
+    overlong field makes it give up, and the file is read again from the
     start by the Python parser, the reference: every error, every NaN for
     a missing cell, and every row and column name in a message come from
     it.

@@ -1,5 +1,6 @@
 import contextlib
 import errno
+import gc
 import io
 import itertools
 import json
@@ -10,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +24,7 @@ from scipy import stats
 import enetstats.cli
 from enetstats.cli import _GROUP, Pipeline, _tsv, _write_files, build_parser, main, stars
 from enetstats.cv import make_folds
-from enetstats.dataprep import SubsetConfig, load_csv, select_variables, standardize
+from enetstats.dataprep import RawTable, SubsetConfig, load_csv, select_variables, standardize
 from enetstats.enet import EnetConfig, default_lambda_grid, fit_mgaussian_path
 from enetstats.inference import fit_mlm, univariate_summary
 
@@ -221,6 +223,18 @@ class TestPrep:
         assert "row 2, column 'b': cell '\\udcff' is not valid UTF-8" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_tab_in_column_name_exits_2_before_out(self, tmp_path, capsys):
+        # x.tsv's header would hold 3 fields over 2 value columns
+        csv = tmp_path / "tab.csv"
+        csv.write_text('"a\tb",c,y1,y2\n1,2,3,4\n2,1,4,3\n3,5,1,2\n', encoding="utf-8")
+        cfg = tmp_path / "tab.cfg"
+        cfg.write_text("x.column = a\tb\nx.column = c\n", encoding="utf-8")
+        out = tmp_path / "o"
+        assert run("prep", "--input", csv, "--subsets", cfg, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err == "error: header row, column 1: name 'a\\tb' holds a tab or line break\n"
+        assert not out.exists()
+
     def test_non_utf8_byte_in_config_exits_2_naming_line(self, tmp_path, capsys):
         cfg = tmp_path / "latin1.cfg"
         cfg.write_bytes(b"g.column = water_access\ng.column = a\xff\n")
@@ -373,6 +387,12 @@ class TestCv:
         lam_min = float(first.splitlines()[0].split("=")[1])
         lam_1se = float(first.splitlines()[1].split("=")[1])
         assert lam_1se >= lam_min
+
+    def test_constant_predictor_in_a_training_slice_exits_3_naming_it(self, tmp_path, capsys):
+        csv = write_fold_constant_csv(tmp_path)
+        assert run("cv", "--input", csv, "--subsets", DEMO_CFG, "--out", tmp_path / "o") == 3
+        err = capsys.readouterr().err
+        assert err == "error: fold 0: training slice: predictor 'water_access' is constant\n"
 
     def test_small_dataset_matches_oracle(self, tmp_path, capsys):
         csv, cfgfile = write_small_dataset(tmp_path)
@@ -940,6 +960,58 @@ class TestStreamedOutput:
             tracemalloc.stop()
         assert sum(path.stat().st_size for path in out.iterdir()) >= 8_000_000
         assert peak - start < 1_000_000
+
+
+def write_constant_group_dataset(tmp_path):
+    """The small dataset plus a third, role-less group whose one column
+    is constant, so it cannot be z-scored."""
+    csv, cfg = write_small_dataset(tmp_path)
+    lines = csv.read_text(encoding="utf-8").splitlines()
+    text = "".join(f"{line},{'k' if i == 0 else 7}\n" for i, line in enumerate(lines))
+    csv.write_text(text, encoding="utf-8")
+    cfg.write_text(cfg.read_text(encoding="utf-8") + "extra.column = k\n", encoding="utf-8")
+    return csv, cfg
+
+
+class TestInputsReadOnce:
+    """Each command z-scores the groups it reads, and only those, when the
+    inputs are read, and keeps no table."""
+
+    @pytest.mark.parametrize("command", ["prep", "enet", "cv", "mlm", "report"])
+    def test_only_the_commands_groups_are_z_scored(self, tmp_path, capsys, command):
+        csv, cfg = write_constant_group_dataset(tmp_path)
+        out = tmp_path / "o"
+        code = run(command, "--input", csv, "--subsets", cfg, "--out", out, "--folds", "3")
+        captured = capsys.readouterr()
+        if command in ("prep", "report"):
+            assert code == 2 and captured.err == "error: constant column(s): 'k'\n"
+            assert captured.out == "" and not out.exists()
+        else:
+            assert code == 0 and captured.err == ""
+
+    def test_mlm_keeps_its_two_groups_and_no_table(self, tmp_path, monkeypatch):
+        csv, cfg = write_constant_group_dataset(tmp_path)
+        loaded = []
+
+        def load(path):
+            table = load_csv(path)
+            loaded.append(weakref.ref(table))
+            return table
+
+        monkeypatch.setattr(enetstats.cli, "load_csv", load)
+        argv = ["mlm", "--input", str(csv), "--subsets", str(cfg), "--out", str(tmp_path / "o")]
+        pipeline = Pipeline(build_parser().parse_args(argv))
+        assert list(pipeline.standardized) == ["pred", "resp"]
+        assert not any(isinstance(v, RawTable) for v in vars(pipeline).values())
+        gc.collect()
+        assert len(loaded) == 1 and loaded[0]() is None
+
+    def test_missing_role_is_reported_before_a_group_is_z_scored(self, tmp_path, capsys):
+        csv, cfg = write_constant_group_dataset(tmp_path)
+        cfg.write_text("pred.role = predictor\npred.column = k\nresp.column = y1\n", encoding="utf-8")
+        assert run("enet", "--input", csv, "--subsets", cfg, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert err == "error: expected exactly one group with role 'response', found 0\n"
 
 
 def _config(names):

@@ -39,6 +39,19 @@ def table(text):
         return load_csv(path)
 
 
+def spy_c_values(monkeypatch):
+    """The list each later ``_c_values`` call appends its result to."""
+    results = []
+    c_values = dataprep._c_values
+
+    def spy(*args):
+        results.append(c_values(*args))
+        return results[-1]
+
+    monkeypatch.setattr(dataprep, "_c_values", spy)
+    return results
+
+
 class TestLoadCsv:
     def test_minimal(self):
         t = table("a,b\n1,2\n")
@@ -82,6 +95,12 @@ class TestLoadCsv:
         t = table('"a,b",c\n1,2\n')
         assert t.names == ["a,b", "c"]
 
+    @pytest.mark.parametrize("name", ["a\tb", "a\nb", "a\r\nb", "a\rb"])
+    def test_tab_or_line_break_in_a_name_names_the_column(self, name):
+        # either would split a TSV header cell or line in two
+        with pytest.raises(DataError, match=r"^header row, column 2: .* holds a tab or line break$"):
+            table(f'c,"{name}"\n1,2\n')
+
     def test_empty_input(self):
         with pytest.raises(DataError, match="^input is empty; expected a header row$"):
             table("")
@@ -123,14 +142,7 @@ class TestLoadCsv:
     def test_byte_order_mark_is_not_part_of_the_first_name(self, monkeypatch, data, reader):
         # a spreadsheet's "CSV UTF-8" export starts with one; the Python
         # parser rereads the file from its start, mark included
-        c_results = []
-        c_values = dataprep._c_values
-
-        def spy(*args):
-            c_results.append(c_values(*args))
-            return c_results[-1]
-
-        monkeypatch.setattr(dataprep, "_c_values", spy)
+        c_results = spy_c_values(monkeypatch)
         t = table(BOM + data)
         assert t.names == ["a", "b"]
         assert (c_results[0] is not None) == (reader == "c")
@@ -160,8 +172,8 @@ class TestLoadCsv:
 @st.composite
 def written_tables(draw):
     """(names, rows, text): a table written by ``csv.writer`` with names
-    holding commas, quotes and spaces, ``repr``-written finite floats, and
-    missing cells (None) written as "NA" or ""."""
+    holding commas, quotes, spaces and line breaks, ``repr``-written finite
+    floats, and missing cells (None) written as "NA" or ""."""
     name = st.text(alphabet="ab \"'\n,", min_size=1, max_size=6).map(str.strip)
     names = draw(st.lists(name.filter(bool), min_size=1, max_size=5, unique=True))
     cell = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(["NA", ""]))
@@ -227,6 +239,10 @@ class TestParserProperties:
     @given(written_tables())
     def test_csv_writer_round_trip(self, case):
         names, rows, text = case
+        if any("\n" in name for name in names):  # a line break would break the TSVs
+            with pytest.raises(DataError, match=r"^header row, column \d+: .* line break$"):
+                table(text)
+            return
         t = table(text)
         assert t.names == names
         assert t.values.shape == (len(rows), len(names))
@@ -299,6 +315,37 @@ class TestIngestPaths:
         assert got == _outcome(path, c_reader=False)
         if clean:
             assert isinstance(got[0], list), got
+
+    def test_long_lines_of_short_fields_take_the_c_reader(self, tmp_path, monkeypatch):
+        # the csv module's field-size limit bounds a field, not a line
+        limit = csv.field_size_limit()
+        width = limit // 4 + 1  # 4 characters per "1.5,"
+        row = ",".join(["1.5"] * width)
+        assert len(row) > limit
+        path = tmp_path / "wide.csv"
+        header = ",".join(f"c{j}" for j in range(width))
+        path.write_text(f"{header}\n{row}\n{row}\n", encoding="utf-8")
+        c_results = spy_c_values(monkeypatch)
+        t = load_csv(path)
+        assert c_results[0] is not None and t.values is c_results[0]
+        assert t.values.shape == (2, width) and np.all(t.values == 1.5)
+
+    @pytest.mark.parametrize("last", ["3", "NA"], ids=["c_reader", "python_parser"])
+    @pytest.mark.parametrize("extra", [0, 1], ids=["at_the_limit", "one_over"])
+    def test_field_size_limit_is_the_csv_modules(self, monkeypatch, extra, last):
+        # both readers take a field of exactly the limit and refuse one
+        # character more: the C reader gives up on it and the csv module
+        # names its row
+        cell = "5".rjust(csv.field_size_limit() + extra, "0")
+        c_results = spy_c_values(monkeypatch)
+        text = f"a,b\n{cell},1\n2,{last}\n"
+        if extra:
+            with pytest.raises(DataError, match=r"^row 1: field larger than field limit"):
+                table(text)
+            assert c_results == [None]
+        else:
+            assert table(text).values[0].tolist() == [5.0, 1.0]
+            assert (c_results[0] is not None) == (last == "3")
 
     def test_clean_file_takes_the_c_reader(self, monkeypatch):
         parsed = []

@@ -2,14 +2,7 @@
 and multivariate regression diagnostics."""
 
 from .cv import CvResult, FoldAssignment, cross_validate, make_folds
-from .dataprep import (
-    RawTable,
-    StandardizedMatrix,
-    SubsetConfig,
-    load_csv,
-    select_variables,
-    standardize,
-)
+from .dataprep import RawTable, StandardizedMatrix, SubsetConfig, load_csv, standardize
 from .dist import TailProbability, f_sf, t_sf
 from .enet import EnetConfig, EnetPath, fit_mgaussian_path, kkt_check
 from .inference import (
@@ -42,7 +35,6 @@ __all__ = [
     "make_folds",
     "manova_table",
     "pearson",
-    "select_variables",
     "standardize",
     "t_sf",
     "univariate_summary",

@@ -41,7 +41,6 @@ from .dataprep import (
     StandardizedMatrix,
     SubsetConfig,
     load_csv,
-    select_variables,
     standardize,
 )
 from .enet import ConvergenceError, EnetConfig, EnetPath, fit_mgaussian_path
@@ -191,7 +190,12 @@ class Pipeline:
         groups = subsets.groups
         if args.command not in ("prep", "report"):
             groups = [subsets.group_with_role(r) for r in (ROLE_PREDICTOR, ROLE_RESPONSE)]
-        self.standardized = {g: standardize(select_variables(table, subsets, g)) for g in groups}
+        self.standardized = {g: standardize(table, subsets.groups[g]) for g in groups}
+        cross_validates = args.command != "prep" and not (args.command == "mlm" and self.predictors)
+        if cross_validates and args.folds > table.n_rows:
+            raise DataError(
+                f"--folds must be <= the {table.n_rows} observations, got {args.folds!r}"
+            )
         self.files: dict[str, tuple] = {}
         self.stdout = io.StringIO()
 
@@ -211,10 +215,7 @@ class Pipeline:
     @cached_property
     def cv_result(self) -> CvResult:
         x, y = self.design
-        n, k = x.matrix.shape[0], self.args.folds
-        if k > n:
-            raise DataError(f"--folds must be <= the {n} observations, got {k!r}")
-        folds = make_folds(n, k, self.args.seed)
+        folds = make_folds(x.matrix.shape[0], self.args.folds, self.args.seed)
         try:
             return cross_validate(x.matrix, y.matrix, self.enet_cfg, folds)
         except CvError as exc:  # name a training slice's constant predictor

@@ -1,17 +1,19 @@
-"""CSV ingestion, variable-subset selection, and z-score standardization.
+"""CSV ingestion and z-scoring of named column groups.
 
 A table is one comma-separated UTF-8 file, read by path, with "NA" or an
 empty cell as its missing value; a leading byte-order mark is skipped, in
 the table and in the subset configuration alike. The parser returns the
 table as one N x p float64 matrix with NaN for a missing cell, which is
-unambiguous because every parsed cell must be finite. Selecting a group
-is column indexing, and the missing-value check is one ``np.isnan`` scan.
+unambiguous because every parsed cell must be finite.
 
 Z-scoring lives here, with the sample standard deviation (divisor N - 1);
 the solvers consume the standardized matrices as produced and never
-rescale. The moments come from :func:`~enetstats.linalg.center_columns`,
-which Pearson's correlation shares. The means and SDs are kept, so
-``matrix * sds + means`` maps the values back.
+rescale. :func:`standardize` takes a table and the names of a group's
+columns: it copies those columns once, checks the copy with one
+``np.isnan`` scan, and z-scores it in place. The moments come from
+:func:`~enetstats.linalg.center_columns`, which Pearson's correlation
+shares. The means and SDs are kept, so ``matrix * sds + means`` maps the
+values back.
 
 Subset configuration grammar (flat, line-oriented, no nesting)::
 
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 import warnings
 from array import array
 from dataclasses import dataclass, field
@@ -44,7 +47,6 @@ __all__ = [
     "SubsetConfig",
     "StandardizedMatrix",
     "load_csv",
-    "select_variables",
     "standardize",
 ]
 
@@ -109,7 +111,9 @@ class SubsetConfig:
     def from_text(cls, text: str) -> "SubsetConfig":
         groups: dict[str, list[str]] = {}
         roles: dict[str, str] = {}
-        for lineno, raw in enumerate(text.splitlines(), start=1):
+        # only these three break a line; str.splitlines would also split at
+        # \x0c, \x85 and the other characters a CSV header may hold
+        for lineno, raw in enumerate(re.split("\r\n|\r|\n", text), start=1):
             line = raw.strip()
             if not _is_utf8(line):
                 raise DataError(f"line {lineno}: {line!r} is not valid UTF-8")
@@ -335,43 +339,36 @@ def load_csv(path: str | Path) -> RawTable:
     return RawTable(names=names, values=np.frombuffer(values).reshape(-1, len(names)))
 
 
-def select_variables(table: RawTable, config: SubsetConfig, group: str) -> RawTable:
-    """Project ``table`` onto the columns of one configured group, in config order."""
-    if group not in config.groups:
-        raise DataError(f"unknown group {group!r}")
-    wanted = config.groups[group]
-    missing = [name for name in wanted if name not in table.names]
-    if missing:
-        raise DataError(
-            "columns not present in the table: " + ", ".join(repr(m) for m in missing)
-        )
-    index = [table.names.index(name) for name in wanted]
-    # take returns C order like the parser; values[:, index] would return
-    # Fortran order, whose column sums in standardize round differently
-    return RawTable(names=list(wanted), values=table.values.take(index, axis=1))
-
-
-def standardize(table: RawTable) -> StandardizedMatrix:
-    """Z-score every column of a complete numeric table with the sample
-    standard deviation (divisor N - 1), on one path for every column: the
-    centered values of :func:`~enetstats.linalg.center_columns` divided by
-    their sd, both at the column's exact power-of-two scale. A missing cell,
-    a constant column, and a column whose sd or largest distance from its
-    mean overflows a double once scaled back, or whose sd then underflows
-    to 0, are errors naming the column.
+def standardize(table: RawTable, columns: list[str]) -> StandardizedMatrix:
+    """Z-score the named columns of ``table``, in the order given, with the
+    sample standard deviation (divisor N - 1), on one path for every column:
+    the centered values of :func:`~enetstats.linalg.center_columns` divided
+    by their sd, both at the column's exact power-of-two scale. The columns
+    are copied once and z-scored in that copy; ``table`` is left as it is.
+    A column not in the table, a missing cell, a constant column, and a
+    column whose sd or largest distance from its mean overflows a double
+    once scaled back, or whose sd then underflows to 0, are errors naming
+    the column.
     """
+    absent = [name for name in columns if name not in table.names]
+    if absent:
+        raise DataError("columns not present in the table: " + ", ".join(map(repr, absent)))
+    index = [table.names.index(name) for name in columns]
+    # take returns C order like the parser; values[:, index] would return
+    # Fortran order, whose column sums round differently
+    table = RawTable(names=list(columns), values=table.values.take(index, axis=1))
     if table.n_rows < 2:
         raise DataError(f"need at least 2 rows to standardize, got {table.n_rows}")
-    values = table.values
-    missing = np.argwhere(np.isnan(values))  # row-major order
+    z = table.values  # this copy is z-scored in place
+    missing = np.argwhere(np.isnan(z))  # row-major order
     if len(missing):
         i, j = missing[0]
         raise DataError(f"row {i + 1}, column {table.names[j]!r}: missing value")
-    constant = np.flatnonzero(is_constant(values))
+    constant = np.flatnonzero(is_constant(z))
     if constant.size:
         names = ", ".join(repr(table.names[j]) for j in constant)
         raise DataError(f"constant column(s): {names}")
-    z, means, scales = center_columns(values)
+    means, scales = center_columns(z)
     sds = np.sqrt(np.einsum("ij,ij->j", z, z) / (table.n_rows - 1))
     # scaled back by the power-of-two scales, the sds and the largest
     # distances from the means are exact unless they overflow a double or

@@ -341,8 +341,9 @@ def pearson(a, b) -> PearsonResult:
     |r| = 1 is degenerate: the t statistic is reported as signed infinity
     with p = 0 rather than dividing by zero.
     """
-    a = as_matrix(a, "a").ravel()
-    b = as_matrix(b, "b").ravel()
+    # flatten copies, so centering in place leaves the caller's arrays as they are
+    a = as_matrix(a, "a").flatten()
+    b = as_matrix(b, "b").flatten()
     n = a.size
     if b.size != n:
         raise ValueError(f"length mismatch: {n} vs {b.size}")
@@ -352,11 +353,11 @@ def pearson(a, b) -> PearsonResult:
         raise ValueError("correlation is undefined for constant input")
     # the power-of-two scaling leaves r unchanged and keeps each sum of
     # squares from underflowing to 0 (a spread of 1e-200) or overflowing
-    ac = center_columns(a)[0]
-    bc = center_columns(b)[0]
-    sa = math.sqrt(float(ac @ ac))
-    sb = math.sqrt(float(bc @ bc))
-    r = float(ac @ bc) / (sa * sb)
+    center_columns(a)
+    center_columns(b)
+    sa = math.sqrt(float(a @ a))
+    sb = math.sqrt(float(b @ b))
+    r = float(a @ b) / (sa * sb)
     r = max(-1.0, min(1.0, r))
     if 1.0 - r * r <= 0.0:
         return PearsonResult(r=r, t=math.copysign(math.inf, r), p=0.0)

@@ -10,7 +10,8 @@ layers build their diagnostics on:
   need not come out 0 for such a column when its mean is inexact;
 * one centering rule (:func:`center_columns`), which every z-score and
   correlation takes its moments from: an exact power-of-two rescale and
-  the corrected two-pass mean, so the moments hold at any column scale;
+  the corrected two-pass mean, both done in place on the caller's copy,
+  so the moments hold at any column scale;
 * one pivot rule (:func:`check_rank`) for the R factor of a QR, which
   judges each pivot against its own column's norm, so collinearity
   surfaces as a rank failure naming the dependent column whatever the
@@ -73,24 +74,25 @@ def is_constant(x: np.ndarray) -> np.ndarray:
     return x.max(axis=0) == x.min(axis=0)
 
 
-def center_columns(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each column of ``x`` (a 1-D ``x`` is one column) divided by the
-    power of two that brings its largest |value| into [1, 2), which is
-    exact, and centered by the corrected two-pass mean (Chan, Golub &
-    LeVeque 1983); returned with the columns' means and the scales. A
-    column that is not constant spreads over at least half a unit in the
-    last place of its largest |value|, so no square or sum of the centered
-    values overflows or underflows to 0, and the second pass removes the
-    first mean's rounding, as a tiny spread on a large mean needs. Left
-    out of ``__all__`` for the reason :func:`is_constant` is.
+def center_columns(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Divide each column of the float array ``x`` (a 1-D ``x`` is one
+    column), in place, by the power of two that brings its largest |value|
+    into [1, 2), which is exact, and center it, in place, by the corrected
+    two-pass mean (Chan, Golub & LeVeque 1983); return the columns' means
+    and the scales. A column that is not constant spreads over at least
+    half a unit in the last place of its largest |value|, so no square or
+    sum of the centered values overflows or underflows to 0, and the
+    second pass removes the first mean's rounding, as a tiny spread on a
+    large mean needs. Left out of ``__all__`` for the reason
+    :func:`is_constant` is.
     """
     scales = np.ldexp(1.0, np.frexp(np.maximum(x.max(axis=0), -x.min(axis=0)))[1] - 1)
-    centered = x / scales
-    means = centered.mean(axis=0)
-    centered -= means
-    shift = centered.mean(axis=0)
-    centered -= shift
-    return centered, (means + shift) * scales, scales
+    x /= scales
+    means = x.mean(axis=0)
+    x -= means
+    shift = x.mean(axis=0)
+    x -= shift
+    return (means + shift) * scales, scales
 
 
 def check_scale(a: np.ndarray, label) -> None:

@@ -306,12 +306,12 @@ def test_criterion_09_figure_data(tmp_path):
     dev = np.array([float(l.split("\t")[1]) for l in lines])
     assert np.all(np.diff(dev) >= -1e-8)
 
-    from enetstats.dataprep import SubsetConfig, load_csv, select_variables, standardize
+    from enetstats.dataprep import SubsetConfig, load_csv, standardize
 
     table = load_csv(DEMO_CSV)
     cfg = SubsetConfig.load(DEMO_CFG)
-    x = standardize(select_variables(table, cfg, "demographic")).matrix
-    y = standardize(select_variables(table, cfg, "health")).matrix
+    x = standardize(table, cfg.groups["demographic"]).matrix
+    y = standardize(table, cfg.groups["health"]).matrix
     path = fit_mgaussian_path(x, y, EnetConfig(alpha=0.5, nlambda=100))
     resid = y - (x @ path.coefs[-1] + path.intercepts[-1])
     yc = y - y.mean(axis=0)

@@ -24,7 +24,7 @@ from scipy import stats
 import enetstats.cli
 from enetstats.cli import _GROUP, Pipeline, _tsv, _write_files, build_parser, main, stars
 from enetstats.cv import make_folds
-from enetstats.dataprep import RawTable, SubsetConfig, load_csv, select_variables, standardize
+from enetstats.dataprep import RawTable, SubsetConfig, load_csv, standardize
 from enetstats.enet import EnetConfig, default_lambda_grid, fit_mgaussian_path
 from enetstats.inference import fit_mlm, univariate_summary
 
@@ -41,7 +41,8 @@ def run(*argv):
 
 
 def read_tsv(path):
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    *lines, end = Path(path).read_text(encoding="utf-8").split("\n")
+    assert end == ""  # every line ends in LF
     header = lines[0].split("\t")
     rows = [line.split("\t") for line in lines[1:]]
     return header, rows
@@ -118,7 +119,7 @@ class TestPrep:
         assert np.max(np.abs(values.mean(axis=0))) <= 1e-10
         assert np.max(np.abs(values.std(axis=0, ddof=1) - 1.0)) <= 1e-10
         table, cfg = load_csv(DEMO_CSV), SubsetConfig.load(DEMO_CFG)
-        sm = standardize(select_variables(table, cfg, "demographic"))
+        sm = standardize(table, cfg.groups["demographic"])
         assert rows == [[f"{v:.17g}" for v in row] for row in sm.matrix.tolist()]
 
     def test_scale_sidecar_round_trips(self, tmp_path):
@@ -255,6 +256,20 @@ class TestPrep:
         header, rows = read_tsv(out / "g.tsv")
         assert header == ["a", "b"] and len(rows) == 3
 
+    def test_column_name_with_a_form_feed_is_selected(self, tmp_path):
+        # the header accepts the name, and the config line holding it stays
+        # one line: only CR and LF break a line
+        csv = tmp_path / "ff.csv"
+        csv.write_text('"a\x0cb",c\n1,2\n2,5\n4,6\n', encoding="utf-8")
+        cfg = tmp_path / "ff.cfg"
+        cfg.write_text("g.column = a\x0cb\ng.column = c\n", encoding="utf-8")
+        out = tmp_path / "o"
+        assert run("prep", "--input", csv, "--subsets", cfg, "--out", out) == 0
+        header, rows = read_tsv(out / "g.tsv")
+        assert header == ["a\x0cb", "c"] and len(rows) == 3
+        _, rows = read_tsv(out / "g_scale.tsv")
+        assert [r[0] for r in rows] == ["a\x0cb", "c"]
+
     def test_overlong_quoted_cell_exits_2_before_out(self, tmp_path, capsys):
         # the csv module refuses fields above 131,072 characters
         csv = tmp_path / "long.csv"
@@ -339,12 +354,10 @@ class TestEnet:
         assert np.all(np.diff(dev) >= -1e-8)
 
         # head of the grid equals lambda_max computed from the prepared data
-        from enetstats.dataprep import SubsetConfig, load_csv, select_variables, standardize
-
         table = load_csv(DEMO_CSV)
         cfg = SubsetConfig.load(DEMO_CFG)
-        x = standardize(select_variables(table, cfg, "demographic")).matrix
-        y = standardize(select_variables(table, cfg, "health")).matrix
+        x = standardize(table, cfg.groups["demographic"]).matrix
+        y = standardize(table, cfg.groups["health"]).matrix
         g = (x - x.mean(0)).T @ (y - y.mean(0)) / x.shape[0]
         lam_max = float(np.sqrt((g * g).sum(axis=1)).max()) / 0.5
         assert math.isclose(lams[0], lam_max, rel_tol=1e-15)
@@ -406,12 +419,10 @@ class TestCv:
         got_mean = np.array([float(r[1]) for r in rows])
         got_se = np.array([float(r[2]) for r in rows])
 
-        from enetstats.dataprep import SubsetConfig, load_csv, select_variables, standardize
-
         table = load_csv(csv)
         cfg = SubsetConfig.load(cfgfile)
-        x = standardize(select_variables(table, cfg, "pred")).matrix
-        y = standardize(select_variables(table, cfg, "resp")).matrix
+        x = standardize(table, cfg.groups["pred"]).matrix
+        y = standardize(table, cfg.groups["resp"]).matrix
         econf = EnetConfig(alpha=0.5, nlambda=20)
         lambdas = default_lambda_grid(x, y, econf)
         folds = make_folds(12, 3, 17)
@@ -455,8 +466,8 @@ class TestMlm:
         _, rrows = read_tsv(out / "residuals.tsv")
         assert len(rrows) == 86 * 2
         table, cfg = load_csv(DEMO_CSV), SubsetConfig.load(DEMO_CFG)
-        x = standardize(select_variables(table, cfg, cfg.group_with_role("predictor")))
-        y = standardize(select_variables(table, cfg, cfg.group_with_role("response")))
+        x = standardize(table, cfg.groups[cfg.group_with_role("predictor")])
+        y = standardize(table, cfg.groups[cfg.group_with_role("response")])
         kept = x.matrix[:, [x.names.index(t) for t in terms]]
         fit = fit_mlm(kept, y.matrix)
         assert [r[0] for r in rrows] == y.names * 86
@@ -551,7 +562,9 @@ class TestMlm:
         assert run("mlm", "--input", DEMO_CSV, "--subsets", DEMO_CFG, "--out", tmp_path / "o") == 0
         line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("pearson"))
         _, r, p = line.split()
-        y = select_variables(load_csv(DEMO_CSV), SubsetConfig.load(DEMO_CFG), "health").values
+        table = load_csv(DEMO_CSV)
+        health = SubsetConfig.load(DEMO_CFG).groups["health"]
+        y = table.values[:, [table.names.index(n) for n in health]]
         want = stats.pearsonr(y[:, 0], y[:, 1])
         assert math.isclose(float(r.removeprefix("r=")), want.statistic, rel_tol=1e-12)
         assert math.isclose(float(p.removeprefix("p=")), want.pvalue, rel_tol=1e-12)
@@ -634,8 +647,8 @@ class TestStdoutTables:
         _, rows = read_tsv(out / "manova.tsv")
         terms = [r[0] for r in rows]
         table, cfg = load_csv(DEMO_CSV), SubsetConfig.load(DEMO_CFG)
-        x = standardize(select_variables(table, cfg, cfg.group_with_role("predictor")))
-        y = standardize(select_variables(table, cfg, cfg.group_with_role("response")))
+        x = standardize(table, cfg.groups[cfg.group_with_role("predictor")])
+        y = standardize(table, cfg.groups[cfg.group_with_role("response")])
         fit = fit_mlm(x.matrix[:, [x.names.index(t) for t in terms]], y.matrix)
         for k, response in enumerate(y.names):
             path = out / f"uni_{response}.tsv"
@@ -692,6 +705,37 @@ class TestFlagValidation:
         err = capsys.readouterr().err
         assert "--folds" in err and "86" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["report", "enet", "cv", "mlm"])
+    def test_folds_above_observations_exits_2_before_any_fit(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return fit_mgaussian_path(*args, **kwargs)
+
+        monkeypatch.setattr(enetstats.cli, "fit_mgaussian_path", spy)
+        out = tmp_path / "o"
+        code = run(
+            command, "--input", DEMO_CSV, "--subsets", DEMO_CFG, "--out", out, "--folds", "87"
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: --folds must be <= the 86 observations, got 87\n"
+        assert calls == [] and not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["prep"], ["mlm", "--predictors", "fertility_rate,water_access"]],
+        ids=["prep", "mlm"],
+    )
+    def test_folds_above_observations_is_unused_without_cv(self, tmp_path, argv):
+        # neither run cross-validates, so the default 10 folds must not
+        # stop either on a table of fewer than 10 rows
+        out = tmp_path / "o"
+        code = run(*argv, "--input", DEMO_CSV, "--subsets", DEMO_CFG, "--out", out, "--folds", "87")
+        assert code == 0 and out.is_dir()
 
     def test_unknown_predictor_exits_2_before_out(self, tmp_path, capsys):
         out = tmp_path / "o"

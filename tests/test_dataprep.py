@@ -20,7 +20,6 @@ from enetstats.dataprep import (
     StandardizedMatrix,
     SubsetConfig,
     load_csv,
-    select_variables,
     standardize,
 )
 
@@ -80,7 +79,7 @@ class TestLoadCsv:
         # the parser numbers rows as standardize does, so both name row 2
         text = "a,b\n1,2\n\n3,{}\n5,6\n"
         with pytest.raises(DataError, match=r"^row 2, column 'b'"):
-            standardize(table(text.format("NA")))
+            standardize(table(text.format("NA")), ["a", "b"])
         with pytest.raises(DataError, match=r"^row 2, column 'b'"):
             table(text.format("x"))
         with pytest.raises(DataError, match=r"^row 2: field larger"):
@@ -395,6 +394,21 @@ class TestSubsetConfig:
         with pytest.raises(DataError, match="^line 1: expected '<group>.<key> = <value>'$"):
             SubsetConfig.from_text("g.column a\n")
 
+    @pytest.mark.parametrize("char", list("\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"))
+    def test_only_cr_and_lf_break_a_line(self, char):
+        # str.splitlines breaks at each of these too, which split a column
+        # name the CSV header accepts in two
+        cfg = SubsetConfig.from_text(f"g.column = a{char}b\n")
+        assert cfg.groups == {"g": [f"a{char}b"]}
+        cfg = SubsetConfig.from_text(f"g.column = a\n# x{char}y\nh.column = b\n")
+        assert cfg.groups == {"g": ["a"], "h": ["b"]}
+
+    def test_line_numbers_count_only_line_breaks(self):
+        with pytest.raises(DataError, match="^line 3: expected '<group>.<key> = <value>'$"):
+            SubsetConfig.from_text("g.column = a\x0cb\n# x\x85y\r\nbad\n")
+        with pytest.raises(DataError, match="^line 4: unknown key 'thing'$"):
+            SubsetConfig.from_text("g.column = a\r\n\rh.column = b\u2028c\ng.thing = c")
+
     def test_role_needs_columns(self):
         with pytest.raises(DataError, match="no columns"):
             SubsetConfig.from_text("g.role = predictor\nh.column = a\n")
@@ -427,55 +441,72 @@ class TestSubsetConfig:
 
 
 class TestSelectVariables:
+    """standardize(table, columns) picks the named columns, in the order
+    given, out of the table before it z-scores them."""
+
     def setup_method(self):
         self.table = RawTable(
             names=["a", "b", "c"],
-            values=[[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]],
+            values=[[1.0, 2.0, 30.0], [4.0, 8.0, 60.0], [7.0, 5.0, 10.0]],
         )
 
     def test_identity(self):
-        cfg = SubsetConfig(groups={"all": ["a", "b", "c"]})
-        out = select_variables(self.table, cfg, "all")
+        out = standardize(self.table, self.table.names)
         assert out.names == self.table.names
-        assert out.values.tolist() == self.table.values.tolist()
+        assert_allclose(out.matrix * out.sds + out.means, self.table.values, rtol=1e-15)
 
     def test_single_column(self):
-        cfg = SubsetConfig(groups={"one": ["b"]})
-        out = select_variables(self.table, cfg, "one")
+        alone = RawTable(names=["b"], values=self.table.values[:, [1]])
+        out = standardize(self.table, ["b"])
         assert out.names == ["b"]
-        assert out.values.tolist() == [[2.0], [5.0]]
+        assert out.matrix.tobytes() == standardize(alone, ["b"]).matrix.tobytes()
 
     def test_config_order_wins(self):
-        cfg = SubsetConfig(groups={"rev": ["c", "a"]})
-        out = select_variables(self.table, cfg, "rev")
+        out = standardize(self.table, ["c", "a"])
         assert out.names == ["c", "a"]
-        assert out.values.tolist() == [[3.0, 1.0], [6.0, 4.0]]
-        # row-major like the parser's output, so standardize's column
-        # sums run in the same order for a selected and a parsed table
-        assert out.values.flags.c_contiguous
+        assert_allclose(out.means, [100.0 / 3.0, 4.0])
+        assert_allclose(out.matrix[:, 1], [-1.0, 0.0, 1.0])
+        # row-major like the parser's output, so the column sums run in the
+        # same order for a selected and a parsed table
+        assert out.matrix.flags.c_contiguous
 
     def test_absent_column_named(self):
-        cfg = SubsetConfig(groups={"bad": ["a", "zz", "ww"]})
-        with pytest.raises(DataError, match="'zz'.*'ww'"):
-            select_variables(self.table, cfg, "bad")
+        with pytest.raises(DataError, match="^columns not present in the table: 'zz', 'ww'$"):
+            standardize(self.table, ["a", "zz", "ww"])
 
-    def test_unknown_group(self):
-        cfg = SubsetConfig(groups={"g": ["a"]})
-        with pytest.raises(DataError, match="^unknown group 'other'$"):
-            select_variables(self.table, cfg, "other")
+    def test_absent_column_is_named_before_a_missing_cell(self):
+        t = RawTable(names=["a", "b"], values=[[1.0, np.nan], [2.0, 3.0]])
+        with pytest.raises(DataError, match="^columns not present in the table: 'c'$"):
+            standardize(t, ["b", "c"])
+
+    def test_empty_column_list(self):
+        with pytest.raises(DataError, match="^table must have at least one column$"):
+            standardize(self.table, [])
+
+    def test_repeated_column(self):
+        with pytest.raises(DataError, match="^duplicate column name 'a'$"):
+            standardize(self.table, ["a", "b", "a"])
 
     def test_preserves_row_order_and_count(self):
-        cfg = SubsetConfig(groups={"g": ["b", "a"]})
-        out = select_variables(self.table, cfg, "g")
-        assert out.n_rows == self.table.n_rows
-        assert out.values[:, 1].tolist() == [1.0, 4.0]
+        out = standardize(self.table, ["b", "a"])
+        assert out.matrix.shape == (self.table.n_rows, 2)
+        assert_allclose(out.matrix[:, 1] * out.sds[1] + out.means[1], [1.0, 4.0, 7.0])
+
+    def test_table_is_left_unchanged(self):
+        values = np.random.default_rng(3).normal(7.0, 1e3, size=(25, 4))
+        t = RawTable(names=["a", "b", "c", "d"], values=values.copy())
+        sm = standardize(t, t.names)
+        assert t.values.tobytes() == values.tobytes()
+        assert not np.shares_memory(sm.matrix, t.values)
+        standardize(t, ["d", "b"])
+        assert t.values.tobytes() == values.tobytes()
 
 
 class TestStandardize:
     def test_two_point_column(self):
         # hand z-scores with divisor N-1: mean 2, sd sqrt(2)
         t = RawTable(names=["v"], values=[[1.0], [3.0]])
-        sm = standardize(t)
+        sm = standardize(t, t.names)
         assert_allclose(sm.matrix[:, 0], [-0.7071068, 0.7071068], atol=1e-7)
         assert_allclose(sm.means, [2.0])
         assert_allclose(sm.sds, [1.4142136], atol=1e-7)
@@ -483,33 +514,33 @@ class TestStandardize:
     def test_idempotent(self):
         rng = np.random.default_rng(0)
         t = RawTable(names=["v", "w"], values=rng.normal(size=(20, 2)))
-        once = standardize(t)
-        twice = standardize(RawTable(names=once.names, values=once.matrix))
+        once = standardize(t, t.names)
+        twice = standardize(RawTable(names=once.names, values=once.matrix), once.names)
         assert np.max(np.abs(twice.matrix - once.matrix)) <= 1e-10
 
     def test_constant_column(self):
         t = RawTable(names=["v"], values=[[5.0], [5.0], [5.0]])
         with pytest.raises(DataError, match="'v'"):
-            standardize(t)
+            standardize(t, t.names)
 
     def test_constant_column_with_inexact_mean(self):
         # mean(0.1, 0.1, 0.1) is not 0.1 exactly, so the sd comes out 1.7e-17
         t = RawTable(names=["a", "b"], values=[[1.0, 0.1], [2.0, 0.1], [4.0, 0.1]])
         with pytest.raises(DataError, match=r"^constant column\(s\): 'b'$"):
-            standardize(t)
+            standardize(t, t.names)
 
     def test_sd_underflow_is_rescaled(self):
         # max != min, but the spread squares below the smallest double; the
         # z-scores do not depend on the scale, so they are those of 0, 1, 0
         t = RawTable(names=["v"], values=[[0.0], [1e-200], [0.0]])
-        sm = standardize(t)
+        sm = standardize(t, t.names)
         assert_allclose(sm.matrix[:, 0], np.array([-1.0, 2.0, -1.0]) / math.sqrt(3.0), rtol=1e-15)
         assert_allclose(sm.sds, [1e-200 / math.sqrt(3.0)], rtol=1e-15)
 
     def test_sd_overflow_is_rescaled(self):
         # the spread's square overflows a double, and std would warn
         t = RawTable(names=["a", "v"], values=[[1.0, 0.0], [2.0, 1e200], [4.0, 0.0]])
-        sm = standardize(t)
+        sm = standardize(t, t.names)
         assert_allclose(sm.matrix[:, 1], np.array([-1.0, 2.0, -1.0]) / math.sqrt(3.0), rtol=1e-15)
         assert_allclose(sm.sds, [math.sqrt(7.0 / 3.0), 1e200 / math.sqrt(3.0)], rtol=1e-15)
 
@@ -517,16 +548,16 @@ class TestStandardize:
         # at 1e-155 the squares inside a plain sd are subnormal and lose
         # bits, enough to move these z-scores by ~1e-14
         x = np.random.default_rng(11).normal(size=20)
-        sm = standardize(RawTable(names=["v"], values=(x * 1e-155)[:, None]))
-        want = standardize(RawTable(names=["v"], values=x[:, None]))
+        sm = standardize(RawTable(names=["v"], values=(x * 1e-155)[:, None]), ["v"])
+        want = standardize(RawTable(names=["v"], values=x[:, None]), ["v"])
         assert_allclose(sm.matrix, want.matrix, rtol=0.0, atol=1e-15)
         assert_allclose(sm.sds, want.sds * 1e-155, rtol=1e-15)
 
     def test_mean_overflow_is_rescaled(self):
         # the column's sum exceeds the largest double, and mean would warn
         t = RawTable(names=["v"], values=[[1.0e308], [1.5e308], [1.7e308]])
-        sm = standardize(t)
-        want = standardize(RawTable(names=["v"], values=[[1.0], [1.5], [1.7]]))
+        sm = standardize(t, t.names)
+        want = standardize(RawTable(names=["v"], values=[[1.0], [1.5], [1.7]]), ["v"])
         assert_allclose(sm.matrix, want.matrix, rtol=1e-14)
         assert_allclose(sm.means, want.means * 1e308, rtol=1e-14)
 
@@ -538,7 +569,7 @@ class TestStandardize:
         # run stopped at "matrix columns are not standardized to tolerance"
         k = np.random.default_rng(4).integers(-200, 201, size=15).astype(float)
         ulp = np.spacing(abs(mean))
-        sm = standardize(RawTable(names=["v"], values=(mean + k * ulp)[:, None]))
+        sm = standardize(RawTable(names=["v"], values=(mean + k * ulp)[:, None]), ["v"])
         assert_allclose(sm.matrix[:, 0], (k - k.mean()) / k.std(ddof=1), rtol=1e-12, atol=1e-13)
         assert_allclose(sm.sds, [k.std(ddof=1) * ulp], rtol=1e-12)
         assert_allclose(sm.means, [mean + k.mean() * ulp], rtol=1e-15)
@@ -550,37 +581,38 @@ class TestStandardize:
         k = np.random.default_rng(2).integers(-1000, 1001, size=999)
         k = np.append(k, -k.sum()).astype(float)
         c = -7.3e-5
-        sm = standardize(RawTable(names=["v"], values=(c + k * np.spacing(abs(c)))[:, None]))
+        values = (c + k * np.spacing(abs(c)))[:, None]
+        sm = standardize(RawTable(names=["v"], values=values), ["v"])
         assert sm.means[0] == c
         assert_allclose(sm.matrix[:, 0], k / k.std(ddof=1), rtol=1e-13, atol=1e-15)
 
     def test_missing_cell(self):
         t = RawTable(names=["v"], values=[[1.0], [np.nan]])
         with pytest.raises(DataError, match=r"^row 2, column 'v': missing value$"):
-            standardize(t)
+            standardize(t, t.names)
 
     def test_first_missing_cell_in_row_major_order(self):
         # column-major order would name row 3, column 'a'
         t = RawTable(names=["a", "b"], values=[[1.0, 2.0], [3.0, np.nan], [np.nan, 4.0]])
         with pytest.raises(DataError, match=r"^row 2, column 'b': missing value$"):
-            standardize(t)
+            standardize(t, t.names)
 
     def test_too_few_rows(self):
         t = RawTable(names=["v"], values=[[1.0]])
         with pytest.raises(Exception, match="at least 2"):
-            standardize(t)
+            standardize(t, t.names)
 
     def test_round_trip(self):
         rng = np.random.default_rng(1)
         values = rng.normal(loc=50.0, scale=7.0, size=(30, 3))
         t = RawTable(names=["a", "b", "c"], values=values)
-        sm = standardize(t)
+        sm = standardize(t, t.names)
         assert_allclose(sm.matrix * sm.sds + sm.means, values, rtol=1e-10)
 
     def test_columns_standardized(self):
         rng = np.random.default_rng(2)
         t = RawTable(names=["a", "b"], values=rng.normal(5, 3, size=(40, 2)))
-        sm = standardize(t)
+        sm = standardize(t, t.names)
         assert np.max(np.abs(sm.matrix.mean(axis=0))) <= 1e-10
         assert np.max(np.abs(sm.matrix.std(axis=0, ddof=1) - 1)) <= 1e-10
 

@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 from scipy import integrate
 
 from enetstats import cv, enet
-from enetstats.dataprep import SubsetConfig, load_csv, select_variables, standardize
+from enetstats.dataprep import SubsetConfig, load_csv, standardize
 from enetstats.enet import (
     KKT_TOL,
     ConvergenceError,
@@ -37,8 +37,8 @@ def demo_groups():
     """The demo's standardized demographic predictors and health responses."""
     table = load_csv(DATA / "demo_lifestyle.csv")
     subsets = SubsetConfig.load(DATA / "demo_subsets.cfg")
-    x = standardize(select_variables(table, subsets, "demographic")).matrix
-    y = standardize(select_variables(table, subsets, "health")).matrix
+    x = standardize(table, subsets.groups["demographic"]).matrix
+    y = standardize(table, subsets.groups["health"]).matrix
     return x, y
 
 

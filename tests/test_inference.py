@@ -494,6 +494,16 @@ class TestVif:
 
 
 class TestPearson:
+    def test_inputs_are_left_unchanged(self):
+        # 1-D contiguous inputs reach the centering as views, and a column
+        # of a matrix as a strided one
+        a = np.array([1.0, 2.0, 4.0, 5.0, 9.0])
+        b = np.array([2.0, 1.0, 5.0, 3.0, 8.0])
+        m = np.column_stack([a, b])
+        saved = [v.tobytes() for v in (a, b, m)]
+        assert pearson(a, b) == pearson(m[:, 0], m[:, 1])
+        assert [v.tobytes() for v in (a, b, m)] == saved
+
     def test_perfect_negative(self):
         v = np.arange(10.0)
         out = pearson(v, -v)

@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from enetstats.linalg import (
     RankDeficiencyError,
     as_matrix,
+    center_columns,
     check_rank,
     check_scale,
     is_constant,
@@ -88,3 +89,20 @@ class TestIsConstant:
     def test_vector_is_one_column(self):
         assert is_constant(np.full(3, 0.1))
         assert not is_constant(np.array([0.0, 1e-200, 0.0]))
+
+
+class TestCenterColumns:
+    def test_centers_in_place_and_returns_means_and_scales(self):
+        x = np.array([[1.0, -40.0], [2.0, 10.0], [6.0, 0.0]])
+        means, scales = center_columns(x)
+        # each column is divided by the power of two that brings its
+        # largest |value| into [1, 2), then centered
+        assert scales.tolist() == [4.0, 32.0]
+        assert means.tolist() == [3.0, -10.0]
+        assert x.tolist() == [[-0.5, -0.9375], [-0.25, 0.625], [0.75, 0.3125]]
+
+    def test_vector_is_one_column(self):
+        x = np.array([3.0, 5.0, 10.0])
+        means, scales = center_columns(x)
+        assert means == 6.0 and scales == 8.0
+        assert x.tolist() == [-0.375, -0.125, 0.5]

@@ -4,7 +4,7 @@ import re
 from pathlib import Path
 
 import enetstats
-from enetstats.dataprep import SubsetConfig, load_csv, select_variables, standardize
+from enetstats.dataprep import SubsetConfig, load_csv, standardize
 from enetstats.inference import MlmFit
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -25,7 +25,7 @@ def test_library_use_example_runs(capsys):
     assert [m.group(1) for m in placeholders.finditer(code)] == ["x", "y"]
     table, cfg = load_csv(DATA / "demo_lifestyle.csv"), SubsetConfig.load(DATA / "demo_subsets.cfg")
     x, y = (
-        standardize(select_variables(table, cfg, cfg.group_with_role(role)))
+        standardize(table, cfg.groups[cfg.group_with_role(role)])
         for role in ("predictor", "response")
     )
     names = {"x": x.matrix, "y": y.matrix}

@@ -400,7 +400,8 @@ def _enet_config(args: argparse.Namespace) -> EnetConfig:
         # the CLI has no explicit-grid flag, and lambda_max divides by alpha
         ("alpha", args.alpha > 0.0, "> 0"),
         ("folds", args.folds >= 2, ">= 2"),
-        ("digits", args.digits >= 1, ">= 1"),
+        # 17 significant digits round-trip a double; more print binary noise
+        ("digits", 1 <= args.digits <= 17, "in [1, 17]"),
     ):
         if not ok:
             raise DataError(f"--{field} must be {rule}, got {getattr(args, field)!r}")

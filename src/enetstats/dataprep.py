@@ -15,6 +15,14 @@ columns: it copies those columns once, checks the copy with one
 shares. The means and SDs are kept, so ``matrix * sds + means`` maps the
 values back.
 
+A record is checked once, where it is built (``load_csv``'s header,
+``SubsetConfig.from_text``, ``standardize``) or where it is used, and
+never again by its constructor. ``standardize`` checks a table's cells; a
+``SubsetConfig`` built directly is refused where it is used, a repeated
+column by ``standardize``, a bad role by ``group_with_role``. Only
+``RawTable``, the public input that callers build, checks its names and
+shape in its constructor.
+
 Subset configuration grammar (flat, line-oriented, no nesting)::
 
     # comment
@@ -94,18 +102,11 @@ class RawTable:
 
 @dataclass
 class SubsetConfig:
-    """Named, ordered column groups with optional predictor/response roles."""
+    """Named, ordered column groups with optional predictor/response roles,
+    checked by :meth:`from_text`, which names the line at fault."""
 
     groups: dict[str, list[str]]
     roles: dict[str, str] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        for group, columns in self.groups.items():
-            if len(set(columns)) != len(columns):
-                raise DataError(f"group {group!r} lists a column twice")
-        for group, role in self.roles.items():
-            if role not in _VALID_ROLES:
-                raise DataError(f"invalid role {role!r} for group {group!r}")
 
     @classmethod
     def from_text(cls, text: str) -> "SubsetConfig":
@@ -172,29 +173,14 @@ class SubsetConfig:
 
 @dataclass
 class StandardizedMatrix:
-    """Column-wise z-scored data plus the means/SDs needed to invert it."""
+    """Column-wise z-scored data plus the means/SDs needed to invert it;
+    :func:`standardize`, its only builder, guarantees each column mean 0
+    and sd 1 within 1e-10, a finite mean and a finite positive sd."""
 
     matrix: np.ndarray
     means: np.ndarray
     sds: np.ndarray
     names: list[str]
-
-    def __post_init__(self) -> None:
-        self.matrix = np.asarray(self.matrix, dtype=float)
-        self.means = np.asarray(self.means, dtype=float)
-        self.sds = np.asarray(self.sds, dtype=float)
-        if self.matrix.ndim != 2:
-            raise DataError("standardized matrix must be 2-D")
-        p = self.matrix.shape[1]
-        if not (self.means.shape == (p,) and self.sds.shape == (p,) and len(self.names) == p):
-            raise DataError("means/sds/names must all match the column count")
-        if not np.all(self.sds > 0):
-            raise DataError("standard deviations must be strictly positive")
-        col_means = self.matrix.mean(axis=0)
-        col_sds = self.matrix.std(axis=0, ddof=1)
-        # written so that a NaN anywhere fails the check
-        if not (np.all(np.abs(col_means) <= 1e-10) and np.all(np.abs(col_sds - 1.0) <= 1e-10)):
-            raise DataError("matrix columns are not standardized to tolerance")
 
 
 def _is_utf8(text: str) -> bool:

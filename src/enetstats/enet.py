@@ -125,7 +125,9 @@ class EnetConfig:
     accepted once every predictor's residual (see :func:`kkt_check`) is at
     most ``tol``, so it may not exceed ``KKT_TOL``. ``max_iter`` caps the
     corrector passes per lambda, each one Newton step with its retries or
-    one row update; the predicted start is not a pass.
+    one row update; the predicted start is not a pass. ``alpha`` is 0 or
+    in [2^-200, 1]: inside :func:`~enetstats.linalg.check_scale`'s window,
+    lambda_max = max_j ||C_j|| / alpha stays finite.
     """
 
     alpha: float = 0.5
@@ -135,8 +137,8 @@ class EnetConfig:
     max_iter: int = 10_000
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha!r}")
+        if not (self.alpha == 0.0 or 2.0**-200 <= self.alpha <= 1.0):
+            raise ValueError(f"alpha must be 0 or lie in [2^-200, 1], got {self.alpha!r}")
         if self.nlambda < 2:
             raise ValueError(f"nlambda must be >= 2, got {self.nlambda!r}")
         if self.lambda_min_ratio is not None and not 0.0 < self.lambda_min_ratio < 1.0:

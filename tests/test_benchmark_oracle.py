@@ -1,4 +1,5 @@
-"""The benchmark's output oracle, run in tier-1.
+"""The benchmark's output oracle, and ``prep``'s memory on one of its
+designs, run in tier-1.
 
 ``perfbench/check.py`` recomputes MANOVA and the univariate tables from
 the raw CSV with numpy and scipy alone, and ``perfbench/gen.py`` writes
@@ -7,6 +8,7 @@ run writes goes under ``tmp_path``.
 """
 
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -46,3 +48,23 @@ def test_outputs_match_the_oracle(tmp_path, capsys, command, inputs):
     for name, table in want["univariate"].items():
         assert len(got["univariate"][name]["rows"]) == len(table["rows"]) == len(got["kept"]) + 1
     assert check.compare(got, want, "oracle") == []
+
+
+def test_prep_peak_memory_stays_near_the_table(tmp_path, capsys):
+    """prep holds the parsed table and one z-scored copy of each group,
+    and no other array of their size: its traced peak on a 5000 x 103
+    design stays within 2.5 times the table's float64 bytes (2.16 when
+    measured; a check of the z-scores' moments by np.std took it to 3.0)."""
+    shape = gen.Shape(n=5000, p=100, k=3, signal=12, stream=1)
+    gen.generate(shape, 1, tmp_path / "in")
+    argv = ["prep", "--input", str(tmp_path / "in" / "data.csv")]
+    argv += ["--subsets", str(tmp_path / "in" / "subsets.cfg"), "--out", str(tmp_path / "out")]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    assert peak <= 2.5 * shape.n * (shape.p + shape.k) * 8

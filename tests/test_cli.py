@@ -363,7 +363,7 @@ class TestEnet:
         assert math.isclose(lams[0], lam_max, rel_tol=1e-15)
 
     def test_noise_predictor_removed(self, tmp_path):
-        for digits in (6, 3):
+        for digits in (17, 6, 3):
             out = tmp_path / f"out{digits}"
             argv = ["enet", "--input", DEMO_CSV, "--subsets", DEMO_CFG, "--out", out]
             run(*argv, "--digits", digits)
@@ -679,8 +679,20 @@ class TestFlagValidation:
         "flag, value",
         [
             ("--digits", "0"),
+            # past 17 digits a double prints binary noise; at 2^31 `report`
+            # failed on Python's "precision too big", naming no flag
+            ("--digits", "18"),
+            ("--digits", "2147483648"),
             ("--alpha", "0"),
             ("--alpha", "1.5"),
+            # below 2^-200 the path ran into an overflowed lambda_max, NaN
+            # lambdas or 10,000 passes at one lambda
+            ("--alpha", "5e-324"),
+            ("--alpha", "1e-140"),
+            ("--alpha", "1e-160"),
+            ("--alpha", "1e-200"),
+            ("--alpha", "1e-250"),
+            ("--alpha", "1e-300"),
             ("--nlambda", "1"),
             ("--lambda-min-ratio", "1"),
             ("--folds", "1"),
@@ -693,6 +705,16 @@ class TestFlagValidation:
         )
         assert code == 2
         assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_cv_at_a_subnormal_alpha_names_the_flag(self, tmp_path, capsys):
+        # it once blamed fold 0 for the NaN lambdas of its grid, exit 3
+        out = tmp_path / "o"
+        argv = ["--out", out, "--alpha", "5e-324", "--nlambda", "2", "--folds", "2"]
+        assert run("cv", "--input", DEMO_CSV, "--subsets", DEMO_CFG, *argv) == 2
+        assert capsys.readouterr().err == (
+            "error: --alpha: alpha must be 0 or lie in [2^-200, 1], got 5e-324\n"
+        )
         assert not out.exists()
 
     def test_folds_above_observations_exits_2_before_out(self, tmp_path, capsys):

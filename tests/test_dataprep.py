@@ -17,7 +17,6 @@ from enetstats import dataprep
 from enetstats.dataprep import (
     DataError,
     RawTable,
-    StandardizedMatrix,
     SubsetConfig,
     load_csv,
     standardize,
@@ -431,13 +430,15 @@ class TestSubsetConfig:
         with pytest.raises(DataError, match=message):
             cfg.group_with_role("response")
 
-    def test_direct_construction_rejects_a_repeated_column(self):
-        with pytest.raises(DataError, match="^group 'g' lists a column twice$"):
-            SubsetConfig(groups={"g": ["a", "b", "a"]})
-
-    def test_direct_construction_rejects_a_bad_role(self):
-        with pytest.raises(DataError, match="^invalid role 'banana' for group 'g'$"):
-            SubsetConfig(groups={"g": ["a"]}, roles={"g": "banana"})
+    def test_direct_construction_is_refused_where_it_is_used(self):
+        # from_text checks a config as it reads it; the record itself does
+        # not, so one built directly fails in the functions that read it
+        cfg = SubsetConfig(groups={"g": ["a", "a"]}, roles={"g": "banana"})
+        message = "^expected exactly one group with role 'predictor', found 0$"
+        with pytest.raises(DataError, match=message):
+            cfg.group_with_role("predictor")
+        with pytest.raises(DataError, match="^duplicate column name 'a'$"):
+            standardize(RawTable(names=["a"], values=[[1.0], [2.0]]), cfg.groups["g"])
 
 
 class TestSelectVariables:
@@ -617,37 +618,63 @@ class TestStandardize:
         assert np.max(np.abs(sm.matrix.std(axis=0, ddof=1) - 1)) <= 1e-10
 
 
-class TestStandardizedMatrix:
-    def test_nan_fails_the_tolerance_check(self):
-        z = np.array([[-1.0, np.nan], [1.0, 0.0]]) / np.sqrt(2.0)
-        with pytest.raises(DataError, match="not standardized"):
-            StandardizedMatrix(matrix=z, means=[0.0, 0.0], sds=[1.0, 1.0], names=["a", "b"])
+@st.composite
+def z_score_tables(draw):
+    """An N x P table, N in [2, 60] and P in [1, 4], each column drawn from
+    one family (normal, small integers, sparse, or a spread of a few
+    hundred ulps on a mean up to 1e6) and multiplied by 10^U(-300, 300)."""
+    n = draw(st.integers(2, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        family = draw(st.sampled_from(["normal", "integers", "sparse", "tiny spread"]))
+        if family == "normal":
+            v = rng.normal(size=n)
+        elif family == "integers":
+            v = rng.integers(-3, 4, size=n).astype(float)
+        elif family == "sparse":
+            v = np.where(rng.random(n) < 0.1, rng.normal(size=n), 0.0)
+        else:
+            c = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(0.0, 6.0)
+            v = c + rng.integers(-200, 201, size=n) * np.spacing(c)
+        columns.append(v * 10.0 ** draw(st.floats(-300.0, 300.0)))
+    return np.column_stack(columns)
 
-    def test_nan_sd_rejected(self):
-        z = np.array([[-1.0], [1.0]]) / np.sqrt(2.0)
-        with pytest.raises(DataError, match="strictly positive"):
-            StandardizedMatrix(matrix=z, means=[0.0], sds=[np.nan], names=["a"])
 
-    @pytest.mark.parametrize("moment", ["mean", "sd"])
-    def test_tolerance_is_1e_10(self, moment):
-        v = np.array([[-3.0], [-1.0], [1.0], [3.0]])
-        z = v / v.std(ddof=1)  # mean 0 and sd 1 to the last bit
+def _ulps(c, n=15):
+    k = np.random.default_rng(4).integers(-200, 201, size=n)
+    return (c + k * np.spacing(abs(c)))[:, None]
 
-        def off_by(delta):
-            return z + delta if moment == "mean" else z * (1.0 + delta)
 
-        StandardizedMatrix(matrix=off_by(0.8e-10), means=[0.0], sds=[1.0], names=["a"])
-        with pytest.raises(DataError, match="^matrix columns are not standardized to tolerance$"):
-            StandardizedMatrix(matrix=off_by(1.2e-10), means=[0.0], sds=[1.0], names=["a"])
+class TestStandardizeContract:
+    """standardize is the only builder of a StandardizedMatrix, and the
+    record checks nothing itself: every table either fails with a
+    DataError naming a column or gives z-scores inside the contract."""
 
-    def test_one_dimensional_matrix_rejected(self):
-        with pytest.raises(DataError, match="^standardized matrix must be 2-D$"):
-            StandardizedMatrix(matrix=[-1.0, 1.0], means=[0.0], sds=[1.0], names=["a"])
-
-    def test_mismatched_means_rejected(self):
-        z = np.array([[-1.0], [1.0]]) / np.sqrt(2.0)
-        with pytest.raises(DataError, match="^means/sds/names must all match the column count$"):
-            StandardizedMatrix(matrix=z, means=[0.0, 0.0], sds=[1.0], names=["a"])
+    @settings(max_examples=300)
+    @given(values=z_score_tables())
+    @example(values=_ulps(1e6))  # the mean's rounding once moved the z-scores' mean
+    @example(values=_ulps(-1e-290))
+    @example(values=np.array([[0.1], [0.1], [0.1]]))  # constant, with an inexact mean
+    @example(values=np.array([[1.7e308], [-1.7e308], [-1.7e308]]))  # the sd overflows
+    @example(values=np.array([[5e-324]] + [[0.0]] * 19))  # the sd underflows
+    def test_names_a_column_or_meets_the_contract(self, values):
+        names = [f"c{j}" for j in range(values.shape[1])]
+        try:
+            sm = standardize(RawTable(names=names, values=values.copy()), names)
+        except DataError as exc:
+            assert any(repr(name) in str(exc) for name in names), str(exc)
+            return
+        n = len(values)
+        assert sm.names == names and sm.matrix.shape == values.shape
+        assert np.all(np.isfinite(sm.means))
+        assert np.all(np.isfinite(sm.sds) & (sm.sds > 0.0))
+        for z in sm.matrix.T.tolist():
+            mean = math.fsum(z) / n
+            assert abs(mean) <= 1e-10
+            assert abs(math.sqrt(math.fsum((v - mean) ** 2 for v in z) / (n - 1)) - 1.0) <= 1e-10
+        error = np.abs(sm.matrix * sm.sds + sm.means - values)
+        assert np.all(error <= 1e-10 * np.abs(values).max(axis=0))
 
 
 class TestRawTable:

@@ -272,6 +272,16 @@ class TestGaussianPath:
         with pytest.raises(ValueError, match=r"^lambda_min_ratio must lie in \(0, 1\), got 1.0$"):
             EnetConfig(lambda_min_ratio=1.0)
 
+    def test_alpha_is_zero_or_inside_the_scale_window(self):
+        # below 2^-200, lambda_max = max ||C_j|| / alpha leaves the window
+        # check_scale keeps every column in, and once overflowed to inf
+        # the grid went on in NaN lambdas that no pass could certify
+        EnetConfig(alpha=0.0)
+        EnetConfig(alpha=2.0**-200)
+        for alpha in (2.0**-201, 5e-324, -1e-300, np.nextafter(1.0, 2.0), math.nan):
+            with pytest.raises(ValueError, match=r"^alpha must be 0 or lie in \[2\^-200, 1\]"):
+                EnetConfig(alpha=alpha)
+
     def test_max_iter_below_one_rejected(self):
         EnetConfig(max_iter=1)
         with pytest.raises(ValueError, match="^max_iter must be >= 1, got 0$"):
@@ -696,6 +706,13 @@ class TestNewtonStep:
         monkeypatch.setattr(enet, "_newton_step", lambda *args: None)
         x, y = demo_groups()
         self._certified(x, y, EnetConfig())
+
+    def test_smallest_alpha_certifies_the_demo_path(self):
+        # at alpha = 2^-200 lambda_max is 2^200 times max ||C_j||, so the
+        # ridge term dwarfs every other and each lambda must still certify
+        x, y = demo_groups()
+        path = self._certified(x, y, EnetConfig(alpha=2.0**-200))
+        assert np.all(np.isfinite(path.lambdas)) and path.n_lambdas == 100
 
     @pytest.mark.parametrize("s", [251, 1007, 1203, 1587])
     def test_near_copy_lasso_designs_certify(self, s):

@@ -2,10 +2,11 @@
 
 Each table the CLI writes is declared once, as a :class:`_Table`: its
 file name and its columns, each with a TSV header and %-format and, where
-the table is shown on stdout, a display header and format. :func:`_tsv`
-writes a table's rows as TSV (UTF-8, LF, header row first, numbers at 17
-significant digits so every value round-trips); :func:`_render` shows the
-same rows as aligned text at ``--digits`` (p-values at 4).
+the table is shown on stdout, a display header and format. Each stage
+hands a table over as one sequence per column. :func:`_tsv` writes it as
+TSV (UTF-8, LF, header row first, numbers at 17 significant digits so
+every value round-trips); :func:`_render` shows the same columns' rows as
+aligned text at ``--digits`` (p-values at 4).
 
 The inputs are read once: the groups a command reads are z-scored as
 the CSV is read, and the table is then dropped. A run computes first and
@@ -13,8 +14,10 @@ writes once: ``--out`` is created, the files written and stdout printed
 only after every stage has returned, so a failed run creates or changes
 no file in ``--out`` and prints nothing to stdout; the files go in under
 temporary names, so an error while writing leaves ``--out`` as it was
-too. The stages keep each file's table and rows, not its text: the rows
-are formatted while each file is written.
+too. The stages keep each file's columns, not its text: the cells are
+formatted while each file is written, about 2,048 at a time, the numbers
+by a vectorized %.17g (:func:`_g17`) whose text equals Python's for every
+double.
 Exit codes: 0 success, 2 input/validation failure, 3 solver or CV
 failure, 4 inference failure.
 """
@@ -23,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import io
-import itertools
 import os
 import shutil
 import sys
@@ -142,20 +144,151 @@ _RESIDUALS = _Table(
 )
 
 
-def _tsv(sink, table: _Table, rows, names=(), footer=()) -> None:
-    """Write a table's TSV text to the text file ``sink``: each tuple in
-    ``rows`` fills the columns' %-formats, and then one ``table.each``
-    column per entry of ``names``; the ``footer`` lines follow. Rows are
-    formatted while the file is written, 32 to a ``write``, so no more
-    than a chunk of the text exists at once."""
-    line = "\t".join([c.fmt for c in table.columns] + [table.each] * len(names))
-    sink.write("\t".join([c.header for c in table.columns] + list(names)) + "\n")
-    rows = iter(rows)
-    while chunk := [line % row for row in itertools.islice(rows, 32)]:
-        chunk.append("")  # each line ends in LF
-        sink.write("\n".join(chunk))
-    for text in footer:
-        sink.write(text + "\n")
+_CELLS = 2048  # cells formatted and written at a time
+_SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitter
+_TEN = np.cumprod(np.r_[1.0, np.full(22, 10.0)])  # 10^0 .. 10^22, each exact
+_TEN_HI = _TEN * _SPLIT - (_TEN * _SPLIT - _TEN)
+_TEN_LO = _TEN - _TEN_HI
+# "0000" .. "9999" as 4-byte words
+_QUADS = np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij")
+_QUADS = np.stack(_QUADS, axis=-1).view(np.uint32).ravel()
+
+
+def _slots() -> tuple[np.ndarray, np.ndarray]:
+    """The %.17g text of 1e-6 < |x| < 1e17 and a tab are some of the bytes
+    of one 44-byte slot: "-0.000", the 17 digits each followed by a "."
+    but the last, "e-0X" and the tab. Return the slot and which bytes are
+    kept, by sign, decimal exponent e (-6 .. 16) and count of digits to
+    the last nonzero one (1 .. 17): row (23 * sign + e + 6) * 17 + count - 1."""
+    j = np.arange(44)
+    e, nd = np.arange(-6, 17)[:, None, None], np.arange(1, 18)[:, None]
+    fixed, below_1 = e >= -4, (e >= -4) & (e < 0)  # below 1: "0." and -e - 1 zeros
+    shown = np.where(e >= 0, np.maximum(nd, e + 1), nd)  # digits shown
+    dot = np.where(fixed, e, 0)  # the digit that "." follows
+    digit, body = (j - 6) // 2, (j >= 6) & (j < 39)
+    keep = (j == 43) | ~fixed & (j >= 39) | below_1 & (j >= 1) & (j < 2 - e)
+    keep = keep | body & (j % 2 == 0) & (digit < shown)
+    keep = keep | body & (j % 2 == 1) & ~below_1 & (digit == dot) & (shown > dot + 1)
+    keep = np.stack([keep, keep | (j == 0)])  # "-" for the negatives
+    return np.frombuffer(b"-0.000" + b"0." * 16 + b"0e-00\t", np.uint8), keep.reshape(-1, 44)
+
+
+_SLOT, _KEEP = _slots()
+
+
+def _decimal(a: np.ndarray, e10: np.ndarray) -> np.ndarray:
+    """a * 10^(16 - e10) rounded half to even to an integer, exactly, where
+    it lies between 10^16 and 10^17 and a > 2^-20: Dekker's product gives
+    it as p + e with no rounding error, p an integer and e a multiple of
+    2^-50 whose fraction is exact."""
+    k = 16 - e10
+    p, ten_hi, ten_lo = a * _TEN.take(k), _TEN_HI.take(k), _TEN_LO.take(k)
+    hi = a * _SPLIT
+    hi -= hi - a  # Veltkamp's split: a = hi + lo, with 26 bits each
+    lo = a - hi
+    e = ((hi * ten_hi - p) + hi * ten_lo + lo * ten_hi) + lo * ten_lo
+    whole = np.floor(e)
+    e -= whole
+    q = p.astype(np.int64) + whole.astype(np.int64)
+    q += (e > 0.5) | ((e == 0.5) & (q & 1 == 1))
+    return q
+
+
+def _g17(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each double of ``values`` as its ``%.17g`` text and a tab: row i of
+    the returned (n, 44) byte matrix holds cell i in the bytes where row i
+    of the returned mask is True.
+
+    The 17 digits are |x| * 10^(16 - e) rounded half to even, exactly
+    (:func:`_decimal`), at the decade e that ``log10`` proposes, clipped to
+    -6 .. 16. They are kept only strictly between 10^16 and 10^17, which
+    they reach only when e is |x|'s decade and no rounding carried into
+    the next; the bytes are then laid out as ``%g`` does (:func:`_slots`).
+    Python formats every other cell: 0, -0.0, inf, nan, the cells below
+    1e-6 or from 1e17 up, those whose digits are a 1 and zeros (1, 10,
+    0.01, ...), and the rare cell whose ``log10`` picked a neighbouring
+    decade.
+    """
+    x = values.ravel()
+    a = np.abs(x)
+    fast = (a > 0.0) & (a < 2.0**63)  # so that _decimal's p casts to an int64
+    a[~fast] = 1.0  # formatted by Python below
+    e10 = np.clip(np.floor(np.log10(a)).astype(np.intp), -6, 16)
+    q = _decimal(a, e10)
+    fast &= (q > 10**16) & (q < 10**17)  # 10^16 may be a lower decade's rounded up
+    groups = np.empty((x.size, 5), np.int16)  # the leading digit, then 4 x 4
+    for j in (4, 3, 2, 1):
+        q, groups[:, j] = np.divmod(q, 10_000)
+    groups[:, 0] = q
+    digits = _QUADS.take(groups).view(np.uint8)[:, 3:]
+    text = np.empty((x.size, 44), np.uint8)
+    text[:] = _SLOT
+    text[:, 6:39:2] = digits
+    text[:, 42] = 48 - e10
+    nd = 17 - np.argmax(digits[:, ::-1] != 48, axis=1)
+    keep = _KEEP.take((np.signbit(x) * 23 + e10 + 6) * 17 + nd - 1, axis=0)
+    slow = np.flatnonzero(~fast)
+    if slow.size:  # right-aligned, so the tab stays the slot's last byte
+        cells, kept = _encode([format(v, ".17g") for v in x[slow].tolist()])
+        text[slow, 44 - cells.shape[1] :] = cells
+        keep[slow] = False
+        keep[slow, 44 - cells.shape[1] :] = kept
+    return text, keep
+
+
+def _encode(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Each string of ``texts`` as its UTF-8 bytes and a tab, laid out as
+    :func:`_g17` lays out its cells, the tab last in each row."""
+    data = [t.encode("utf-8") for t in texts]
+    lengths = np.fromiter(map(len, data), np.intp, len(data))
+    keep = np.arange(lengths.max(initial=0) + 1) < lengths[:, None]
+    cells = np.full(keep.shape, 9, np.uint8)
+    cells[keep] = np.frombuffer(b"".join(data), np.uint8)
+    keep[:, -1] = True
+    return cells, keep
+
+
+def _tsv(sink, table: _Table, columns, names=(), footer=()) -> None:
+    """Write a table's TSV bytes to the binary file ``sink``: ``columns``
+    holds one sequence for each of the table's columns and then one
+    ``table.each`` column per entry of ``names``; a text column shorter
+    than the others repeats. The ``footer`` lines follow. The text columns
+    are encoded once; the rows are formatted and written ``_CELLS`` cells
+    at a time (:func:`_rows`), so no more than a chunk of text exists."""
+    fmts = [c.fmt for c in table.columns] + [table.each] * len(names)
+    head = "\t".join([c.header for c in table.columns] + list(names)) + "\n"
+    sink.write(head.encode("utf-8"))
+    floats, cells = [], []  # each text column's cells, or a float one's index in floats
+    for fmt, col in zip(fmts, columns):
+        if fmt == _G:
+            cells.append(len(floats))
+            floats.append(np.asarray(col, float))
+        else:
+            cells.append(_encode([fmt % v for v in col]))
+    n, step = max(map(len, columns)), max(1, _CELLS // len(fmts))
+    for i in range(0, n, step):
+        sink.write(_rows(floats, cells, np.arange(i, min(i + step, n))))
+    for line in footer:
+        sink.write((line + "\n").encode("utf-8"))
+
+
+def _rows(floats: list[np.ndarray], cells: list, at: np.ndarray) -> np.ndarray:
+    """The TSV bytes of the consecutive rows ``at``: each row is its cells'
+    slots side by side (:func:`_g17`, :func:`_encode`), its last tab
+    turned into a line feed, and the bytes kept are returned."""
+    if floats:
+        text, keep = _g17(np.stack([c[at[0] : at[-1] + 1] for c in floats], axis=1))
+        text, keep = text.reshape(at.size, -1), keep.reshape(at.size, -1)
+    if len(floats) < len(cells):
+        blocks = [
+            (text[:, 44 * c : 44 * c + 44], keep[:, 44 * c : 44 * c + 44])
+            if isinstance(c, int)
+            else (c[0][at % len(c[0])], c[1][at % len(c[1])])
+            for c in cells
+        ]
+        text, keep = (np.concatenate(b, axis=1) for b in zip(*blocks))
+    text[:, -1] = 10
+    return np.compress(keep.ravel(), text)
 
 
 def _render(table: _Table, rows, digits: int, key=None) -> str:
@@ -177,7 +310,7 @@ class Pipeline:
     inputs are read (every group in config order for `prep` and `report`,
     else the predictor and then the response group); no table is kept.
     The ``run_*`` stages write nothing: each adds its files to ``files``
-    (file name to table, rows, names and footer, formatted only when
+    (file name to table, columns, names and footer, formatted only when
     written) and its lines to ``stdout``.
     """
 
@@ -256,27 +389,26 @@ class Pipeline:
 
     # -- subcommands -------------------------------------------------------
 
-    def _add(self, table: _Table, rows, key=None, names=(), footer=()) -> None:
+    def _add(self, table: _Table, columns, key=None, names=(), footer=()) -> None:
         """Add a table's file under a plain name no other output takes; a
-        titled table is small, and its listed rows also go to stdout."""
+        titled table is small, and its rows also go to stdout."""
         if table.title:
-            rows = list(rows)
-            print(_render(table, rows, self.args.digits, key), file=self.stdout)
+            print(_render(table, list(zip(*columns)), self.args.digits, key), file=self.stdout)
         name = table.file.format(key)
         if Path(name).name != name:
             raise DataError(f"output file name {name!r} is not a plain file name")
         if name in self.files:
             raise DataError(f"two outputs would both be written to {name!r}")
-        self.files[name] = (table, rows, names, footer)
+        self.files[name] = (table, columns, names, footer)
 
     def run_prep(self) -> None:
         for group, sm in self.standardized.items():
-            self._add(_GROUP, (tuple(row.tolist()) for row in sm.matrix), group, sm.names)
-            self._add(_SCALE, zip(sm.names, sm.means.tolist(), sm.sds.tolist()), group)
+            self._add(_GROUP, list(sm.matrix.T), group, sm.names)
+            self._add(_SCALE, (sm.names, sm.means, sm.sds), group)
 
     def run_enet(self) -> None:
         path = self.enet_path
-        self._add(_PATH, zip(path.lambdas.tolist(), path.dev_ratio.tolist(), path.nonzero.tolist()))
+        self._add(_PATH, (path.lambdas, path.dev_ratio, path.nonzero.tolist()))
         idx = self.selected_lambda_index()
         lam = float(path.lambdas[idx])
         x, y = self.design
@@ -287,12 +419,12 @@ class Pipeline:
                 return (name, *(format(c, sci) for c in coefs.tolist()))
             return (name, *["removed"] * len(coefs))
 
-        self._add(_COEF, map(coef_row, x.names, path.coefs[idx]), lam, y.names)
+        self._add(_COEF, list(zip(*map(coef_row, x.names, path.coefs[idx]))), lam, y.names)
         print(f"coefficients written at lambda={lam:.17g} rule={self.args.rule}", file=self.stdout)
 
     def run_cv(self) -> None:
         cv = self.cv_result
-        self._add(_CV, zip(cv.lambdas.tolist(), cv.mean_error.tolist(), cv.se_error.tolist()))
+        self._add(_CV, (cv.lambdas, cv.mean_error, cv.se_error))
         print(f"lambda.min={cv.lambda_min:.17g}", file=self.stdout)
         print(f"lambda.1se={cv.lambda_1se:.17g}", file=self.stdout)
 
@@ -305,25 +437,24 @@ class Pipeline:
             (r.term, r.df, r.pillai, r.approx_f, r.num_df, r.den_df, r.p_value, stars(r.p_value))
             for r in manova_table(fit)
         ]
-        self._add(_MANOVA, rows)
+        self._add(_MANOVA, list(zip(*rows)))
 
         for k, response in enumerate(fit.response_names):
             s = univariate_summary(fit, k)
             rows = [(r.name, r.estimate, r.std_error, r.t, r.p, stars(r.p)) for r in s.coef_rows]
             head = f"F({s.df1},{s.df2})="
             footer = f"{head}{s.f_stat:.17g} R2={s.r2:.17g} R2adj={s.r2_adj:.17g}"
-            self._add(_UNI, rows, response, footer=[footer])
+            self._add(_UNI, list(zip(*rows)), response, footer=[footer])
             print(
                 f"{head}{s.f_stat:.{d}g} R2={s.r2:.4g} R2adj={s.r2_adj:.4g} sigma={s.sigma:.4g}",
                 file=out,
             )
 
-        self._add(_VIF, ((e.name, e.r2_aux, e.vif) for e in vif(fit)))
+        self._add(_VIF, list(zip(*((e.name, e.r2_aux, e.vif) for e in vif(fit)))))
 
-        # one row per observation and response, the responses cycling
-        # fastest; a memoryview yields the floats without a list of them all
-        cells = [memoryview(a.ravel()) for a in (fit.fitted, fit.residuals)]
-        self._add(_RESIDUALS, zip(itertools.cycle(fit.response_names), *cells))
+        # one row per observation and response, the response names
+        # repeating fastest
+        self._add(_RESIDUALS, (fit.response_names, fit.fitted.ravel(), fit.residuals.ravel()))
 
         y = self.design[1].matrix
         k = fit.n_responses
@@ -456,7 +587,7 @@ def _write_files(out: Path, files: dict[str, tuple]) -> None:
     try:
         for name, output in files.items():
             failure = f"cannot write {name!r}"
-            with temporary[name].open("w", encoding="utf-8", newline="", buffering=_BUFFER) as sink:
+            with temporary[name].open("wb", buffering=_BUFFER) as sink:
                 _tsv(sink, *output)
         if fresh:
             failure = f"cannot create directory {str(out)!r}"

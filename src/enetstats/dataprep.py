@@ -350,11 +350,12 @@ def standardize(table: RawTable, columns: list[str]) -> StandardizedMatrix:
     if len(missing):
         i, j = missing[0]
         raise DataError(f"row {i + 1}, column {table.names[j]!r}: missing value")
-    constant = np.flatnonzero(is_constant(z))
+    bounds = z.max(axis=0), z.min(axis=0)  # one pass for the constancy check and the scales
+    constant = np.flatnonzero(is_constant(z, bounds))
     if constant.size:
         names = ", ".join(repr(table.names[j]) for j in constant)
         raise DataError(f"constant column(s): {names}")
-    means, scales = center_columns(z)
+    means, scales = center_columns(z, bounds)
     sds = np.sqrt(np.einsum("ij,ij->j", z, z) / (table.n_rows - 1))
     # scaled back by the power-of-two scales, the sds and the largest
     # distances from the means are exact unless they overflow a double or

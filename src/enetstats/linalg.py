@@ -64,29 +64,32 @@ def as_matrix(a, name: str) -> np.ndarray:
     return arr
 
 
-def is_constant(x: np.ndarray) -> np.ndarray:
+def is_constant(x: np.ndarray, bounds=None) -> np.ndarray:
     """Per column of ``x``, whether its entries are all equal, judged by
-    spread (max == min); a 1-D ``x`` is one column.
+    spread (max == min); a 1-D ``x`` is one column. ``bounds``, when given,
+    are the columns' maxima and minima, already read.
 
     Left out of ``__all__``, so the per-layer trace in ``perfbench``, which
     wraps exactly the names listed there, does not count it as a call.
     """
-    return x.max(axis=0) == x.min(axis=0)
+    high, low = (x.max(axis=0), x.min(axis=0)) if bounds is None else bounds
+    return high == low
 
 
-def center_columns(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def center_columns(x: np.ndarray, bounds=None) -> tuple[np.ndarray, np.ndarray]:
     """Divide each column of the float array ``x`` (a 1-D ``x`` is one
     column), in place, by the power of two that brings its largest |value|
     into [1, 2), which is exact, and center it, in place, by the corrected
     two-pass mean (Chan, Golub & LeVeque 1983); return the columns' means
-    and the scales. A column that is not constant spreads over at least
-    half a unit in the last place of its largest |value|, so no square or
-    sum of the centered values overflows or underflows to 0, and the
-    second pass removes the first mean's rounding, as a tiny spread on a
-    large mean needs. Left out of ``__all__`` for the reason
-    :func:`is_constant` is.
+    and the scales; ``bounds`` are as for :func:`is_constant`. A column
+    that is not constant spreads over at least half a unit in the last
+    place of its largest |value|, so no square or sum of the centered
+    values overflows or underflows to 0, and the second pass removes the
+    first mean's rounding, as a tiny spread on a large mean needs. Left
+    out of ``__all__`` for the reason :func:`is_constant` is.
     """
-    scales = np.ldexp(1.0, np.frexp(np.maximum(x.max(axis=0), -x.min(axis=0)))[1] - 1)
+    high, low = (x.max(axis=0), x.min(axis=0)) if bounds is None else bounds
+    scales = np.ldexp(1.0, np.frexp(np.maximum(high, -low))[1] - 1)
     x /= scales
     means = x.mean(axis=0)
     x -= means

@@ -22,7 +22,7 @@ from numpy.testing import assert_allclose
 from scipy import stats
 
 import enetstats.cli
-from enetstats.cli import _GROUP, Pipeline, _tsv, _write_files, build_parser, main, stars
+from enetstats.cli import _GROUP, Pipeline, _g17, _tsv, _write_files, build_parser, main, stars
 from enetstats.cv import make_folds
 from enetstats.dataprep import RawTable, SubsetConfig, load_csv, standardize
 from enetstats.enet import EnetConfig, default_lambda_grid, fit_mgaussian_path
@@ -87,22 +87,80 @@ class TestTsvEgress:
     def test_row_format_matches_per_cell_format(self, values):
         header = [f"c{j}" for j in range(len(values))]
         want = "\t".join(header) + "\n" + "\t".join(format(v, ".17g") for v in values) + "\n"
-        sink = io.StringIO()
-        _tsv(sink, _GROUP, [tuple(values)], header)
-        assert sink.getvalue() == want
+        sink = io.BytesIO()
+        _tsv(sink, _GROUP, [[v] for v in values], header)
+        assert sink.getvalue() == want.encode()
+
+    @staticmethod
+    def g17_cells(values):
+        text, keep = _g17(np.asarray(values, dtype=float))
+        cells = [bytes(row[kept]).decode() for row, kept in zip(text, keep)]
+        assert all(cell.endswith("\t") for cell in cells)
+        return [cell[:-1] for cell in cells]
+
+    def test_g17_matches_python_on_a_sweep(self):
+        """Every power of ten with the 40 doubles on each side, exact ties
+        odd * 2^-(k+1) whose 17th digit is a half, and the extremes."""
+        powers = np.array([float(f"1e{j}") for j in range(-323, 309)])
+        steps = np.arange(-40, 41)
+        near = (powers.view(np.int64)[:, None] + steps).view(np.float64).ravel()
+        near = near[(near > 0) & np.isfinite(near)]
+        rng = np.random.default_rng(30)
+        ties = []
+        for k in range(1, 23):
+            # x = odd / 2^(k+1) in [10^(16-k), 10^(17-k)): x * 10^k ends in .5
+            # (none for k = 0, where such an x needs more than 53 bits)
+            low = -(-(10**16) * 2**k // 10**k)
+            high = min(10**17 * 2**k // 10**k, 2**52)
+            ties.append((2 * rng.integers(low, high, size=2000) + 1) / 2.0 ** (k + 1))
+        extremes = [0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, np.inf]
+        values = np.concatenate([near, *ties, extremes])
+        values = np.concatenate([values, -values, [np.nan]])
+        assert self.g17_cells(values) == [format(v, ".17g") for v in values.tolist()]
+
+    @settings(max_examples=300)
+    @given(st.lists(st.floats(), min_size=1, max_size=64))
+    def test_g17_matches_python(self, values):
+        assert self.g17_cells(values) == [format(v, ".17g") for v in values]
 
     def test_percent_in_response_name_written_verbatim(self, tmp_path, capsys):
-        csv, cfg = write_small_dataset(tmp_path)
-        names = ["y%d", "100%"]
-        for path in (csv, cfg):
-            text = path.read_text(encoding="utf-8")
-            path.write_text(text.replace("y1", names[0]).replace("y2", names[1]), encoding="utf-8")
-        out = tmp_path / "out"
-        assert run("mlm", "--input", csv, "--subsets", cfg, "--out", out) == 0
+        """Names pass through the writer byte for byte: a NUL, a non-ASCII
+        letter and %-format text, in headers, name columns and file names."""
+        predictors, responses = ["x\x002", "wasser_\u00e4", "100%"], ["y%d", "\u00fc"]
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(12, 3))
+        y = x @ rng.normal(size=(3, 2)) + rng.normal(size=(12, 2))
+        csv, cfg = tmp_path / "names.csv", tmp_path / "names.cfg"
+        lines = [",".join(predictors + responses)]
+        lines += [",".join(f"{v:.9f}" for v in row) for row in np.column_stack([x, y])]
+        csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        cfg.write_text(
+            "p.role = predictor\n" + "".join(f"p.column = {n}\n" for n in predictors)
+            + "r.role = response\n" + "".join(f"r.column = {n}\n" for n in responses),
+            encoding="utf-8",
+        )
+
+        def cells(path, column=0):
+            *lines, end = path.read_bytes().split(b"\n")
+            assert end == b""
+            return lines[0].split(b"\t"), [line.split(b"\t")[column] for line in lines[1:]]
+
+        def encoded(names):
+            return [name.encode("utf-8") for name in names]
+
+        out = tmp_path / "prep"
+        assert run("prep", "--input", csv, "--subsets", cfg, "--out", out) == 0
+        for group, names in (("p", predictors), ("r", responses)):
+            assert cells(out / f"{group}.tsv")[0] == encoded(names)
+            assert cells(out / f"{group}_scale.tsv")[1] == encoded(names)
+        out = tmp_path / "mlm"
+        flag = ",".join(predictors)
+        assert run("mlm", "--input", csv, "--subsets", cfg, "--out", out, "--predictors", flag) == 0
         capsys.readouterr()
-        _, rows = read_tsv(out / "residuals.tsv")
-        assert [r[0] for r in rows] == names * 12
-        assert all(len(r) == 3 for r in rows)
+        assert cells(out / "vif.tsv")[1] == encoded(predictors)
+        for response in responses:
+            assert cells(out / f"uni_{response}.tsv")[1][1:4] == encoded(predictors)
+        assert cells(out / "residuals.tsv")[1] == encoded(responses) * 12
 
 
 class TestPrep:
@@ -974,7 +1032,9 @@ class TestAtomicOutput:
         self, tmp_path, capsys, monkeypatch, existing
     ):
         # demographic.tsv's header and first chunk of rows are written, and
-        # its second chunk is truncated
+        # its second chunk is truncated; 60 cells a chunk gives its 86 rows
+        # of 6 columns several chunks
+        monkeypatch.setattr(enetstats.cli, "_CELLS", 60)
         err = self.run_failing(tmp_path, capsys, monkeypatch, existing, 0, 3, self.ENOSPC)
         assert err == "error: --out: cannot write 'demographic.tsv': No space left on device\n"
 
@@ -1025,6 +1085,35 @@ class TestStreamedOutput:
         finally:
             tracemalloc.stop()
         assert sum(path.stat().st_size for path in out.iterdir()) >= 8_000_000
+        assert peak - start < 1_000_000
+
+    def test_writing_residuals_holds_no_file_text(self, tmp_path):
+        """``mlm``'s residuals.tsv of N = 20000 rows and K = 4 responses,
+        ~3.5 MB, is written under the same 1 MB bound."""
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(20_000, 3))
+        y = x @ rng.normal(size=(3, 4)) + rng.normal(size=(20_000, 4))
+        csv = tmp_path / "tall.csv"
+        header = "a,b,c,y1,y2,y3,y4"
+        np.savetxt(csv, np.column_stack([x, y]), fmt="%.6f", delimiter=",", header=header, comments="")
+        cfg = tmp_path / "tall.cfg"
+        cfg.write_text(
+            "p.role = predictor\n" + "".join(f"p.column = {n}\n" for n in "abc")
+            + "r.role = response\n" + "".join(f"r.column = y{k}\n" for k in range(1, 5)),
+            encoding="utf-8",
+        )
+        out = tmp_path / "o"
+        argv = ["mlm", "--input", str(csv), "--subsets", str(cfg), "--out", str(out)]
+        pipeline = Pipeline(build_parser().parse_args(argv + ["--predictors", "a,b,c"]))
+        pipeline.run_mlm()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            _write_files(out, pipeline.files)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (out / "residuals.tsv").stat().st_size >= 3_400_000
         assert peak - start < 1_000_000
 
 

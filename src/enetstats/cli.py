@@ -63,7 +63,7 @@ EXIT_INPUT = 2
 EXIT_SOLVER = 3
 EXIT_INFERENCE = 4
 
-_INPUT_ERRORS = (DataError, FileNotFoundError, IsADirectoryError, PermissionError)
+_INPUT_ERRORS = (ValueError, OSError)  # DataError is a ValueError; an unreadable input, OSError
 _SOLVER_ERRORS = (ConvergenceError, CvError)
 _INFERENCE_ERRORS = (RankDeficiencyError, PerfectFitError, CollinearityError)
 _BUFFER = 1 << 18  # write buffer per output file, in bytes
@@ -366,7 +366,7 @@ class Pipeline:
         names = self.predictors
         if names is None:
             x, _ = self.design
-            keep = np.any(self.enet_path.coefs[self.selected_lambda_index()] != 0.0, axis=1)
+            keep = self.enet_path.coefs[self.selected_lambda_index()].any(axis=1)
             names = [name for name, kept in zip(x.names, keep) if kept]
         if not names:
             raise DataError("the selected model keeps no predictors")
@@ -413,13 +413,12 @@ class Pipeline:
         lam = float(path.lambdas[idx])
         x, y = self.design
         sci = f".{self.args.digits - 1}e"
-
-        def coef_row(name: str, coefs: np.ndarray) -> tuple:
-            if np.any(coefs != 0.0):
-                return (name, *(format(c, sci) for c in coefs.tolist()))
-            return (name, *["removed"] * len(coefs))
-
-        self._add(_COEF, list(zip(*map(coef_row, x.names, path.coefs[idx]))), lam, y.names)
+        kept = path.coefs[idx].any(axis=1).tolist()
+        responses = [
+            [format(c, sci) if keep else "removed" for c, keep in zip(col.tolist(), kept)]
+            for col in path.coefs[idx].T
+        ]
+        self._add(_COEF, [x.names, *responses], lam, y.names)
         print(f"coefficients written at lambda={lam:.17g} rule={self.args.rule}", file=self.stdout)
 
     def run_cv(self) -> None:
@@ -432,25 +431,25 @@ class Pipeline:
         fit = self.mlm_fit
         d = self.args.digits
         out = self.stdout
+        names, p = fit.predictor_names, fit.n_predictors
 
-        rows = [
-            (r.term, r.df, r.pillai, r.approx_f, r.num_df, r.den_df, r.p_value, stars(r.p_value))
-            for r in manova_table(fit)
-        ]
-        self._add(_MANOVA, list(zip(*rows)))
+        m = manova_table(fit)
+        columns = (names, [m.df] * p, m.pillai, m.approx_f, [m.num_df] * p, [m.den_df] * p)
+        self._add(_MANOVA, (*columns, m.p_value, list(map(stars, m.p_value))))
 
+        terms = ["intercept", *names]
         for k, response in enumerate(fit.response_names):
             s = univariate_summary(fit, k)
-            rows = [(r.name, r.estimate, r.std_error, r.t, r.p, stars(r.p)) for r in s.coef_rows]
+            columns = (terms, s.estimate, s.std_error, s.t, s.p, list(map(stars, s.p)))
             head = f"F({s.df1},{s.df2})="
             footer = f"{head}{s.f_stat:.17g} R2={s.r2:.17g} R2adj={s.r2_adj:.17g}"
-            self._add(_UNI, list(zip(*rows)), response, footer=[footer])
+            self._add(_UNI, columns, response, footer=[footer])
             print(
                 f"{head}{s.f_stat:.{d}g} R2={s.r2:.4g} R2adj={s.r2_adj:.4g} sigma={s.sigma:.4g}",
                 file=out,
             )
 
-        self._add(_VIF, list(zip(*((e.name, e.r2_aux, e.vif) for e in vif(fit)))))
+        self._add(_VIF, (names, *vif(fit)))  # its columns r2_aux and vif
 
         # one row per observation and response, the response names
         # repeating fastest
@@ -619,7 +618,7 @@ def main(argv=None) -> int:
     except _INFERENCE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFERENCE
-    except _INPUT_ERRORS + (ValueError,) as exc:
+    except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     sys.stdout.write(pipeline.stdout.getvalue())

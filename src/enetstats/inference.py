@@ -6,6 +6,9 @@ exact F transform for single-df terms), per-response coefficient tables
 with overall F and adjusted R^2, variance inflation factors and Pearson
 correlation. The plot-ready residual data is the fit's own ``fitted`` and
 ``residuals`` arrays (N x K), which the CLI writes to ``residuals.tsv``.
+Each table is returned as columns: one array per statistic, its entries
+in the fit's predictor order (the intercept first in a coefficient
+table), so the writer takes them as they are.
 
 Every statistic is read from one Q-free QR of [1, X, Y], numpy's
 ``qr(mode="r")``. The leading (p+1) block of its R is the design's R: the
@@ -30,10 +33,9 @@ __all__ = [
     "PerfectFitError",
     "CollinearityError",
     "MlmFit",
-    "ManovaRow",
-    "CoefficientRow",
+    "ManovaTable",
     "UnivariateSummary",
-    "VifEntry",
+    "VifTable",
     "PearsonResult",
     "fit_mlm",
     "manova_table",
@@ -90,34 +92,25 @@ class MlmFit:
         return self.coef.shape[1]
 
 
-@dataclass(frozen=True)
-class ManovaRow:
-    """One predictor's multivariate test: Pillai statistic and exact F."""
+class ManovaTable(NamedTuple):
+    """Each predictor's multivariate test: Pillai statistic, exact F and
+    its p-value, with the degrees of freedom every term shares."""
 
-    term: str
+    pillai: np.ndarray
+    approx_f: np.ndarray
+    p_value: np.ndarray
     df: int
-    pillai: float
-    approx_f: float
     num_df: int
     den_df: int
-    p_value: float
 
 
-@dataclass(frozen=True)
-class CoefficientRow:
-    name: str
-    estimate: float
-    std_error: float
-    t: float
-    p: float
-
-
-@dataclass(frozen=True)
-class UnivariateSummary:
+class UnivariateSummary(NamedTuple):
     """Per-response OLS summary: coefficient table plus overall fit stats."""
 
-    response: str
-    coef_rows: list[CoefficientRow]
+    estimate: np.ndarray
+    std_error: np.ndarray
+    t: np.ndarray
+    p: np.ndarray
     f_stat: float
     df1: int
     df2: int
@@ -126,11 +119,11 @@ class UnivariateSummary:
     sigma: float
 
 
-@dataclass(frozen=True)
-class VifEntry:
-    name: str
-    r2_aux: float
-    vif: float
+class VifTable(NamedTuple):
+    """Each predictor's auxiliary R^2 and variance inflation factor."""
+
+    r2_aux: np.ndarray
+    vif: np.ndarray
 
 
 class PearsonResult(NamedTuple):
@@ -207,7 +200,7 @@ def fit_mlm(x, y, predictor_names=None, response_names=None) -> MlmFit:
     )
 
 
-def manova_table(fit: MlmFit) -> list[ManovaRow]:
+def manova_table(fit: MlmFit) -> ManovaTable:
     """Per-predictor multivariate tests against all K responses jointly.
 
     Term j's hypothesis matrix H_j = b_j b_j' / c_jj (b_j its coefficient
@@ -240,21 +233,15 @@ def manova_table(fit: MlmFit) -> list[ManovaRow]:
     r_e = fit.r[p + 1 :, p + 1 :]
     z = np.linalg.solve(r_e.T, fit.coef[1:].T)
     q = (z * z).sum(axis=0) / np.diag(fit.xtx_inv)[1:]
-    rows: list[ManovaRow] = []
-    for name, q_j in zip(fit.predictor_names, q.tolist()):
-        f_stat = q_j * den_df / k
-        rows.append(
-            ManovaRow(
-                term=name,
-                df=1,
-                pillai=q_j / (1.0 + q_j),
-                approx_f=f_stat,
-                num_df=k,
-                den_df=den_df,
-                p_value=f_sf(f_stat, k, den_df).value,
-            )
-        )
-    return rows
+    approx_f = q * den_df / k
+    return ManovaTable(
+        pillai=q / (1.0 + q),
+        approx_f=approx_f,
+        p_value=np.array([f_sf(f, k, den_df).value for f in approx_f.tolist()]),
+        df=1,
+        num_df=k,
+        den_df=den_df,
+    )
 
 
 def univariate_summary(fit: MlmFit, response: int) -> UnivariateSummary:
@@ -279,25 +266,15 @@ def univariate_summary(fit: MlmFit, response: int) -> UnivariateSummary:
             "error statistics are undefined"
         )
     sigma2 = rss / fit.df_error
-    std_errors = np.sqrt(sigma2 * np.diag(fit.xtx_inv))
-    estimates = fit.coef[:, response]
-    names = ["intercept"] + fit.predictor_names
-    rows = []
-    for name, est, se in zip(names, estimates, std_errors):
-        t = est / se
-        rows.append(
-            CoefficientRow(
-                name=name,
-                estimate=float(est),
-                std_error=float(se),
-                t=float(t),
-                p=t_sf(float(t), fit.df_error).value,
-            )
-        )
+    estimate = fit.coef[:, response].copy()
+    std_error = np.sqrt(sigma2 * np.diag(fit.xtx_inv))
+    t = estimate / std_error
     r2 = 1.0 - rss / tss
     return UnivariateSummary(
-        response=fit.response_names[response],
-        coef_rows=rows,
+        estimate=estimate,
+        std_error=std_error,
+        t=t,
+        p=np.array([t_sf(v, fit.df_error).value for v in t.tolist()]),
         f_stat=f_from_r2(r2, p, fit.df_error),
         df1=p,
         df2=fit.df_error,
@@ -307,7 +284,7 @@ def univariate_summary(fit: MlmFit, response: int) -> UnivariateSummary:
     )
 
 
-def vif(fit: MlmFit) -> list[VifEntry]:
+def vif(fit: MlmFit) -> VifTable:
     """Variance inflation factors of the fit's predictors.
 
     vif_j = 1 / (1 - R_j^2), with R_j^2 the auxiliary R^2 of predictor j on
@@ -329,10 +306,7 @@ def vif(fit: MlmFit) -> list[VifEntry]:
             f"predictor {fit.predictor_names[near[0]]!r} is an exact linear "
             "combination of the others"
         )
-    return [
-        VifEntry(name=name, r2_aux=r2, vif=v)
-        for name, r2, v in zip(fit.predictor_names, r2_aux.tolist(), vifs.tolist())
-    ]
+    return VifTable(r2_aux=r2_aux, vif=vifs)
 
 
 def pearson(a, b) -> PearsonResult:

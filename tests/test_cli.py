@@ -26,7 +26,7 @@ from enetstats.cli import _GROUP, Pipeline, _g17, _tsv, _write_files, build_pars
 from enetstats.cv import make_folds
 from enetstats.dataprep import RawTable, SubsetConfig, load_csv, standardize
 from enetstats.enet import EnetConfig, default_lambda_grid, fit_mgaussian_path
-from enetstats.inference import fit_mlm, univariate_summary
+from enetstats.inference import fit_mlm, manova_table, univariate_summary, vif
 
 from oracles import cv_refit_loop, vif_auxiliary
 
@@ -357,12 +357,18 @@ class TestPrep:
         assert "'demographic_scale.tsv'" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_missing_input_exits_2(self, tmp_path):
-        code = run(
-            "prep", "--input", tmp_path / "nope.csv", "--subsets", DEMO_CFG,
-            "--out", tmp_path / "o",
-        )
-        assert code == 2
+    def test_missing_input_exits_2(self, tmp_path, capsys):
+        # a missing file, a path under a regular file (NotADirectoryError)
+        # and a name over NAME_MAX (ENAMETOOLONG), each as either input
+        out = tmp_path / "o"
+        for bad in (tmp_path / "nope.csv", DEMO_CSV / "x", tmp_path / ("n" * 300 + ".csv")):
+            for flag in ("--input", "--subsets"):
+                paths = {"--input": DEMO_CSV, "--subsets": DEMO_CFG, flag: bad}
+                argv = [item for pair in paths.items() for item in pair]
+                assert run("prep", *argv, "--out", out) == 2, (flag, bad)
+                err = capsys.readouterr().err
+                assert err.startswith("error: ") and repr(str(bad)) in err, (flag, err)
+                assert not out.exists()
 
 
 class TestModuleEntryPoint:
@@ -584,6 +590,52 @@ class TestMlm:
             assert float(row[1]) == pytest.approx(r2_aux, rel=1e-12, abs=1e-12)
             assert float(row[2]) == pytest.approx(v, rel=1e-10, abs=0.0)
             assert float(row[2]) >= 1.0
+
+    def test_tables_hold_the_library_numbers(self, tmp_path, capsys):
+        # every numeric cell of manova.tsv, uni_*.tsv and vif.tsv reads back
+        # as exactly the double the library returns for the same z-scores
+        table, cfg = load_csv(DEMO_CSV), SubsetConfig.load(DEMO_CFG)
+        x = standardize(table, cfg.groups[cfg.group_with_role("predictor")])
+        y = standardize(table, cfg.groups[cfg.group_with_role("response")])
+        out = tmp_path / "out"
+        argv = ["--input", DEMO_CSV, "--subsets", DEMO_CFG, "--out", out]
+        assert run("mlm", *argv, "--predictors", ",".join(x.names)) == 0
+        capsys.readouterr()
+        fit = fit_mlm(x.matrix, y.matrix, predictor_names=x.names, response_names=y.names)
+        p, k = fit.n_predictors, fit.n_responses
+
+        def exact(cells, values):
+            assert len(cells) == len(values)
+            assert all(float(c) == v for c, v in zip(cells, values)), (cells, values)
+
+        _, rows = read_tsv(out / "manova.tsv")
+        m = manova_table(fit)
+        assert [r[0] for r in rows] == x.names
+        assert [r[1] for r in rows] == ["1"] * p
+        assert [r[4] for r in rows] == [str(k)] * p
+        assert [r[5] for r in rows] == [str(fit.df_error - k + 1)] * p
+        for j, values in ((2, m.pillai), (3, m.approx_f), (6, m.p_value)):
+            exact([r[j] for r in rows], values.tolist())
+        assert [r[7] for r in rows] == [stars(v) for v in m.p_value.tolist()]
+
+        for response in range(k):
+            _, rows = read_tsv(out / f"uni_{y.names[response]}.tsv")
+            footer = dict(cell.split("=") for cell in rows.pop()[0].split())
+            s = univariate_summary(fit, response)
+            assert [r[0] for r in rows] == ["intercept"] + x.names
+            for j, values in ((1, s.estimate), (2, s.std_error), (3, s.t), (4, s.p)):
+                exact([r[j] for r in rows], values.tolist())
+            assert [r[5] for r in rows] == [stars(v) for v in s.p.tolist()]
+            exact(
+                [footer[f"F({p},{fit.df_error})"], footer["R2"], footer["R2adj"]],
+                [s.f_stat, s.r2, s.r2_adj],
+            )
+
+        _, rows = read_tsv(out / "vif.tsv")
+        v = vif(fit)
+        assert [r[0] for r in rows] == x.names
+        exact([r[1] for r in rows], v.r2_aux.tolist())
+        exact([r[2] for r in rows], v.vif.tolist())
 
     def test_explicit_predictor_list(self, tmp_path, capsys):
         out = tmp_path / "out"

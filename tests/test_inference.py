@@ -141,13 +141,14 @@ class TestFitMlm:
         x /= np.abs(x).max(axis=0)
         y /= np.abs(y).max(axis=0)
         unit, scaled = fit_mlm(x, y), fit_mlm(x * [1.0, sx, 1.0], y * [sy, 1.0])
-        for got, want in zip(manova_table(scaled), manova_table(unit)):
-            assert_allclose([got.pillai, got.p_value], [want.pillai, want.p_value], rtol=1e-12)
+        got, want = manova_table(scaled), manova_table(unit)
+        assert_allclose(got.pillai, want.pillai, rtol=1e-12)
+        assert_allclose(got.p_value, want.p_value, rtol=1e-12)
         for k in range(2):
             got, want = univariate_summary(scaled, k), univariate_summary(unit, k)
-            assert_allclose([r.t for r in got.coef_rows], [r.t for r in want.coef_rows], rtol=1e-12)
+            assert_allclose(got.t, want.t, rtol=1e-12)
             assert_allclose([got.r2, got.f_stat], [want.r2, want.f_stat], rtol=1e-12)
-        assert_allclose([e.vif for e in vif(scaled)], [e.vif for e in vif(unit)], rtol=1e-12)
+        assert_allclose(vif(scaled).vif, vif(unit).vif, rtol=1e-12)
 
     def test_columns_of_very_different_scale(self):
         # each pivot is judged against its own column, so a column 1e14
@@ -156,11 +157,10 @@ class TestFitMlm:
         rng = np.random.default_rng(50)
         x = rng.normal(size=(20, 2))
         y = x @ rng.normal(size=(2, 2)) + rng.normal(size=(20, 2))
-        scaled = manova_table(fit_mlm(x * [1e14, 1.0], y))
-        for got, want in zip(scaled, manova_table(fit_mlm(x, y))):
-            assert math.isclose(got.pillai, want.pillai, rel_tol=1e-9)
-            assert math.isclose(got.approx_f, want.approx_f, rel_tol=1e-9)
-            assert math.isclose(got.p_value, want.p_value, rel_tol=1e-9)
+        got, want = manova_table(fit_mlm(x * [1e14, 1.0], y)), manova_table(fit_mlm(x, y))
+        assert_allclose(got.pillai, want.pillai, rtol=1e-9)
+        assert_allclose(got.approx_f, want.approx_f, rtol=1e-9)
+        assert_allclose(got.p_value, want.p_value, rtol=1e-9)
 
 
 class TestManovaTable:
@@ -177,10 +177,10 @@ class TestManovaTable:
         noise -= basis @ (basis.T @ noise)
         y = np.column_stack([x[:, 0], x[:, 1]]) + noise
         fit = fit_mlm(x, y)
-        row = manova_table(fit)[2]
-        assert row.pillai <= 1e-20
-        assert row.approx_f <= 1e-18
-        assert row.p_value >= 1.0 - 1e-10
+        m = manova_table(fit)
+        assert m.pillai[2] <= 1e-20
+        assert m.approx_f[2] <= 1e-18
+        assert m.p_value[2] >= 1.0 - 1e-10
 
     def test_f_to_p_at_reference_shape(self):
         # N=86, p=5, K=2 gives den_df = 80 - 2 + 1 = 79; pinned p-values
@@ -196,16 +196,17 @@ class TestManovaTable:
         x = rng.normal(size=(n, p))
         y = rng.normal(size=(n, k))
         fit = fit_mlm(x, y)
-        rows = manova_table(fit)
-        for j, row in enumerate(rows, start=1):
+        m = manova_table(fit)
+        assert m.num_df == k
+        assert m.den_df == fit.df_error - k + 1
+        assert m.df == 1
+        assert len(m.pillai) == len(m.approx_f) == len(m.p_value) == p
+        for j in range(1, p + 1):
             h = np.outer(fit.coef[j], fit.coef[j]) / fit.xtx_inv[j, j]
             v = pillai_explicit(h, fit.e_matrix)
-            assert math.isclose(row.pillai, v, abs_tol=1e-10)
-            f_direct = v / (1.0 - v) * row.den_df / k
-            assert math.isclose(row.approx_f, f_direct, abs_tol=1e-10)
-            assert row.num_df == k
-            assert row.den_df == fit.df_error - k + 1
-            assert row.df == 1
+            assert math.isclose(m.pillai[j - 1], v, abs_tol=1e-10)
+            f_direct = v / (1.0 - v) * m.den_df / k
+            assert math.isclose(m.approx_f[j - 1], f_direct, abs_tol=1e-10)
 
     def test_wilks_rank_one_agreement(self):
         rng = np.random.default_rng(8)
@@ -214,10 +215,11 @@ class TestManovaTable:
             x = rng.normal(size=(n, p))
             y = rng.normal(size=(n, k))
             fit = fit_mlm(x, y)
-            for j, row in enumerate(manova_table(fit), start=1):
+            approx_f = manova_table(fit).approx_f
+            for j in range(1, p + 1):
                 h = np.outer(fit.coef[j], fit.coef[j]) / fit.xtx_inv[j, j]
                 _, f_wilks = wilks_f_single_df(h, fit.e_matrix, fit.df_error)
-                assert math.isclose(row.approx_f, f_wilks, rel_tol=1e-10)
+                assert math.isclose(approx_f[j - 1], f_wilks, rel_tol=1e-10)
 
     def test_k1_degenerates_to_t_squared(self):
         rng = np.random.default_rng(9)
@@ -225,10 +227,9 @@ class TestManovaTable:
             x = rng.normal(size=(12, 3))
             y = rng.normal(size=(12, 1))
             fit = fit_mlm(x, y)
-            summary = univariate_summary(fit, 0)
-            for row, trow in zip(manova_table(fit), summary.coef_rows[1:]):
-                assert math.isclose(row.approx_f, trow.t**2, rel_tol=1e-10)
-                assert math.isclose(row.p_value, trow.p, rel_tol=1e-9)
+            m, summary = manova_table(fit), univariate_summary(fit, 0)
+            assert_allclose(m.approx_f, summary.t[1:] ** 2, rtol=1e-10)
+            assert_allclose(m.p_value, summary.p[1:], rtol=1e-9)
 
     def test_intercept_only_is_error(self):
         fit = fit_mlm(np.empty((10, 0)), np.random.default_rng(47).normal(size=(10, 2)))
@@ -253,12 +254,13 @@ class TestOneFactorization:
         x, y = data
         fit = fit_mlm(x, y)
         k = fit.n_responses
-        for j, row in enumerate(manova_table(fit), start=1):
+        m = manova_table(fit)
+        assert (m.num_df, m.den_df) == (k, fit.df_error - k + 1)
+        for j in range(1, fit.n_predictors + 1):
             h = np.outer(fit.coef[j], fit.coef[j]) / fit.xtx_inv[j, j]
-            assert math.isclose(row.pillai, pillai_explicit(h, fit.e_matrix), abs_tol=1e-10)
+            assert math.isclose(m.pillai[j - 1], pillai_explicit(h, fit.e_matrix), abs_tol=1e-10)
             _, f_wilks = wilks_f_single_df(h, fit.e_matrix, fit.df_error)
-            assert math.isclose(row.approx_f, f_wilks, rel_tol=1e-10)
-            assert (row.num_df, row.den_df) == (k, fit.df_error - k + 1)
+            assert math.isclose(m.approx_f[j - 1], f_wilks, rel_tol=1e-10)
 
     @one_qr
     @given(regressions())
@@ -266,9 +268,10 @@ class TestOneFactorization:
         x, y = data
         if x.shape[1] < 2:
             x = np.column_stack([x, np.cos(np.arange(len(x)))])
-        for entry, (r2_aux, want) in zip(vif(fit_mlm(x, y)), vif_auxiliary(x)):
-            assert math.isclose(entry.vif, want, rel_tol=1e-9)
-            assert math.isclose(entry.r2_aux, r2_aux, abs_tol=1e-12)
+        got = vif(fit_mlm(x, y))
+        for j, (r2_aux, want) in enumerate(vif_auxiliary(x)):
+            assert math.isclose(got.vif[j], want, rel_tol=1e-9)
+            assert math.isclose(got.r2_aux[j], r2_aux, abs_tol=1e-12)
 
     @pytest.mark.parametrize("scale, shift", [(1.0, 0.0), (2.0, 1.0)])
     def test_dependent_responses_name_the_response(self, scale, shift):
@@ -288,7 +291,7 @@ class TestOneFactorization:
         y1 = rng.normal(size=30)
         y2 = 1e6 + 1e-7 * rng.normal(size=30)
         fit = fit_mlm(x, np.column_stack([y1, y2]))
-        assert len(manova_table(fit)) == 2
+        assert len(manova_table(fit).pillai) == 2
         assert math.isclose(univariate_summary(fit, 1).r2, 0.0351, abs_tol=1e-4)
 
     def test_design_and_residuals_are_factorized_once_each(self, monkeypatch):
@@ -327,8 +330,8 @@ class TestOneFactorization:
             s = univariate_summary(fit, k)
             assert math.isclose(s.r2, 1.0 - rss / float(centered @ centered), rel_tol=1e-9)
             assert math.isclose(s.sigma, math.sqrt(rss / (n - p - 1)), rel_tol=1e-9)
-            assert_allclose([row.estimate for row in s.coef_rows], coef[:, k], rtol=1e-9)
-            assert_allclose([row.std_error for row in s.coef_rows], s.sigma * unscaled_se, rtol=1e-9)
+            assert_allclose(s.estimate, coef[:, k], rtol=1e-9)
+            assert_allclose(s.std_error, s.sigma * unscaled_se, rtol=1e-9)
         with pytest.raises(ValueError, match="^not enough error degrees of freedom for 3"):
             manova_table(fit)
 
@@ -382,10 +385,9 @@ class TestUnivariateSummary:
         resid = y - design @ fit.coef[:, 0]
         sigma2 = float(resid @ resid) / (n - p - 1)
         want_se = np.sqrt(sigma2 * np.diag(np.linalg.inv(design.T @ design)))
-        got_se = [row.std_error for row in s.coef_rows]
-        assert_allclose(got_se, want_se, rtol=1e-9)
-        for row in s.coef_rows:
-            assert math.isclose(row.t, row.estimate / row.std_error, rel_tol=1e-15)
+        assert_allclose(s.std_error, want_se, rtol=1e-9)
+        for t, estimate, std_error in zip(s.t, s.estimate, s.std_error):
+            assert math.isclose(t, estimate / std_error, rel_tol=1e-15)
 
     def test_perfect_fit_is_error(self):
         x = np.arange(10.0).reshape(-1, 1)
@@ -425,17 +427,15 @@ class TestVif:
     def test_orthogonal_columns_give_one(self):
         u = np.array([1.0, -1.0, 1.0, -1.0])
         v = np.array([1.0, 1.0, -1.0, -1.0])
-        entries = vif_of(np.column_stack([u, v]))
-        for e in entries:
-            assert abs(e.vif - 1.0) <= 1e-12
-            assert abs(e.r2_aux) <= 1e-12
+        table = vif_of(np.column_stack([u, v]))
+        assert np.all(np.abs(table.vif - 1.0) <= 1e-12)
+        assert np.all(np.abs(table.r2_aux) <= 1e-12)
 
     def test_correlation_08_pair(self):
         u = np.array([1.0, -1.0, 1.0, -1.0]) / 2.0
         v = np.array([1.0, 1.0, -1.0, -1.0]) / 2.0
         x = np.column_stack([u, 0.8 * u + 0.6 * v])
-        for e in vif_of(x):
-            assert abs(e.vif - 1.0 / 0.36) <= 1e-4
+        assert np.all(np.abs(vif_of(x).vif - 1.0 / 0.36) <= 1e-4)
 
     def test_duplicate_column_is_error(self):
         rng = np.random.default_rng(13)
@@ -462,9 +462,10 @@ class TestVif:
             with pytest.raises(CollinearityError, match="^predictor 'x1' is an exact linear"):
                 vif_of(x)
         else:
-            for e in vif_of(x):
-                assert math.isclose(1.0 - e.r2_aux, t, rel_tol=1e-3)
-                assert math.isclose(e.vif, 1.0 / t, rel_tol=1e-3)
+            table = vif_of(x)
+            for r2_aux, vif_j in zip(table.r2_aux, table.vif):
+                assert math.isclose(1.0 - r2_aux, t, rel_tol=1e-3)
+                assert math.isclose(vif_j, 1.0 / t, rel_tol=1e-3)
 
     def test_rescaling_other_columns_is_invariant(self):
         rng = np.random.default_rng(14)
@@ -474,7 +475,7 @@ class TestVif:
         x2[:, 1] *= 37.0
         x2[:, 2] = x2[:, 2] * 0.01 + 5.0
         again = vif_of(x2)
-        assert math.isclose(base[0].vif, again[0].vif, rel_tol=1e-9)
+        assert math.isclose(base.vif[0], again.vif[0], rel_tol=1e-9)
 
     def test_non_finite_cell_names_argument(self):
         x = np.random.default_rng(45).normal(size=(10, 3))
@@ -512,9 +513,9 @@ class TestPearson:
         assert out.p == 0.0
 
     def test_rounding_past_one_is_clamped(self):
-        # unclamped, r of [0, 0, 1] with itself rounds to 1 + 2^-52
+        # unclamped, r of [1, -2, -1] with itself rounds to 1 + 2^-52
         for sign in (1.0, -1.0):
-            out = pearson([0.0, 0.0, 1.0], [0.0, 0.0, sign])
+            out = pearson([1.0, -2.0, -1.0], [sign, -2.0 * sign, -sign])
             assert out.r == sign
             assert out.t == sign * math.inf
             assert out.p == 0.0

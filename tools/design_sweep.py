@@ -123,8 +123,8 @@ def main(argv: list[str] | None = None) -> int:
         total += int(path.n_passes.sum())
         worst = max(worst, int(path.n_passes.max()))
         for i, lam in enumerate(path.lambdas):
-            report = kkt_check(x, y, path.coefs[i], path.intercepts[i], float(lam), cfg.alpha)
-            kkt_worst = max(kkt_worst, report.max_violation)
+            residuals = kkt_check(x, y, path.coefs[i], path.intercepts[i], float(lam), cfg.alpha)
+            kkt_worst = max(kkt_worst, residuals.max(initial=0.0))
 
     print(f"designs {args.designs} per set, fits {n_fits}")
     print("ConvergenceError per family: " + ", ".join(f"{f} {c}" for f, c in failed.items()))

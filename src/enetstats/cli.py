@@ -47,7 +47,6 @@ from .dataprep import (
 )
 from .enet import ConvergenceError, EnetConfig, EnetPath, fit_mgaussian_path
 from .inference import (
-    CollinearityError,
     MlmFit,
     PerfectFitError,
     fit_mlm,
@@ -65,7 +64,7 @@ EXIT_INFERENCE = 4
 
 _INPUT_ERRORS = (ValueError, OSError)  # DataError is a ValueError; an unreadable input, OSError
 _SOLVER_ERRORS = (ConvergenceError, CvError)
-_INFERENCE_ERRORS = (RankDeficiencyError, PerfectFitError, CollinearityError)
+_INFERENCE_ERRORS = (RankDeficiencyError, PerfectFitError)
 _BUFFER = 1 << 18  # write buffer per output file, in bytes
 
 
@@ -291,12 +290,14 @@ def _rows(floats: list[np.ndarray], cells: list, at: np.ndarray) -> np.ndarray:
     return np.compress(keep.ravel(), text)
 
 
-def _render(table: _Table, rows, digits: int, key=None) -> str:
-    """A table's title and aligned stdout text: the shown columns of
-    ``rows``, each cell formatted by its column's display spec."""
-    shown = [(i, c) for i, c in enumerate(table.columns) if c.shown is not None]
+def _render(table: _Table, columns, digits: int, key=None) -> str:
+    """A table's title and aligned stdout text: the shown ``columns``, each
+    cell formatted by its column's display spec; a column shorter than the
+    others repeats, as in :func:`_tsv`."""
+    shown = [(columns[i], c) for i, c in enumerate(table.columns) if c.shown is not None]
     cells = [[c.shown for _, c in shown]]
-    cells.extend([format(row[i], c.spec.format(digits)) for i, c in shown] for row in rows)
+    for r in range(max(map(len, columns))):
+        cells.append([format(col[r % len(col)], c.spec.format(digits)) for col, c in shown])
     widths = [max(len(row[j]) for row in cells) for j in range(len(shown))]
     lines = [table.title.format(key)]
     lines.extend("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() for row in cells)
@@ -393,7 +394,7 @@ class Pipeline:
         """Add a table's file under a plain name no other output takes; a
         titled table is small, and its rows also go to stdout."""
         if table.title:
-            print(_render(table, list(zip(*columns)), self.args.digits, key), file=self.stdout)
+            print(_render(table, columns, self.args.digits, key), file=self.stdout)
         name = table.file.format(key)
         if Path(name).name != name:
             raise DataError(f"output file name {name!r} is not a plain file name")
@@ -431,10 +432,10 @@ class Pipeline:
         fit = self.mlm_fit
         d = self.args.digits
         out = self.stdout
-        names, p = fit.predictor_names, fit.n_predictors
+        names = fit.predictor_names
 
         m = manova_table(fit)
-        columns = (names, [m.df] * p, m.pillai, m.approx_f, [m.num_df] * p, [m.den_df] * p)
+        columns = (names, [m.df], m.pillai, m.approx_f, [m.num_df], [m.den_df])
         self._add(_MANOVA, (*columns, m.p_value, list(map(stars, m.p_value))))
 
         terms = ["intercept", *names]

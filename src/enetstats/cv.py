@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .enet import ConvergenceError, EnetConfig, default_lambda_grid, fit_mgaussian_path
-from .linalg import as_matrix, is_constant
+from .linalg import RankDeficiencyError, as_matrix
 
 __all__ = ["CvError", "FoldAssignment", "CvResult", "make_folds", "cross_validate"]
 
@@ -119,7 +119,8 @@ def cross_validate(x, y, config: EnetConfig, folds: FoldAssignment) -> CvResult:
     the squared prediction error summed across responses. ``lambda_min``
     minimizes the mean curve (ties broken toward the larger lambda) and
     ``lambda_1se`` is the largest lambda whose mean error stays within one
-    standard error of that minimum.
+    standard error of that minimum. A failed fold raises :class:`CvError`
+    with its ``fold`` and, for a constant predictor, its ``column`` in ``x``.
     """
     x = as_matrix(x, "x")
     y = as_matrix(y, "y")
@@ -147,9 +148,7 @@ def cross_validate(x, y, config: EnetConfig, folds: FoldAssignment) -> CvResult:
         except ConvergenceError as exc:
             raise CvError(f"fold {f}: {exc}", fold=f) from None
         except ValueError as exc:  # the fitter's rejection of degenerate data
-            # the fitter rejects the first constant predictor before anything else
-            constant = np.flatnonzero(is_constant(x[train])).tolist()
-            column = constant[0] if constant else None
+            column = exc.column if isinstance(exc, RankDeficiencyError) else None
             raise CvError(f"fold {f}: training slice: {exc}", fold=f, column=column) from None
         x_held = x[~train]
         err = y[~train] - (x_held @ path.coefs + path.intercepts[:, None, :])

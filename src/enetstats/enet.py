@@ -82,7 +82,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import as_matrix, check_scale, is_constant
+from .linalg import RankDeficiencyError, as_matrix, check_scale, is_constant
 
 __all__ = [
     "ConvergenceError",
@@ -304,7 +304,9 @@ def _working_copies(x, y):
     with the offsets, the column means, removed.
 
     Constancy is judged by :func:`~enetstats.linalg.is_constant`, and a
-    column's scale by :func:`~enetstats.linalg.check_scale`.
+    column's scale by :func:`~enetstats.linalg.check_scale`. A constant
+    predictor, a combination of the intercept, raises a
+    :class:`~enetstats.linalg.RankDeficiencyError` with its ``column``.
     """
     y = as_matrix(y, "y")
     x = as_matrix(x, "x")
@@ -313,7 +315,7 @@ def _working_copies(x, y):
         raise ValueError(f"x has {n} rows but y has {y.shape[0]}")
     flat = np.flatnonzero(is_constant(x))
     if flat.size:
-        raise ValueError(f"predictor column {int(flat[0])} is constant")
+        raise RankDeficiencyError(f"predictor column {flat[0]} is constant", column=int(flat[0]))
     if np.all(is_constant(y)):
         raise ValueError("responses are constant; deviance ratio is undefined")
     check_scale(x, lambda j: f"predictor column {j}")

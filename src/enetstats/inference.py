@@ -31,7 +31,6 @@ from .linalg import (
 
 __all__ = [
     "PerfectFitError",
-    "CollinearityError",
     "MlmFit",
     "ManovaTable",
     "UnivariateSummary",
@@ -52,10 +51,6 @@ _PERFECT_FIT_RTOL = 1e-12
 
 class PerfectFitError(ValueError):
     """The model fits exactly; error-based statistics are undefined."""
-
-
-class CollinearityError(ValueError):
-    """A predictor is an exact linear combination of the others."""
 
 
 @dataclass
@@ -150,8 +145,8 @@ def fit_mlm(x, y, predictor_names=None, response_names=None) -> MlmFit:
     coefficients are R_x^-1 R_xy, (X'X)^-1 = R_x^-1 R_x^-T and
     E = R_e'R_e. Raises :class:`~enetstats.linalg.RankDeficiencyError`
     naming the first predictor that is collinear with the columns before it,
-    and ValueError naming a column outside
-    :func:`~enetstats.linalg.check_scale`'s window.
+    its ``column`` that predictor's index in ``x``, and ValueError naming a
+    column outside :func:`~enetstats.linalg.check_scale`'s window.
     """
     x = as_matrix(x, "x")
     y = as_matrix(y, "y")
@@ -175,15 +170,11 @@ def fit_mlm(x, y, predictor_names=None, response_names=None) -> MlmFit:
     augmented = np.column_stack([np.ones(n), x, y])
     r = np.linalg.qr(augmented, mode="r")
     m = p + 1
-    try:
-        check_rank(r[:m, :m])
-    except RankDeficiencyError as exc:
-        # the ones column's pivot is its own norm, so it is never flagged
-        name = predictor_names[exc.column - 1]
-        raise RankDeficiencyError(
-            f"predictor {name!r} is collinear with the preceding columns",
-            column=exc.column,
-        ) from exc
+    # the ones column's pivot is its own norm, so it is never flagged
+    check_rank(r[:m, :m], lambda j: RankDeficiencyError(
+        f"predictor {predictor_names[j - 1]!r} is collinear with the preceding columns",
+        column=j - 1,
+    ))
     r_inv = np.linalg.inv(r[:m, :m])
     coef = r_inv @ r[:m, m:]
     fitted = augmented[:, :m] @ coef
@@ -220,16 +211,13 @@ def manova_table(fit: MlmFit) -> ManovaTable:
             f"not enough error degrees of freedom for {k} responses "
             f"(df_error={fit.df_error})"
         )
-    try:
-        # fit.r[1:, 1:] is the R factor of the centered [X, Y], so each
-        # response's pivot is judged against its centered norm; fit_mlm has
-        # passed the design columns by their uncentered norms, a stricter rule
-        check_rank(fit.r[1:, 1:])
-    except RankDeficiencyError as exc:
-        raise PerfectFitError(
-            f"response {fit.response_names[exc.column - p]!r} leaves no residual "
-            "variation beyond the predictors and the preceding responses"
-        ) from None
+    # fit.r[1:, 1:] is the R factor of the centered [X, Y], so each
+    # response's pivot is judged against its centered norm; fit_mlm has
+    # passed the design columns by their uncentered norms, a stricter rule
+    check_rank(fit.r[1:, 1:], lambda j: PerfectFitError(
+        f"response {fit.response_names[j - p]!r} leaves no residual "
+        "variation beyond the predictors and the preceding responses"
+    ))
     r_e = fit.r[p + 1 :, p + 1 :]
     z = np.linalg.solve(r_e.T, fit.coef[1:].T)
     q = (z * z).sum(axis=0) / np.diag(fit.xtx_inv)[1:]
@@ -292,7 +280,8 @@ def vif(fit: MlmFit) -> VifTable:
     centered predictors Xc. Q's first column is constant, so ``fit.r[1:, 1:]``
     is the R factor of the centered [X, Y]: tss_j is the squared norm of
     R[1:, j+1] and [(Xc'Xc)^-1]_jj is ``xtx_inv[j+1, j+1]``. A predictor
-    with R_j^2 >= 1 - 1e-12 raises :class:`CollinearityError`.
+    with R_j^2 >= 1 - 1e-12 raises :class:`RankDeficiencyError` with its
+    index among the fit's predictors as ``column``.
     """
     p = fit.n_predictors
     if p < 2:
@@ -302,9 +291,10 @@ def vif(fit: MlmFit) -> VifTable:
     r2_aux = 1.0 - 1.0 / vifs
     near = np.flatnonzero(r2_aux >= 1.0 - 1e-12)
     if near.size:
-        raise CollinearityError(
-            f"predictor {fit.predictor_names[near[0]]!r} is an exact linear "
-            "combination of the others"
+        j = int(near[0])
+        raise RankDeficiencyError(
+            f"predictor {fit.predictor_names[j]!r} is an exact linear combination of the others",
+            column=j,
         )
     return VifTable(r2_aux=r2_aux, vif=vifs)
 

@@ -14,7 +14,7 @@ layers build their diagnostics on:
   so the moments hold at any column scale;
 * one pivot rule (:func:`check_rank`) for the R factor of a QR, which
   judges each pivot against its own column's norm, so collinearity
-  surfaces as a rank failure naming the dependent column whatever the
+  surfaces as the caller's error for the dependent column whatever the
   columns' scales;
 * one scale window (:func:`check_scale`) for the fitters' columns, inside
   which none of their sums of squares, inverses or ratios of two columns'
@@ -38,7 +38,8 @@ _SCALE_MAX = 2.0**200  # about 1.6e60
 
 
 class RankDeficiencyError(ValueError):
-    """A design matrix has numerically collinear columns."""
+    """A column is numerically a combination of the others; the message
+    names it and ``column`` is its index among the caller's predictors."""
 
     def __init__(self, message: str, column: int | None = None):
         super().__init__(message)
@@ -116,11 +117,11 @@ def check_scale(a: np.ndarray, label) -> None:
         )
 
 
-def check_rank(r: np.ndarray) -> None:
-    """Raise :class:`RankDeficiencyError` carrying the first column of the
-    square R factor ``r`` whose pivot is at most 1e-12 times that column's
-    own norm: that column is numerically a combination of the columns
-    before it. The rule does not change when a column is rescaled.
+def check_rank(r: np.ndarray, error) -> None:
+    """Raise ``error(j)``, the caller's exception, for the first column j
+    of the square R factor ``r`` whose pivot is at most 1e-12 times that
+    column's own norm: that column is numerically a combination of the
+    columns before it. The rule does not change when a column is rescaled.
 
     Left out of ``__all__`` for the reason :func:`is_constant` is.
     """
@@ -129,7 +130,4 @@ def check_rank(r: np.ndarray) -> None:
     pivots = np.abs(np.diag(r))
     bad = np.flatnonzero(pivots <= _RANK_TOL * np.linalg.norm(r, axis=0))
     if bad.size:
-        j = int(bad[0])
-        raise RankDeficiencyError(
-            f"design column {j} is collinear with the preceding columns", column=j
-        )
+        raise error(int(bad[0]))

@@ -22,7 +22,9 @@ from numpy.testing import assert_allclose
 from scipy import stats
 
 import enetstats.cli
-from enetstats.cli import _GROUP, Pipeline, _g17, _tsv, _write_files, build_parser, main, stars
+from enetstats.cli import (
+    _GROUP, _MANOVA, Pipeline, _g17, _render, _tsv, _write_files, build_parser, main, stars
+)
 from enetstats.cv import make_folds
 from enetstats.dataprep import RawTable, SubsetConfig, load_csv, standardize
 from enetstats.enet import EnetConfig, default_lambda_grid, fit_mgaussian_path
@@ -694,7 +696,20 @@ class TestMlm:
             "--out", tmp_path / "o", "--predictors", "fertility_rate,gni_per_capita",
         )
         assert code == 4
-        assert "collinear" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: predictor 'gni_per_capita' is collinear with the preceding columns\n"
+        )
+
+    def test_duplicate_response_exits_4(self, tmp_path, capsys):
+        code = run(
+            "mlm", "--input", write_copied_column_csv(tmp_path, 6, 7), "--subsets", DEMO_CFG,
+            "--out", tmp_path / "o", "--predictors", "fertility_rate,gni_per_capita",
+        )
+        assert code == 4
+        assert capsys.readouterr().err == (
+            "error: response 'yll_noncommunicable' leaves no residual variation beyond "
+            "the predictors and the preceding responses\n"
+        )
 
 
 def stdout_sections(text):
@@ -782,6 +797,25 @@ class TestStdoutTables:
             ["predictor", "vif"], [text, None, fixed],
         )
         assert rest == []
+
+    def test_short_column_repeats(self):
+        # the degrees of freedom every term shares are given once, and
+        # each row shows them, as each row of the TSV does
+        columns = (
+            ["a", "b", "c"], [1], [0.5, 0.25, 0.125], [8.0, 4.0, 2.0], [2], [80],
+            [1e-5, 0.02, 0.5], ["***", "*", "NS"],
+        )
+        assert _render(_MANOVA, columns, 6).splitlines() == [
+            "Multivariate tests:",
+            "term  df  pillai  approx F  num df  den df  p",
+            "a     1   0.5     8         2       80      1e-05  ***",
+            "b     1   0.25    4         2       80      0.02   *",
+            "c     1   0.125   2         2       80      0.5    NS",
+        ]
+        sink = io.BytesIO()
+        _tsv(sink, _MANOVA, columns)
+        rows = sink.getvalue().decode("utf-8").splitlines()[1:]
+        assert [[row.split("\t")[i] for i in (1, 4, 5)] for row in rows] == [["1", "2", "80"]] * 3
 
 
 class TestFlagValidation:
@@ -939,13 +973,14 @@ def write_nan_csv(tmp_path):
     return tmp_path / "nan.csv"
 
 
-def write_copied_column_csv(tmp_path):
-    """The demo data with gni_per_capita overwritten by fertility_rate."""
+def write_copied_column_csv(tmp_path, source=0, target=1):
+    """The demo data with column ``target`` overwritten by column
+    ``source``; by default gni_per_capita by fertility_rate."""
     lines = DEMO_CSV.read_text(encoding="utf-8").splitlines(keepends=True)
     rows = [lines[0]]
     for line in lines[1:]:
         cells = line.split(",")
-        cells[1] = cells[0]
+        cells[target] = cells[source]
         rows.append(",".join(cells))
     (tmp_path / "copied.csv").write_text("".join(rows), encoding="utf-8")
     return tmp_path / "copied.csv"

@@ -20,6 +20,7 @@ from enetstats.enet import (
     fit_mgaussian_path,
     kkt_check,
 )
+from enetstats.linalg import RankDeficiencyError
 
 from design_sweep import design, wide_design
 from oracles import enet_objective_direct, group_soft_threshold, prox_grad_reference, soft_threshold
@@ -245,8 +246,11 @@ class TestGaussianPath:
         xc = x[:, 1] - x[:, 1].mean()
         assert float(xc @ xc) != 0.0
         y = np.array([1.0, 3.0, 2.0])
-        with pytest.raises(ValueError, match="column 1 is constant"):
+        # a constant column is a combination of the intercept, the fault
+        # fit_mlm reports with the same class
+        with pytest.raises(RankDeficiencyError, match="^predictor column 1 is constant$") as info:
             fit_mgaussian_path(x, y, EnetConfig(alpha=0.5), lambdas=[0.1])
+        assert info.value.column == 1
 
     def test_max_iter_reports_lambda_index(self):
         rng = np.random.default_rng(10)

@@ -8,7 +8,6 @@ from numpy.testing import assert_allclose
 from scipy import stats
 
 from enetstats.inference import (
-    CollinearityError,
     PerfectFitError,
     adjusted_r2,
     fit_mlm,
@@ -92,6 +91,16 @@ class TestFitMlm:
         x[:, 2] = 2.0 * x[:, 0]
         with pytest.raises(RankDeficiencyError, match="'c'"):
             fit_mlm(x, rng.normal(size=(12, 1)), predictor_names=["a", "b", "c"])
+
+    def test_collinear_column_is_its_predictor_index(self):
+        # the index among the predictors, not among [1, X]
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(12, 3))
+        x[:, 1] = x[:, 0]
+        message = "^predictor 'x2' is collinear with the preceding columns$"
+        with pytest.raises(RankDeficiencyError, match=message) as info:
+            fit_mlm(x, rng.normal(size=(12, 1)))
+        assert info.value.column == 1
 
     def test_too_few_rows(self):
         # full-rank data, so the row count alone decides: N = p and
@@ -449,8 +458,12 @@ class TestVif:
         rng = np.random.default_rng(13)
         c, z = rng.normal(size=(2, 10))
         x = np.column_stack([c, z, c + 1e-9 * rng.normal(size=10)])
-        with pytest.raises(CollinearityError, match="^predictor 'a' is an exact linear"):
+        with pytest.raises(RankDeficiencyError, match="^predictor 'a' is an exact linear") as info:
             vif_of(x, names=["a", "b", "c"])
+        assert info.value.column == 0
+        with pytest.raises(RankDeficiencyError, match="^predictor 'b' is an exact linear") as info:
+            vif_of(x[:, [1, 0, 2]], names=["a", "b", "c"])
+        assert info.value.column == 1
 
     @pytest.mark.parametrize("t, collinear", [(0.8e-12, True), (1.25e-12, False)])
     def test_collinearity_threshold(self, t, collinear):
@@ -459,7 +472,7 @@ class TestVif:
         w = np.array([1.0, 1.0, -1.0, -1.0]) / 2.0
         x = np.column_stack([u, math.sqrt(1.0 - t) * u + math.sqrt(t) * w])
         if collinear:
-            with pytest.raises(CollinearityError, match="^predictor 'x1' is an exact linear"):
+            with pytest.raises(RankDeficiencyError, match="^predictor 'x1' is an exact linear"):
                 vif_of(x)
         else:
             table = vif_of(x)

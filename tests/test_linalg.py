@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -34,6 +36,11 @@ class TestCheckScale:
             check_scale(np.array([[1.0, -value]]), lambda j: f"column {j}")
 
 
+def rank_error(j):
+    """The error :func:`check_rank` raises for column j."""
+    return RankDeficiencyError("", column=j)
+
+
 class TestRFactor:
     """The R of numpy's Q-free QR, which ``fit_mlm`` takes, and
     :func:`check_rank`'s pivot rule on it."""
@@ -51,23 +58,25 @@ class TestRFactor:
         a, b = rng.normal(size=(2, 8))
         x = np.column_stack([a, b, a - 3.0 * b, rng.normal(size=8), b])
         with pytest.raises(RankDeficiencyError) as info:
-            check_rank(np.linalg.qr(x, mode="r"))
+            check_rank(np.linalg.qr(x, mode="r"), rank_error)
         assert info.value.column == 2
 
     def test_pivot_rule_is_scale_invariant(self):
         rng = np.random.default_rng(43)
         a, b = rng.normal(size=(2, 8))
-        check_rank(np.linalg.qr(np.column_stack([np.ones(8), 1e14 * a, 1e-14 * b]), mode="r"))
+        passes = np.linalg.qr(np.column_stack([np.ones(8), 1e14 * a, 1e-14 * b]), mode="r")
+        check_rank(passes, rank_error)
         with pytest.raises(RankDeficiencyError) as info:
-            check_rank(np.linalg.qr(np.column_stack([1e14 * a, 1e-14 * b, 1e-14 * a]), mode="r"))
+            fails = np.linalg.qr(np.column_stack([1e14 * a, 1e-14 * b, 1e-14 * a]), mode="r")
+            check_rank(fails, rank_error)
         assert info.value.column == 2
 
     def test_pivot_threshold_is_1e_12_of_the_column_norm(self):
         # column 1's pivot is 1.2e-12 and 0.9e-12 of its norm, either side
         # of the threshold
-        check_rank(np.linalg.qr(np.array([[1.0, 1.0], [0.0, 1.2e-12]]), mode="r"))
+        check_rank(np.linalg.qr(np.array([[1.0, 1.0], [0.0, 1.2e-12]]), mode="r"), rank_error)
         with pytest.raises(RankDeficiencyError) as info:
-            check_rank(np.linalg.qr(np.array([[1.0, 1.0], [0.0, 0.9e-12]]), mode="r"))
+            check_rank(np.linalg.qr(np.array([[1.0, 1.0], [0.0, 0.9e-12]]), mode="r"), rank_error)
         assert info.value.column == 1
 
     def test_wide_is_trapezoidal(self):
@@ -106,3 +115,13 @@ class TestCenterColumns:
         means, scales = center_columns(x)
         assert means == 6.0 and scales == 8.0
         assert x.tolist() == [-0.375, -0.125, 0.5]
+
+    def test_means_are_within_an_ulp_of_the_exact_mean(self):
+        # the first pass's mean is off by up to a few units in the last
+        # place; the second pass's shift corrects it
+        x = 1000.0 + np.random.default_rng(46).uniform(size=(7, 40))
+        exact = [sum(map(Fraction, col)) / 7 for col in x.T.tolist()]
+        means, _ = center_columns(x)
+        assert all(
+            abs(Fraction(m) - e) <= Fraction(np.spacing(m)) for m, e in zip(means.tolist(), exact)
+        )
